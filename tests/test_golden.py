@@ -28,6 +28,26 @@ CASES = [
         ["measure", "--mu", "4", "--s", "17", "--tau", "4.0", "--outcome", "minus",
          "--t-max", "12", "--step", "1"],
     ),
+    (
+        "probability_mu4_s17.csv",
+        ["probability", "--mu", "4", "--s", "17", "--t-max", "8", "--step", "0.5"],
+    ),
+    (
+        "alternating_mu4_s17.csv",
+        ["alternating", "--mu", "4", "--s", "17", "--t-max", "12", "--step", "0.5"],
+    ),
+    (
+        "launchpad_telomere.csv",
+        ["launchpad", "--variant", "telomere", "--mu", "6", "--s", "24",
+         "--t-max", "12", "--step", "1"],
+    ),
+    (
+        "launchpad_flat.csv",
+        ["launchpad", "--variant", "flat", "--mu", "6", "--s", "24", "--n", "3",
+         "--t-max", "12", "--step", "1"],
+    ),
+    ("mean_q_s33_n3.csv", ["mean-q", "--s", "33", "--n", "3", "--t-max", "16", "--step", "1"]),
+    ("var_q_s33.csv", ["var-q", "--s", "33", "--t-max", "16", "--step", "1"]),
 ]
 
 
