@@ -160,29 +160,43 @@ def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:
     return CursorWavefunction(spec, amps)
 
 
+def _evolve_modes(spec: ChainSpec, amps: np.ndarray, times) -> np.ndarray:
+    """Free chain evolution of d amplitude columns over a time grid.
+
+    Maps (s, d) site amplitudes to (s, T, d):
+    psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
+    This is the package's one spectral transform; callers check the norm.
+    """
+    e, V = eigenbasis(spec)
+    coeff = V.T @ amps  # (s, d)
+    phases = np.exp(-1j * np.outer(e, times))  # (s, T)
+    return np.tensordot(V, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+
+
 def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:
     """Evolve a cursor state for time t in the sine eigenbasis.
 
-    psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
-    Raises NormalizationError if the norm drifts beyond 1e-9.
+    Raises NormalizationError if the norm drifts beyond NORM_DRIFT_TOL.
     """
     spec = psi0.spec
-    e, V = eigenbasis(spec)
-    coeff = V.T @ psi0.amplitudes
-    amps = V @ (np.exp(-1j * e * t) * coeff)
+    amps = _evolve_modes(spec, psi0.amplitudes[:, None], [t])[:, 0, 0]
     norm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted to {norm2!r} after propagation")
     return CursorWavefunction(spec, amps)
 
 
-def position_statistics(psi: CursorWavefunction) -> PositionStatistics:
-    """Distribution |psi(x)|^2 with mean and variance of the site index."""
-    p = psi.probabilities()
-    x = np.arange(1, psi.spec.s + 1)
+def _site_statistics(p: np.ndarray) -> PositionStatistics:
+    """Mean and variance of the site index under the distribution p."""
+    x = np.arange(1, p.size + 1)
     mean = float(np.dot(x, p))
     variance = float(np.dot(x * x, p) - mean**2)
     return PositionStatistics(distribution=p, mean=mean, variance=variance)
+
+
+def position_statistics(psi: CursorWavefunction) -> PositionStatistics:
+    """Distribution |psi(x)|^2 with mean and variance of the site index."""
+    return _site_statistics(psi.probabilities())
 
 
 def launchpad_state(spec: ChainSpec, epsilon: int, k: int) -> CursorWavefunction:

@@ -3,12 +3,14 @@
 Each subcommand maps onto one library computation with explicit
 parameters.  Output is comma-separated with a header row, 15 significant
 digits, LF line endings; identical flags produce byte-identical output.
-Exit codes: 0 success, 2 parameter error, 3 resource-cap error.
+Exit codes: 0 success, 1 oracle-check deviation >= 1e-10, 2 parameter
+error (non-finite float flags included), 3 resource-cap error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -92,17 +94,20 @@ def _resolve(options, args, scenario) -> dict:
             if default is None and opt.required:
                 raise ValueError(f"missing required option --{opt.name}")
             values[opt.name] = default
+        value = values[opt.name]
+        if opt.typ is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"--{opt.name} must be a finite number, got {value!r}")
     unknown = set(scenario) - {opt.name for opt in options}
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     return values
 
 
-def _grid_options(t_max_default, step_default=0.1):
+def _grid_options(t_max_default):
     return [
         _Opt("t-min", float, 0.0, "start of the time grid"),
         _Opt("t-max", float, t_max_default, "end of the time grid"),
-        _Opt("step", float, step_default, "time grid step"),
+        _Opt("step", float, 0.1, "time grid step"),
     ]
 
 
@@ -122,54 +127,85 @@ def _default_sites(values) -> int:
 # ---------------------------------------------------------------------------
 # subcommand runners
 
-def _run_bloch(v):
-    _, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    traj = register.register_trajectory(program, r1, psi0, times)
-    rows = zip(times, traj.s1, traj.s3, traj.r, traj.gamma)
-    return ["t", "s1", "s3", "r", "gamma"], rows
+# CSV columns that are not a RegisterTrajectory field of the same name
+_SERIES = {
+    "S": lambda traj: traj.entropy,
+    "p_target": lambda traj: traj.p_success,
+    "p_other": lambda traj: 1.0 - traj.p_success,
+}
+_PAD_COLUMNS = ["p_target", "entropy", "s1", "s3", "r"]
 
 
-def _run_entropy(v):
-    _, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    traj = register.register_trajectory(program, r1, psi0, times)
-    return ["t", "S"], zip(times, traj.entropy)
+def _trajectory_runner(start, columns):
+    """Runner for a register trajectory; start(v) gives (program, r1, psi0)."""
+
+    def run(v):
+        program, r1, psi0 = start(v)
+        times = _time_grid(v["t-min"], v["t-max"], v["step"])
+        traj = register.register_trajectory(program, r1, psi0, times)
+        series = [
+            _SERIES[col](traj) if col in _SERIES else getattr(traj, col)
+            for col in columns
+        ]
+        return ["t", *columns], zip(times, *series)
+
+    return run
 
 
-def _run_probability(v):
-    _, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    traj = register.register_trajectory(program, r1, psi0, times)
-    rows = zip(times, traj.p_success, 1.0 - traj.p_success, traj.lam1, traj.lam2)
-    return ["t", "p_target", "p_other", "lam1", "lam2"], rows
+def _toy_start(v):
+    _, _, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
+    return program, r1, psi0
 
 
-def _cursor_start(v, spec):
-    if v["n"] is not None:
-        return chain.launchpad_state(spec, 2 * v["n"] - 1, v["n"])
-    return chain.basis_state(spec, 1)
-
-
-def _run_mean_q(v):
+def _launchpad_start(v):
+    params = register.grover_params(v["mu"])
     spec = chain.ChainSpec(v["s"], v["coupling"])
-    psi0 = _cursor_start(v, spec)
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    rows = [
-        (t, chain.position_statistics(chain.propagate(psi0, t)).mean) for t in times
-    ]
-    return ["t", "mean_q"], rows
+    count = v["num-active"]
+    if count is None:
+        count = int(np.floor(np.pi / 4.0 * 2 ** (v["mu"] / 2.0)))
+    variant = v["variant"]
+    if variant == "telomere":
+        program = register.rotation_window_program(spec.s, params.alpha, 1, count)
+        psi0 = chain.basis_state(spec, 1)
+    elif variant in ("flat", "gamma"):
+        epsilon = 2 * v["n"] - 1
+        program = register.rotation_window_program(
+            spec.s, params.alpha, epsilon, count
+        )
+        psi0 = (
+            chain.launchpad_state(spec, epsilon, v["n"])
+            if variant == "flat"
+            else chain.gamma_state(spec, v["n"])
+        )
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return program, register.grover_initial_state(params), psi0
 
 
-def _run_var_q(v):
+def _alternating_start(v):
+    params = register.grover_params(v["mu"])
     spec = chain.ChainSpec(v["s"], v["coupling"])
-    psi0 = _cursor_start(v, spec)
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    rows = [
-        (t, chain.position_statistics(chain.propagate(psi0, t)).variance)
-        for t in times
-    ]
-    return ["t", "var_q"], rows
+    program = register.alternating_program(spec.s, params.theta)
+    return program, register.grover_initial_state(params), chain.basis_state(spec, 1)
+
+
+def _position_runner(column, moment):
+    """Runner for one moment of the free cursor's site distribution over time."""
+
+    def run(v):
+        spec = chain.ChainSpec(v["s"], v["coupling"])
+        if v["n"] is not None:
+            psi0 = chain.launchpad_state(spec, 2 * v["n"] - 1, v["n"])
+        else:
+            psi0 = chain.basis_state(spec, 1)
+        times = _time_grid(v["t-min"], v["t-max"], v["step"])
+        rows = [
+            (t, getattr(chain.position_statistics(chain.propagate(psi0, t)), moment))
+            for t in times
+        ]
+        return ["t", column], rows
+
+    return run
 
 
 def _speed_law_from(v) -> speed.SpeedLaw:
@@ -197,47 +233,6 @@ def _run_speed_density(v):
     return ["v", "f", "F"], zip(vv, law.density(vv), law.cdf(vv))
 
 
-def _run_launchpad(v):
-    params = register.grover_params(v["mu"])
-    spec = chain.ChainSpec(v["s"], v["coupling"])
-    count = v["num-active"]
-    if count is None:
-        count = int(np.floor(np.pi / 4.0 * 2 ** (v["mu"] / 2.0)))
-    variant = v["variant"]
-    if variant == "telomere":
-        program = register.rotation_window_program(spec.s, params.alpha, 1, count)
-        psi0 = chain.basis_state(spec, 1)
-    elif variant in ("flat", "gamma"):
-        epsilon = 2 * v["n"] - 1
-        program = register.rotation_window_program(
-            spec.s, params.alpha, epsilon, count
-        )
-        psi0 = (
-            chain.launchpad_state(spec, epsilon, v["n"])
-            if variant == "flat"
-            else chain.gamma_state(spec, v["n"])
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    r1 = register.grover_initial_state(params)
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    traj = register.register_trajectory(program, r1, psi0, times)
-    rows = zip(times, traj.p_success, traj.entropy, traj.s1, traj.s3, traj.r)
-    return ["t", "p_target", "entropy", "s1", "s3", "r"], rows
-
-
-def _run_alternating(v):
-    params = register.grover_params(v["mu"])
-    spec = chain.ChainSpec(v["s"], v["coupling"])
-    program = register.alternating_program(spec.s, params.theta)
-    r1 = register.grover_initial_state(params)
-    psi0 = chain.basis_state(spec, 1)
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    traj = register.register_trajectory(program, r1, psi0, times)
-    rows = zip(times, traj.p_success, traj.entropy, traj.s1, traj.s3, traj.r)
-    return ["t", "p_target", "entropy", "s1", "s3", "r"], rows
-
-
 def _run_multi(v):
     params = register.grover_params(v["mu"])
     spec = chain.ChainSpec(v["s"], v["coupling"])
@@ -254,7 +249,7 @@ def _run_multi(v):
         rows.append(
             (t, rho[0, 0].real, register.entropy_from_r(r), s1, s3, r)
         )
-    return ["t", "p_target", "entropy", "s1", "s3", "r"], rows
+    return ["t", *_PAD_COLUMNS], rows
 
 
 def _run_measure(v):
@@ -262,11 +257,17 @@ def _run_measure(v):
     tau = v["tau"]
     if tau is None or tau <= 0:
         raise ValueError("measurement time --tau must be positive")
+    step = v["step"]
+    t_max = v["t-max"] if v["t-max"] is not None else 4.0 * tau
+    if t_max - tau <= step:
+        raise ValueError(
+            f"--t-max must exceed --tau plus --step, got --t-max {t_max!r}, "
+            f"--tau {tau!r}, --step {step!r}"
+        )
     machine = register.MachineState.from_product(program, r1, psi0).evolve(tau)
     outcome = {"plus": +1, "minus": -1}[v["outcome"]]
     collapsed, probability = register.measure_register_sigma3(machine, outcome)
-    t_max = v["t-max"] if v["t-max"] is not None else 4.0 * tau
-    offsets = _time_grid(v["step"], t_max - tau, v["step"])
+    offsets = _time_grid(step, t_max - tau, step)
     traj = register.machine_trajectory(collapsed, offsets)
     rows = [
         (tau + dt, s1, s3, r, gm, probability)
@@ -336,56 +337,48 @@ def _run_oracle_check(v):
 
 def _commands():
     coupling = _Opt("coupling", float, 1.0, "hopping coupling (units 1/time)")
+
+    def toy_options(t_max_per_site):
+        return [
+            _Opt("mu", int, 7, "marked-word bit length"),
+            _Opt("s", int, _default_sites, "number of cursor sites"),
+            coupling,
+            *_grid_options(lambda v: t_max_per_site * v["s"]),
+        ]
+
+    def position_options(s_default):
+        return [
+            _Opt("s", int, s_default, "number of cursor sites"),
+            _Opt("n", int, None, "start from the flat pad state c_n (default: site 1)"),
+            coupling,
+            *_grid_options(lambda v: float(v["s"])),
+        ]
+
     return {
         "bloch": (
             "Bloch-plane curve (s1, s3) of the clocked register",
-            [
-                _Opt("mu", int, 7, "marked-word bit length"),
-                _Opt("s", int, _default_sites, "number of cursor sites"),
-                coupling,
-                *_grid_options(lambda v: float(v["s"])),
-            ],
-            _run_bloch,
+            toy_options(1.0),
+            _trajectory_runner(_toy_start, ["s1", "s3", "r", "gamma"]),
         ),
         "entropy": (
             "register entropy S(t) for the rotation program",
-            [
-                _Opt("mu", int, 7, "marked-word bit length"),
-                _Opt("s", int, _default_sites, "number of cursor sites"),
-                coupling,
-                *_grid_options(lambda v: 2.0 * v["s"]),
-            ],
-            _run_entropy,
+            toy_options(2.0),
+            _trajectory_runner(_toy_start, ["S"]),
         ),
         "probability": (
             "target probability with its readout bounds lam1, lam2",
-            [
-                _Opt("mu", int, 7, "marked-word bit length"),
-                _Opt("s", int, _default_sites, "number of cursor sites"),
-                coupling,
-                *_grid_options(lambda v: 1.2 * v["s"]),
-            ],
-            _run_probability,
+            toy_options(1.2),
+            _trajectory_runner(_toy_start, ["p_target", "p_other", "lam1", "lam2"]),
         ),
         "mean-q": (
             "mean cursor position over time",
-            [
-                _Opt("s", int, 129, "number of cursor sites"),
-                _Opt("n", int, None, "start from the flat pad state c_n (default: site 1)"),
-                coupling,
-                *_grid_options(lambda v: float(v["s"])),
-            ],
-            _run_mean_q,
+            position_options(129),
+            _position_runner("mean_q", "mean"),
         ),
         "var-q": (
             "cursor position variance over time",
-            [
-                _Opt("s", int, 50, "number of cursor sites"),
-                _Opt("n", int, None, "start from the flat pad state c_n (default: site 1)"),
-                coupling,
-                *_grid_options(lambda v: float(v["s"])),
-            ],
-            _run_var_q,
+            position_options(50),
+            _position_runner("var_q", "variance"),
         ),
         "speed-density": (
             "density and CDF of an asymptotic speed law",
@@ -415,17 +408,12 @@ def _commands():
                 coupling,
                 *_grid_options(lambda v: 3.0 * v["s"]),
             ],
-            _run_launchpad,
+            _trajectory_runner(_launchpad_start, _PAD_COLUMNS),
         ),
         "alternating": (
             "alternating oracle/estimation program",
-            [
-                _Opt("mu", int, 7, "marked-word bit length"),
-                _Opt("s", int, _default_sites, "number of cursor sites"),
-                coupling,
-                *_grid_options(lambda v: 3.0 * v["s"]),
-            ],
-            _run_alternating,
+            toy_options(3.0),
+            _trajectory_runner(_alternating_start, _PAD_COLUMNS),
         ),
         "multi": (
             "several excitations crossing a single active link",

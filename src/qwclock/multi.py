@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainSpec, NormalizationError, eigenvalue, propagator
+from .chain import NORM_DRIFT_TOL, ChainSpec, NormalizationError, eigenvalue, propagator
 from .oracle import ResourceLimitError, sector_occupations
 from .quadrature import composite_gauss_legendre
 
@@ -121,7 +121,7 @@ class SectorState:
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
         norm2 = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm2 - 1.0) > 1e-9:
+        if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
             raise NormalizationError(f"sector norm^2 = {norm2!r} deviates from 1")
 
     @property
@@ -209,7 +209,7 @@ def propagate_free_sector(state: SectorState, t: float) -> SectorState:
     amps = _extract_ordered(full, state.spec.s, state.n)
     # each ordered amplitude appears n! times in the tensor, carrying its sign
     norm2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm2 - 1.0) > 1e-9:
+    if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
         raise NormalizationError(f"sector norm^2 drifted to {norm2!r}")
     return SectorState(state.spec, state.n, amps)
 

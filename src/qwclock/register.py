@@ -16,11 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import (
+    NORM_DRIFT_TOL,
     ChainSpec,
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
-    eigenbasis,
+    _evolve_modes,
+    _site_statistics,
 )
 from .special import speed_characteristic_kernel
 
@@ -198,7 +200,7 @@ def register_state_sequence(program: PrimitiveProgram, r1) -> np.ndarray:
     """|R(x)> = U_{x-1} ... U_1 |R(1)> for x = 1..s, shape (s, 2)."""
     r1 = np.asarray(r1, dtype=complex)
     norm = np.linalg.norm(r1)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > NORM_DRIFT_TOL:
         raise ValueError(f"register state must be normalized, |R1| = {norm!r}")
     return np.einsum("xij,j->xi", program.cumulative, r1)
 
@@ -222,7 +224,7 @@ class MachineState:
         if self.program.s != self.spec.s:
             raise ValueError("program length does not match the chain")
         norm2 = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm2 - 1.0) > 1e-9:
+        if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
             raise NormalizationError(f"machine norm^2 = {norm2!r} deviates from 1")
 
     @classmethod
@@ -239,10 +241,7 @@ class MachineState:
 
     def evolve(self, t: float) -> "MachineState":
         """Exact evolution for time t (each comoving component walks freely)."""
-        e, modes = eigenbasis(self.spec)
-        phi = self.comoving_components()
-        coeff = modes.T @ phi
-        phi_t = modes @ (np.exp(-1j * e * t)[:, None] * coeff)
+        phi_t = _evolve_modes(self.spec, self.comoving_components(), [t])[:, 0, :]
         spinors = np.einsum("xij,xj->xi", self.program.cumulative, phi_t)
         return MachineState(self.spec, self.program, spinors)
 
@@ -255,10 +254,7 @@ class MachineState:
         return np.sum(np.abs(self.spinors) ** 2, axis=1)
 
     def position_statistics(self) -> PositionStatistics:
-        p = self.cursor_distribution()
-        x = np.arange(1, self.spec.s + 1)
-        mean = float(x @ p)
-        return PositionStatistics(p, mean, float((x * x) @ p - mean**2))
+        return _site_statistics(self.cursor_distribution())
 
 
 def register_density(
@@ -394,21 +390,22 @@ def _fill_undefined(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
 def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     """Sample the register state on a time grid (batched spectral transform).
 
-    Times are offsets from the machine's current state.
+    Times are offsets from the machine's current state.  Raises
+    NormalizationError if the norm drifts beyond NORM_DRIFT_TOL at any time.
     """
     times = np.asarray(times, dtype=float)
-    spec = machine.spec
-    program = machine.program
-    e, modes = eigenbasis(spec)
-    coeff = modes.T @ machine.comoving_components()  # (s, 2)
-    phases = np.exp(-1j * np.outer(e, times))  # (s, T)
-    phi_t = np.tensordot(modes, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
-    chi = np.einsum("xij,xtj->xti", program.cumulative, phi_t)  # (s, T, 2)
+    phi_t = _evolve_modes(machine.spec, machine.comoving_components(), times)
+    chi = np.einsum("xij,xtj->xti", machine.program.cumulative, phi_t)  # (s, T, 2)
 
     cross = np.sum(chi[:, :, 0].conj() * chi[:, :, 1], axis=0)
     s1 = 2.0 * cross.real
     s2 = 2.0 * cross.imag
-    s3 = np.sum(np.abs(chi[:, :, 0]) ** 2 - np.abs(chi[:, :, 1]) ** 2, axis=0)
+    p0 = np.abs(chi[:, :, 0]) ** 2
+    p1 = np.abs(chi[:, :, 1]) ** 2
+    s3 = np.sum(p0 - p1, axis=0)
+    drift = float(np.abs(np.sum(p0 + p1, axis=0) - 1.0).max(initial=0.0))
+    if drift > NORM_DRIFT_TOL:
+        raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
 
     r = np.sqrt(s1**2 + s2**2 + s3**2)
     defined = r >= _R_DEGENERATE

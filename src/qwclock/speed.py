@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainSpec, CursorWavefunction, propagate
+from .chain import NORM_DRIFT_TOL, ChainSpec, CursorWavefunction, propagate
 from .quadrature import composite_gauss_legendre, integrate
 
 __all__ = [
@@ -192,7 +192,7 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
     moments and CDF by quadrature.
     """
     norm2 = float(np.sum(np.abs(psi0.amplitudes) ** 2))
-    if abs(norm2 - 1.0) > 1e-9:
+    if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
         raise ValueError(f"initial state must be normalized, norm^2 = {norm2!r}")
 
     def integrand_p(p):

@@ -167,6 +167,16 @@ def test_measure_trajectory(capsys):
     assert 0.0 < rows[0, 5] < 1.0
 
 
+def test_measure_grid_error_names_flags(capsys):
+    argv = ["measure", "--mu", "4", "--s", "17", "--tau", "3", "--t-max", "2.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: --t-max must exceed --tau plus --step, "
+        "got --t-max 2.5, --tau 3.0, --step 0.1\n"
+    )
+
+
 def test_oracle_check_passes(capsys):
     code, out = run_cli(["oracle-check", "--s", "6", "--mu", "4"], capsys)
     assert code == 0
@@ -184,6 +194,14 @@ def test_parameter_errors_exit_2(capsys):
     assert run_cli(["bloch", "--s", "17", "--t-max", "-5"], capsys)[0] == 2
     assert run_cli(["speed-density", "--family", "nope"], capsys)[0] == 2
     assert run_cli(["launchpad", "--variant", "nope"], capsys)[0] == 2
+    nonfinite = [("bloch", flag, value)
+                 for flag in ("t-min", "t-max", "step", "coupling")
+                 for value in ("inf", "-inf", "nan")]
+    nonfinite += [("measure", "tau", value) for value in ("inf", "nan")]
+    for sub, flag, value in nonfinite:
+        assert main([sub, "--s", "17", f"--{flag}={value}"]) == 2, (flag, value)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--{flag} must be a finite number" in err
 
 
 def test_resource_cap_exit_3(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qwclock as qc
+from qwclock import chain, register
 from qwclock.register import SIGMA2, machine_trajectory
 
 
@@ -336,6 +337,24 @@ def test_machine_norm_validation():
     bad[0, 0] = 0.5
     with pytest.raises(qc.NormalizationError):
         qc.MachineState(spec, program, bad)
+
+
+def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
+    evolve_modes = chain._evolve_modes
+
+    def drifting(spec, amps, times):
+        return evolve_modes(spec, amps, times) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(chain, "_evolve_modes", drifting)
+    monkeypatch.setattr(register, "_evolve_modes", drifting)
+    _, _, program, r1, psi0 = toy_setup(mu=4, s=17)
+    machine = qc.MachineState.from_product(program, r1, psi0)
+    with pytest.raises(qc.NormalizationError):
+        qc.propagate(psi0, 1.0)
+    with pytest.raises(qc.NormalizationError):
+        machine.evolve(1.0)
+    with pytest.raises(qc.NormalizationError):
+        machine_trajectory(machine, np.array([0.0, 1.0]))
 
 
 def test_local_extrema_helpers():
