@@ -14,6 +14,11 @@ CASES = [
     ("speed_localized_g40.csv", ["speed-density", "--family", "localized", "--grid", "40"]),
     ("speed_padcn_n5_g40.csv", ["speed-density", "--family", "pad-cn", "--n", "5", "--grid", "40"]),
     (
+        "speed_shifted_x3_g40.csv",
+        ["speed-density", "--family", "shifted", "--x0", "3", "--grid", "40"],
+    ),
+    ("speed_gamma_n5_g40.csv", ["speed-density", "--family", "gamma", "--n", "5", "--grid", "40"]),
+    (
         "launchpad_gamma.csv",
         ["launchpad", "--variant", "gamma", "--mu", "6", "--s", "24", "--n", "3",
          "--t-max", "12", "--step", "1"],
