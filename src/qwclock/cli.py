@@ -4,7 +4,8 @@ Each subcommand maps onto one library computation with explicit
 parameters.  Output is comma-separated with a header row, 15 significant
 digits, LF line endings; identical flags produce byte-identical output.
 Exit codes: 0 success, 1 oracle-check deviation >= 1e-10, 2 parameter
-error (non-finite float flags included), 3 resource-cap error.
+error (non-finite float flags included), 3 resource error (a cap, a time
+grid with no finite sample count, or running out of memory).
 """
 
 from __future__ import annotations
@@ -48,8 +49,13 @@ def _time_grid(t_min: float, t_max: float, step: float) -> np.ndarray:
         raise ValueError(f"time step must be positive, got step={step}")
     if t_max <= t_min:
         raise ValueError(f"need t-max > t-min, got {t_max} <= {t_min}")
-    count = int(np.floor((t_max - t_min) / step + 1e-9)) + 1
-    return t_min + step * np.arange(count)
+    count = np.floor((t_max - t_min) / step + 1e-9) + 1
+    if not np.isfinite(count):
+        raise ResourceLimitError(
+            f"time grid --t-min {t_min!r} to --t-max {t_max!r} by --step {step!r} "
+            "has no finite sample count"
+        )
+    return t_min + step * np.arange(int(count))
 
 
 def _load_scenario(path: str) -> dict:
@@ -257,6 +263,9 @@ def _run_measure(v):
     tau = v["tau"]
     if tau is None or tau <= 0:
         raise ValueError("measurement time --tau must be positive")
+    signs = {"plus": +1, "minus": -1}
+    if v["outcome"] not in signs:
+        raise ValueError(f"--outcome must be plus or minus, got {v['outcome']!r}")
     step = v["step"]
     t_max = v["t-max"] if v["t-max"] is not None else 4.0 * tau
     if t_max - tau <= step:
@@ -265,8 +274,7 @@ def _run_measure(v):
             f"--tau {tau!r}, --step {step!r}"
         )
     machine = register.MachineState.from_product(program, r1, psi0).evolve(tau)
-    outcome = {"plus": +1, "minus": -1}[v["outcome"]]
-    collapsed, probability = register.measure_register_sigma3(machine, outcome)
+    collapsed, probability = register.measure_register_sigma3(machine, signs[v["outcome"]])
     offsets = _time_grid(step, t_max - tau, step)
     traj = register.machine_trajectory(collapsed, offsets)
     rows = [
@@ -473,8 +481,8 @@ def main(argv=None) -> int:
         scenario = _load_scenario(args.scenario) if args.scenario else {}
         values = _resolve(args.options, args, scenario)
         result = args.runner(values)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

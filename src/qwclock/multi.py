@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable
 
 import numpy as np
 
@@ -266,14 +265,30 @@ def propagate_single_link(
     return SectorState(state.spec, state.n, dressed)
 
 
-@dataclass(frozen=True, eq=False)
 class JointSpeedLaw:
     """Joint limit law of the two speeds for the |{1,2}> start.
 
-    density on the ordered support 0 < v1 < v2 < 1 (leftmost slower).
+    Defined by its p-space integrand 64 sin^2 p1 sin^2 p2 (2 - sin^2 p1 -
+    sin^2 p2) / pi^2 under v_i = sin p_i; the density lives on the ordered
+    support 0 < v1 < v2 < 1 (leftmost slower).
     """
 
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    def density(self, v1, v2):
+        """64 v1^2 v2^2 (2 - v1^2 - v2^2) / (pi^2 sqrt((1 - v1^2)(1 - v2^2)))."""
+        a1, a2 = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(v1, dtype=float)),
+            np.atleast_1d(np.asarray(v2, dtype=float)),
+        )
+        out = np.zeros(a1.shape)
+        inside = (a1 > 0.0) & (a1 < a2) & (a2 < 1.0)
+        if inside.any():
+            b1, b2 = a1[inside], a2[inside]
+            out[inside] = self._integrand_p(np.arcsin(b1), np.arcsin(b2)) / np.sqrt(
+                (1.0 - b1**2) * (1.0 - b2**2)
+            )
+        if np.ndim(v1) == 0 and np.ndim(v2) == 0:
+            return float(out[0])
+        return out
 
     def normalization(self) -> float:
         """Double integral over the ordered triangle; 1 up to quadrature error."""
@@ -289,49 +304,27 @@ class JointSpeedLaw:
         s1, s2 = np.sin(p1) ** 2, np.sin(p2) ** 2
         return 64.0 * s1 * s2 * (2.0 - s1 - s2) / np.pi**2
 
+    def _slice_p(self, v2: float):
+        """Integrand over p1 in (0, arcsin v2) at p2 = arcsin v2, with weights."""
+        p2 = float(np.arcsin(v2))
+        p1, w1 = composite_gauss_legendre(0.0, p2, panels=4, order=16)
+        return p1, w1, self._integrand_p(p1, p2)
+
     def marginal_rightmost(self, v2: float) -> float:
         """Density of the faster speed: integral of f(., v2) over (0, v2)."""
         if not 0.0 < v2 < 1.0:
             return 0.0
-        p1, w1 = composite_gauss_legendre(0.0, float(np.arcsin(v2)), panels=4, order=16)
-        s1 = np.sin(p1) ** 2
-        core = 64.0 * s1 * v2**2 * (2.0 - s1 - v2**2) / (
-            np.pi**2 * np.sqrt(1.0 - v2**2)
-        )
-        return float(w1 @ core)
+        _, w1, g = self._slice_p(v2)
+        return float(w1 @ g) / float(np.sqrt(1.0 - v2**2))
 
     def conditional_mean_leftmost(self, v2: float) -> float:
         """E(V1 | V2 = v2); equals 3 v2/4 up to O(v2^5) corrections."""
         if not 0.0 < v2 < 1.0:
             raise ValueError(f"v2={v2} outside (0, 1)")
-        p1, w1 = composite_gauss_legendre(0.0, float(np.arcsin(v2)), panels=4, order=16)
-        s1 = np.sin(p1) ** 2
-        core = s1 * (2.0 - s1 - v2**2)
-        num = float(w1 @ (np.sin(p1) * core))
-        den = float(w1 @ core)
-        return num / den
+        p1, w1, g = self._slice_p(v2)
+        return float(w1 @ (np.sin(p1) * g)) / float(w1 @ g)
 
 
 def joint_speed_law() -> JointSpeedLaw:
-    """Joint speed density 64 v1^2 v2^2 (2 - v1^2 - v2^2) / (pi^2 sqrt(...))."""
-
-    def density(v1, v2):
-        a1 = np.atleast_1d(np.asarray(v1, dtype=float))
-        a2 = np.atleast_1d(np.asarray(v2, dtype=float))
-        a1, a2 = np.broadcast_arrays(a1, a2)
-        out = np.zeros(a1.shape)
-        inside = (a1 > 0.0) & (a1 < a2) & (a2 < 1.0)
-        if inside.any():
-            b1, b2 = a1[inside], a2[inside]
-            out[inside] = (
-                64.0
-                * b1**2
-                * b2**2
-                * (2.0 - b1**2 - b2**2)
-                / (np.pi**2 * np.sqrt((1.0 - b1**2) * (1.0 - b2**2)))
-            )
-        if np.ndim(v1) == 0 and np.ndim(v2) == 0:
-            return float(out[0])
-        return out
-
-    return JointSpeedLaw(density=density)
+    """Joint speed law of two free excitations started on sites {1, 2}."""
+    return JointSpeedLaw()

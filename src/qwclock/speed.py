@@ -1,11 +1,12 @@
 """Asymptotic computation-speed laws and empirical speed extraction.
 
 Each initial-state family of the cursor walk has a limiting distribution
-for Q/t (sites advanced per unit time) supported on (0, 1).  The laws
-here carry a density, a CDF and exact moments.  All integrals are done
-under the substitution v = sin p, which removes the (1-v^2)^(-1/2) and
-(1-v^2)^(-3/2) endpoint blowups analytically; quadrature is composite
-Gauss-Legendre with 512 nodes.
+for Q/t (sites advanced per unit time) supported on (0, 1).  A law is
+defined by its p-space integrand g(p) = f(sin p) cos p under the
+substitution v = sin p, which removes the (1-v^2)^(-1/2) and
+(1-v^2)^(-3/2) endpoint blowups analytically.  The density, the CDF and
+the moments derive from g, with composite Gauss-Legendre quadrature of
+512 nodes, unless the family has a closed form for them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ __all__ = [
     "empirical_speed",
 ]
 
-# one-sided nudge applied at the removable 0/0 points of the pad-ck density
-_SINGULAR_EPS = 1e-12
+# sideways nudge in p applied at the removable 0/0 points of the pad-ck law
 _SINGULAR_OFFSET = 1e-9
 
 
@@ -48,59 +48,54 @@ class SpeedLaw:
     cdf: Callable[[np.ndarray], np.ndarray]
     mean: float
     second_moment: float
-    variance: float
     # integrand in p-space: density(sin p) * cos p, bounded on (0, pi/2)
     integrand_p: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+    @property
+    def variance(self) -> float:
+        return self.second_moment - self.mean**2
 
     def normalization(self) -> float:
         """Integral of the density over (0, 1); 1 up to quadrature error."""
         return integrate(self.integrand_p, 0.0, np.pi / 2)
 
 
-def _unit_interval_density(core: Callable[[np.ndarray], np.ndarray]):
-    """Wrap a core formula with the (0, 1) indicator, scalar-safe."""
+def _on_unit_interval(core: Callable[[np.ndarray], np.ndarray], from_one: float):
+    """Evaluate core on (0, 1): 0 below, from_one at v >= 1; scalar-safe."""
 
-    def density(v):
+    def wrapped(v):
         arr = np.atleast_1d(np.asarray(v, dtype=float))
         out = np.zeros_like(arr)
+        out[arr >= 1.0] = from_one
         inside = (arr > 0.0) & (arr < 1.0)
         if inside.any():
             out[inside] = core(arr[inside])
         return float(out[0]) if np.ndim(v) == 0 else out
 
-    return density
+    return wrapped
 
 
-def _clamped_cdf(core: Callable[[np.ndarray], np.ndarray]):
-    def cdf(v):
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.zeros_like(arr)
-        out[arr >= 1.0] = 1.0
-        inside = (arr > 0.0) & (arr < 1.0)
-        if inside.any():
-            out[inside] = core(arr[inside])
-        return float(out[0]) if np.ndim(v) == 0 else out
-
-    return cdf
-
-
-def _cdf_by_quadrature(integrand_p):
-    """CDF(v) = integral of the p-space integrand over (0, arcsin v)."""
-
-    def core(v):
-        tops = np.arcsin(v)
-        return np.array([integrate(integrand_p, 0.0, float(p)) for p in tops])
-
-    return _clamped_cdf(core)
-
-
-def _moments_by_quadrature(integrand_p) -> tuple[float, float]:
-    p, w = composite_gauss_legendre(0.0, np.pi / 2)
-    g = integrand_p(p)
-    sin_p = np.sin(p)
-    mean = float(w @ (sin_p * g))
-    second = float(w @ (sin_p**2 * g))
-    return mean, second
+def _law(family: str, integrand_p, density=None, cdf=None, moments=None) -> SpeedLaw:
+    """Law from its p-space integrand; closed forms replace the derived parts."""
+    if density is None:
+        def density(v):
+            return integrand_p(np.arcsin(v)) / np.sqrt(1.0 - v**2)
+    if cdf is None:
+        def cdf(v):
+            return np.array([integrate(integrand_p, 0.0, float(p)) for p in np.arcsin(v)])
+    if moments is None:
+        p, w = composite_gauss_legendre(0.0, np.pi / 2)
+        g = integrand_p(p)
+        sin_p = np.sin(p)
+        moments = float(w @ (sin_p * g)), float(w @ (sin_p**2 * g))
+    return SpeedLaw(
+        family=family,
+        density=_on_unit_interval(density, 0.0),
+        cdf=_on_unit_interval(cdf, 1.0),
+        mean=moments[0],
+        second_moment=moments[1],
+        integrand_p=integrand_p,
+    )
 
 
 def law_localized() -> SpeedLaw:
@@ -109,21 +104,12 @@ def law_localized() -> SpeedLaw:
     density 4 v^2 / (pi sqrt(1 - v^2)), mean 8/(3 pi),
     variance 3/4 - (8/(3 pi))^2.
     """
-    density = _unit_interval_density(
-        lambda v: 4.0 * v**2 / (np.pi * np.sqrt(1.0 - v**2))
-    )
-    cdf = _clamped_cdf(
-        lambda v: (2.0 / np.pi) * (np.arcsin(v) - v * np.sqrt(1.0 - v**2))
-    )
-    mean = 8.0 / (3.0 * np.pi)
-    return SpeedLaw(
-        family="localized",
-        density=density,
-        cdf=cdf,
-        mean=mean,
-        second_moment=0.75,
-        variance=0.75 - mean**2,
-        integrand_p=lambda p: 4.0 * np.sin(p) ** 2 / np.pi,
+    return _law(
+        "localized",
+        lambda p: 4.0 * np.sin(p) ** 2 / np.pi,
+        density=lambda v: 4.0 * v**2 / (np.pi * np.sqrt(1.0 - v**2)),
+        cdf=lambda v: (2.0 / np.pi) * (np.arcsin(v) - v * np.sqrt(1.0 - v**2)),
+        moments=(8.0 / (3.0 * np.pi), 0.75),
     )
 
 
@@ -136,24 +122,15 @@ def law_shifted(x0: int) -> SpeedLaw:
     if not (isinstance(x0, (int, np.integer)) and x0 >= 1):
         raise ValueError(f"x0 must be a positive integer, got {x0!r}")
     x0 = int(x0)
-
-    density = _unit_interval_density(
-        lambda v: 4.0 * np.sin(x0 * np.arcsin(v)) ** 2 / (np.pi * np.sqrt(1.0 - v**2))
-    )
-    cdf = _clamped_cdf(
-        lambda v: 2.0 * np.arcsin(v) / np.pi
-        - np.sin(2.0 * x0 * np.arcsin(v)) / (np.pi * x0)
-    )
-    mean = 8.0 / (4.0 * np.pi - np.pi / x0**2)
-    second = 0.75 if x0 == 1 else 0.5
-    return SpeedLaw(
-        family=f"shifted(x0={x0})",
-        density=density,
-        cdf=cdf,
-        mean=mean,
-        second_moment=second,
-        variance=second - mean**2,
-        integrand_p=lambda p: 4.0 * np.sin(x0 * p) ** 2 / np.pi,
+    return _law(
+        f"shifted(x0={x0})",
+        lambda p: 4.0 * np.sin(x0 * p) ** 2 / np.pi,
+        density=lambda v: 4.0
+        * np.sin(x0 * np.arcsin(v)) ** 2
+        / (np.pi * np.sqrt(1.0 - v**2)),
+        cdf=lambda v: 2.0 * np.arcsin(v) / np.pi
+        - np.sin(2.0 * x0 * np.arcsin(v)) / (np.pi * x0),
+        moments=(8.0 / (4.0 * np.pi - np.pi / x0**2), 0.75 if x0 == 1 else 0.5),
     )
 
 
@@ -188,7 +165,8 @@ def momentum_profile(
 def law_general(psi0: CursorWavefunction) -> SpeedLaw:
     """Speed law for an arbitrary finite-support initial cursor state.
 
-    density (|Psi(arcsin v)|^2 + |Psi(pi - arcsin v)|^2) / sqrt(1 - v^2);
+    integrand |Psi(p)|^2 + |Psi(pi - p)|^2, i.e. density
+    (|Psi(arcsin v)|^2 + |Psi(pi - arcsin v)|^2) / sqrt(1 - v^2);
     moments and CDF by quadrature.
     """
     norm2 = float(np.sum(np.abs(psi0.amplitudes) ** 2))
@@ -201,55 +179,20 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
             + np.abs(momentum_amplitude(psi0, np.pi - np.asarray(p, float))) ** 2
         )
 
-    density = _unit_interval_density(
-        lambda v: integrand_p(np.arcsin(v)) / np.sqrt(1.0 - v**2)
-    )
-    mean, second = _moments_by_quadrature(integrand_p)
-    return SpeedLaw(
-        family="general",
-        density=density,
-        cdf=_cdf_by_quadrature(integrand_p),
-        mean=mean,
-        second_moment=second,
-        variance=second - mean**2,
-        integrand_p=integrand_p,
-    )
+    return _law("general", integrand_p)
 
 
 def law_pad_ck(epsilon: int, k: int) -> SpeedLaw:
     """Speed law for the pad eigenstate |c_k> on {1..epsilon}.
 
-    The closed form has removable 0/0 points where 2v^2 = 1 - cos(2k pi/(eps+1));
-    evaluation nudges such grid points sideways by 1e-9, where the density is
+    The integrand has removable 0/0 points where cos(2p) = cos(2k pi/(eps+1));
+    evaluation nudges such points sideways by 1e-9 in p, where it is
     continuous.  For epsilon = 2n-1 and k = n this reduces to law_pad_cn(n).
     """
     if not 1 <= k <= epsilon:
         raise ValueError(f"need 1 <= k <= epsilon, got k={k}, epsilon={epsilon}")
     c2k = np.cos(2.0 * k * np.pi / (epsilon + 1))
     sk2 = np.sin(k * np.pi / (epsilon + 1)) ** 2
-    v_star = np.sin(k * np.pi / (epsilon + 1))
-
-    def core(v):
-        v = v.copy()
-        near = np.abs(v - v_star) < _SINGULAR_EPS
-        if near.any():
-            shifted = v_star + _SINGULAR_OFFSET
-            if shifted >= 1.0:
-                shifted = v_star - _SINGULAR_OFFSET
-            v[near] = shifted
-        num = (
-            4.0
-            * (3.0 - 2.0 * v**2 + c2k)
-            * sk2
-            * np.sin((epsilon + 1) * np.arcsin(v)) ** 2
-        )
-        den = (
-            np.pi
-            * np.sqrt(1.0 - v**2)
-            * (epsilon + 1)
-            * (2.0 * v**2 + c2k - 1.0) ** 2
-        )
-        return num / den
 
     def integrand_p(p):
         p = np.asarray(p, dtype=float).copy()
@@ -260,16 +203,7 @@ def law_pad_ck(epsilon: int, k: int) -> SpeedLaw:
         den = np.pi * (epsilon + 1) * (c2k - np.cos(2.0 * p)) ** 2
         return num / den
 
-    mean, second = _moments_by_quadrature(integrand_p)
-    return SpeedLaw(
-        family=f"pad-ck(epsilon={epsilon},k={k})",
-        density=_unit_interval_density(core),
-        cdf=_cdf_by_quadrature(integrand_p),
-        mean=mean,
-        second_moment=second,
-        variance=second - mean**2,
-        integrand_p=integrand_p,
-    )
+    return _law(f"pad-ck(epsilon={epsilon},k={k})", integrand_p)
 
 
 def pad_cn_mean_exact(n: int) -> float:
@@ -292,24 +226,12 @@ def law_pad_cn(n: int) -> SpeedLaw:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    density = _unit_interval_density(
-        lambda v: np.sin(2.0 * n * np.arcsin(v)) ** 2
-        / (np.pi * n * (1.0 - v**2) ** 1.5)
-    )
-
-    def integrand_p(p):
-        return np.sin(2.0 * n * p) ** 2 / (np.pi * n * np.cos(p) ** 2)
-
-    mean = pad_cn_mean_exact(n)
-    second = 1.0 - 1.0 / (4.0 * n)
-    return SpeedLaw(
-        family=f"pad-cn(n={n})",
-        density=density,
-        cdf=_cdf_by_quadrature(integrand_p),
-        mean=mean,
-        second_moment=second,
-        variance=second - mean**2,
-        integrand_p=integrand_p,
+    return _law(
+        f"pad-cn(n={n})",
+        lambda p: np.sin(2.0 * n * p) ** 2 / (np.pi * n * np.cos(p) ** 2),
+        density=lambda v: np.sin(2.0 * n * np.arcsin(v)) ** 2
+        / (np.pi * n * (1.0 - v**2) ** 1.5),
+        moments=(pad_cn_mean_exact(n), 1.0 - 1.0 / (4.0 * n)),
     )
 
 

@@ -194,6 +194,9 @@ def test_parameter_errors_exit_2(capsys):
     assert run_cli(["bloch", "--s", "17", "--t-max", "-5"], capsys)[0] == 2
     assert run_cli(["speed-density", "--family", "nope"], capsys)[0] == 2
     assert run_cli(["launchpad", "--variant", "nope"], capsys)[0] == 2
+    assert main(["measure", "--s", "17", "--tau", "4", "--outcome", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --outcome must be plus or minus, got 'nope'\n"
     nonfinite = [("bloch", flag, value)
                  for flag in ("t-min", "t-max", "step", "coupling")
                  for value in ("inf", "-inf", "nan")]
@@ -204,12 +207,24 @@ def test_parameter_errors_exit_2(capsys):
         assert err.count("\n") == 1 and f"--{flag} must be a finite number" in err
 
 
-def test_resource_cap_exit_3(capsys):
+def test_resource_cap_exit_3(capsys, monkeypatch):
     code, _ = run_cli(
         ["multi", "--s", "30", "--g", "2", "--x0", "5", "--t-max", "1", "--step", "1"],
         capsys,
     )
     assert code == 3
+    # a time grid whose sample count overflows to infinity
+    assert main(["bloch", "--mu", "4", "--s", "17", "--t-max", "1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert all(flag in err for flag in ("--t-min", "--t-max", "--step"))
+
+    def out_of_memory(values):
+        raise MemoryError()
+
+    monkeypatch.setattr("qwclock.cli._run_speed_density", out_of_memory)
+    assert main(["speed-density"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_scenario_file_with_override(tmp_path, capsys):

@@ -254,6 +254,19 @@ def test_joint_law_conditional_mean():
         law.conditional_mean_leftmost(1.5)
 
 
+def test_joint_law_density_values():
+    law = qc.joint_speed_law()
+    v1 = np.array([0.05, 0.2, 0.3, 0.6, 0.9])
+    v2 = np.array([0.1, 0.7, 0.5, 0.95, 0.99])
+    literal = (
+        64.0 * v1**2 * v2**2 * (2.0 - v1**2 - v2**2)
+        / (np.pi**2 * np.sqrt((1.0 - v1**2) * (1.0 - v2**2)))
+    )
+    assert np.abs(law.density(v1, v2) / literal - 1.0).max() < 1e-12
+    for a, b, ref in zip(v1, v2, literal):
+        assert abs(law.density(float(a), float(b)) / ref - 1.0) < 1e-12
+
+
 def test_joint_law_support_and_symmetry():
     law = qc.joint_speed_law()
     assert law.density(0.5, 0.3) == 0.0  # outside the ordered support

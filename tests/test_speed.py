@@ -159,11 +159,13 @@ def test_pad_ck_reduces_to_pad_cn():
     assert abs(ck.second_moment - cn.second_moment) < 1e-10
 
 
-def test_pad_ck_removable_singularity():
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7, 8, 9])
+def test_pad_ck_removable_singularity(k):
     # the closed form is 0/0 at v = sin(k pi/(eps+1)); the evaluation must
-    # stay continuous there
-    law = qc.law_pad_ck(9, 3)
-    v_star = np.sin(3 * np.pi / 10.0)
+    # stay continuous there.  For k > 5 the point sits at arcsin v =
+    # pi - k pi/(eps+1), past the fold of v = sin p.
+    law = qc.law_pad_ck(9, k)
+    v_star = np.sin(k * np.pi / 10.0)
     at = law.density(v_star)
     near = law.density(np.array([v_star - 1e-7, v_star + 1e-7]))
     assert np.isfinite(at)
