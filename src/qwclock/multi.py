@@ -295,8 +295,8 @@ class JointSpeedLaw:
         p2, w2 = composite_gauss_legendre(0.0, np.pi / 2, panels=16, order=32)
         total = 0.0
         for p, w in zip(p2, w2):
-            p1, w1 = composite_gauss_legendre(0.0, p, panels=4, order=16)
-            total += w * float(w1 @ self._integrand_p(p1, p))
+            _, w1, g = self._slice_p(p)
+            total += w * float(w1 @ g)
         return total
 
     @staticmethod
@@ -304,9 +304,8 @@ class JointSpeedLaw:
         s1, s2 = np.sin(p1) ** 2, np.sin(p2) ** 2
         return 64.0 * s1 * s2 * (2.0 - s1 - s2) / np.pi**2
 
-    def _slice_p(self, v2: float):
-        """Integrand over p1 in (0, arcsin v2) at p2 = arcsin v2, with weights."""
-        p2 = float(np.arcsin(v2))
+    def _slice_p(self, p2: float):
+        """Nodes, weights and integrand over p1 in (0, p2) at fixed p2."""
         p1, w1 = composite_gauss_legendre(0.0, p2, panels=4, order=16)
         return p1, w1, self._integrand_p(p1, p2)
 
@@ -314,14 +313,14 @@ class JointSpeedLaw:
         """Density of the faster speed: integral of f(., v2) over (0, v2)."""
         if not 0.0 < v2 < 1.0:
             return 0.0
-        _, w1, g = self._slice_p(v2)
+        _, w1, g = self._slice_p(float(np.arcsin(v2)))
         return float(w1 @ g) / float(np.sqrt(1.0 - v2**2))
 
     def conditional_mean_leftmost(self, v2: float) -> float:
         """E(V1 | V2 = v2); equals 3 v2/4 up to O(v2^5) corrections."""
         if not 0.0 < v2 < 1.0:
             raise ValueError(f"v2={v2} outside (0, 1)")
-        p1, w1, g = self._slice_p(v2)
+        p1, w1, g = self._slice_p(float(np.arcsin(v2)))
         return float(w1 @ (np.sin(p1) * g)) / float(w1 @ g)
 
 
