@@ -76,7 +76,7 @@ from .register import (
     single_link_program,
     toy_program,
 )
-from .special import bessel_j, speed_characteristic_kernel, struve_h
+from .special import speed_characteristic_kernel
 from .speed import (
     EmpiricalSpeed,
     MomentumProfile,

@@ -4,8 +4,9 @@ Each subcommand maps onto one library computation with explicit
 parameters.  Output is comma-separated with a header row, 15 significant
 digits, LF line endings; identical flags produce byte-identical output.
 Exit codes: 0 success, 1 oracle-check deviation >= 1e-10, 2 parameter
-error (non-finite float flags included), 3 resource error (a cap, a time
-grid with no finite sample count, or running out of memory).
+error (non-finite float flags and unwritable --out paths included), 3
+resource error (a cap, a time grid with no finite sample count, or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -275,7 +276,13 @@ def _run_measure(v):
         )
     machine = register.MachineState.from_product(program, r1, psi0).evolve(tau)
     collapsed, probability = register.measure_register_sigma3(machine, signs[v["outcome"]])
-    offsets = _time_grid(step, t_max - tau, step)
+    try:
+        offsets = _time_grid(step, t_max - tau, step)
+    except ResourceLimitError:
+        raise ResourceLimitError(
+            f"time grid --tau {tau!r} to --t-max {t_max!r} by --step {step!r} "
+            "has no finite sample count"
+        ) from None
     traj = register.machine_trajectory(collapsed, offsets)
     rows = [
         (tau + dt, s1, s3, r, gm, probability)
@@ -287,6 +294,9 @@ def _run_measure(v):
 def _run_oracle_check(v):
     checks = []
     params, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
+    # the sector states check their size caps before any dense matrix is built
+    free0 = multi.SectorState.from_product(spec, (1, 2))
+    link0 = multi.SectorState.from_product(spec, (1, 2), r1)
     ham = oracle.build(spec, program, sector=1)
     machine0 = register.MachineState.from_product(program, r1, psi0)
     vec0 = machine0.spinors.reshape(-1)
@@ -315,7 +325,6 @@ def _run_oracle_check(v):
 
     bare = np.ones((spec.s - 1, 1, 1), dtype=complex)
     ham_free = oracle.build(spec, bare, sector=2)
-    free0 = multi.SectorState.from_product(spec, (1, 2))
     dev_free = 0.0
     for t in (1.0, 0.75 * spec.s):
         a = multi.propagate_free_sector(free0, t)
@@ -328,7 +337,6 @@ def _run_oracle_check(v):
     ham_link = oracle.build(
         spec, register.single_link_program(spec.s, x0, g), sector=2
     )
-    link0 = multi.SectorState.from_product(spec, (1, 2), r1)
     dev_link = 0.0
     for t in (1.0, 0.75 * spec.s):
         a = multi.propagate_single_link(link0, x0, g, t)
@@ -443,7 +451,7 @@ def _commands():
                 _Opt("tau", float, None, "measurement time", required=True),
                 _Opt("outcome", str, "plus", "plus | minus"),
                 coupling,
-                *_grid_options(None),
+                *_grid_options(None)[1:],  # the grid starts one step after tau
             ],
             _run_measure,
         ),
@@ -480,20 +488,15 @@ def main(argv=None) -> int:
     try:
         scenario = _load_scenario(args.scenario) if args.scenario else {}
         values = _resolve(args.options, args, scenario)
-        result = args.runner(values)
+        header, rows, *failed = args.runner(values)  # oracle-check adds a flag
+        _emit(header, rows, args.out)
     except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(result) == 3:
-        header, rows, failed = result
-        _emit(header, rows, args.out)
-        return 1 if failed else 0
-    header, rows = result
-    _emit(header, rows, args.out)
-    return 0
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":

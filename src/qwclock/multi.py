@@ -35,6 +35,14 @@ MAX_SITES = 24
 MAX_EXCITATIONS = 4
 
 
+def _check_desk_scale(s: int, n: int) -> None:
+    if s > MAX_SITES or n > MAX_EXCITATIONS:
+        raise ResourceLimitError(
+            f"sector s={s}, n={n} beyond desk scale "
+            f"(s <= {MAX_SITES}, n <= {MAX_EXCITATIONS})"
+        )
+
+
 @dataclass(frozen=True)
 class OccupationSet:
     """Strictly increasing list of occupied sites (or of mode numbers)."""
@@ -107,11 +115,7 @@ class SectorState:
     amplitudes: np.ndarray  # (d, C(s, n)) complex
 
     def __post_init__(self) -> None:
-        if self.spec.s > MAX_SITES or self.n > MAX_EXCITATIONS:
-            raise ResourceLimitError(
-                f"sector s={self.spec.s}, n={self.n} beyond desk scale "
-                f"(s <= {MAX_SITES}, n <= {MAX_EXCITATIONS})"
-            )
+        _check_desk_scale(self.spec.s, self.n)
         if not 1 <= self.n <= self.spec.s:
             raise ValueError(f"excitation number n={self.n} outside 1..{self.spec.s}")
         arr = np.asarray(self.amplitudes, dtype=complex)
@@ -140,6 +144,7 @@ class SectorState:
         if occupied[-1] > spec.s:
             raise ValueError(f"sites {occupied} exceed the chain length s={spec.s}")
         n = len(occupied)
+        _check_desk_scale(spec.s, n)  # before the C(s, n) labels are listed
         labels = sector_occupations(spec.s, n)
         reg = np.array([1.0], dtype=complex) if register_state is None else np.asarray(
             register_state, dtype=complex

@@ -1,126 +1,21 @@
-"""Bessel J and Struve H functions, and the speed characteristic kernel.
+"""Characteristic function of the localized speed law.
 
-Power series for |x| <= 30 with terms added until they fall below 1e-14
-relative; beyond that, Hankel large-argument asymptotics (Abramowitz &
-Stegun 9.2) for J and Y, and the Y-based asymptotic tail for H.  Orders
-are limited to what the register approximation needs: J0, J1, J2, H0, H1.
+E[exp(i T V)] = (2/T) (J1(T) - T J2(T) + i (T H0(T) - H1(T))) (DLMF
+10.9.1, 11.5), evaluated as the quadrature of the law's own p-space
+integrand (`SpeedLaw.characteristic`).
 """
 
 from __future__ import annotations
 
-from math import factorial, gamma
-
 import numpy as np
 
-__all__ = ["bessel_j", "struve_h", "speed_characteristic_kernel"]
+from .speed import law_localized
 
-_SERIES_LIMIT = 30.0
-_REL_CUTOFF = 1e-14
-_MAX_TERMS = 200
-
-
-def _bessel_series(n: int, x: float) -> float:
-    half = 0.5 * x
-    term = half**n / factorial(n)
-    total = term
-    for k in range(_MAX_TERMS):
-        term *= -(half * half) / ((k + 1.0) * (k + 1.0 + n))
-        total += term
-        if abs(term) < _REL_CUTOFF * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _struve_series(n: int, x: float) -> float:
-    half = 0.5 * x
-    term = half ** (n + 1) / (gamma(1.5) * gamma(n + 1.5))
-    total = term
-    for k in range(_MAX_TERMS):
-        term *= -(half * half) / ((k + 1.5) * (k + n + 1.5))
-        total += term
-        if abs(term) < _REL_CUTOFF * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _hankel_pq(n: int, x: float) -> tuple[float, float]:
-    """Slowly varying P, Q of the large-x form sqrt(2/(pi x))(P cos w - Q sin w)."""
-    mu = 4.0 * n * n
-    term = 1.0
-    p, q = 1.0, 0.0
-    for k in range(1, 14):
-        term *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        if abs(term) < 1e-17:
-            break
-        if k % 2 == 1:
-            q += term if (k // 2) % 2 == 0 else -term
-        else:
-            p += term if (k // 2) % 2 == 0 else -term
-    return p, q
-
-
-def _bessel_j_asymptotic(n: int, x: float) -> float:
-    p, q = _hankel_pq(n, x)
-    w = x - n * np.pi / 2.0 - np.pi / 4.0
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(w) - q * np.sin(w))
-
-
-def _bessel_y_asymptotic(n: int, x: float) -> float:
-    p, q = _hankel_pq(n, x)
-    w = x - n * np.pi / 2.0 - np.pi / 4.0
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.sin(w) + q * np.cos(w))
-
-
-def _struve_asymptotic(n: int, x: float) -> float:
-    # H_n(x) - Y_n(x) has an inverse-power tail; coefficients below are the
-    # n = 0 and n = 1 instances of DLMF 11.6.1.
-    y = _bessel_y_asymptotic(n, x)
-    u = 1.0 / (x * x)
-    if n == 0:
-        tail = (2.0 / (np.pi * x)) * (1.0 - u + 9.0 * u**2 - 225.0 * u**3)
-    elif n == 1:
-        tail = (2.0 / np.pi) * (1.0 + u - 3.0 * u**2 + 45.0 * u**3)
-    else:
-        raise ValueError(f"struve_h supports orders 0 and 1, got {n}")
-    return y + tail
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n for n in {0, 1, 2}, any real argument."""
-    if n not in (0, 1, 2):
-        raise ValueError(f"bessel_j supports orders 0, 1, 2, got {n}")
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        sign = -1.0 if n % 2 == 1 else 1.0
-    if x <= _SERIES_LIMIT:
-        return sign * _bessel_series(n, x)
-    return sign * _bessel_j_asymptotic(n, x)
-
-
-def struve_h(n: int, x: float) -> float:
-    """Struve function H_n for n in {0, 1}, any real argument."""
-    if n not in (0, 1):
-        raise ValueError(f"struve_h supports orders 0 and 1, got {n}")
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        sign = -1.0 if n == 0 else 1.0
-    if x <= _SERIES_LIMIT:
-        return sign * _struve_series(n, x)
-    return sign * _struve_asymptotic(n, x)
+__all__ = ["speed_characteristic_kernel"]
 
 
 def speed_characteristic_kernel(T: float) -> complex:
-    """Characteristic function E[exp(i T V)] of the localized speed law.
-
-    (2/T) (J1(T) - T J2(T) + i (T H0(T) - H1(T))); the T -> 0 limit is
-    1 + i 8T/(3 pi) - 3T^2/8 + O(T^3).
-    """
+    """E[exp(i T V)] for the localized start; 1 + i 8T/(3 pi) - 3T^2/8 near 0."""
     if abs(T) < 1e-8:
         return 1.0 + 1j * 8.0 * T / (3.0 * np.pi) - 3.0 * T**2 / 8.0
-    if T < 0.0:
-        return np.conj(speed_characteristic_kernel(-T))
-    re = bessel_j(1, T) - T * bessel_j(2, T)
-    im = T * struve_h(0, T) - struve_h(1, T)
-    return (2.0 / T) * (re + 1j * im)
+    return law_localized().characteristic(T)

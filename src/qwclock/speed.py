@@ -59,6 +59,16 @@ class SpeedLaw:
         """Integral of the density over (0, 1); 1 up to quadrature error."""
         return integrate(self.integrand_p, 0.0, np.pi / 2)
 
+    def characteristic(self, T: float) -> complex:
+        """E[exp(i T V)] = integral of exp(i T sin p) g(p) over (0, pi/2).
+
+        One 32-node panel per 16 units of |T| (at least 16 panels) keeps
+        the oscillating integrand resolved.
+        """
+        panels = max(16, int(np.ceil(abs(T) / 16.0)))
+        p, w = composite_gauss_legendre(0.0, np.pi / 2, panels)
+        return complex(w @ (np.exp(1j * T * np.sin(p)) * self.integrand_p(p)))
+
 
 def _on_unit_interval(core: Callable[[np.ndarray], np.ndarray], from_one: float):
     """Evaluate core on (0, 1): 0 below, from_one at v >= 1; scalar-safe."""

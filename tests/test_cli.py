@@ -188,7 +188,7 @@ def test_oracle_check_passes(capsys):
         assert float(dev) < 1e-10
 
 
-def test_parameter_errors_exit_2(capsys):
+def test_parameter_errors_exit_2(capsys, tmp_path):
     assert run_cli(["bloch", "--mu", "0"], capsys)[0] == 2
     assert run_cli(["bloch", "--s", "17", "--step", "-1"], capsys)[0] == 2
     assert run_cli(["bloch", "--s", "17", "--t-max", "-5"], capsys)[0] == 2
@@ -205,6 +205,14 @@ def test_parameter_errors_exit_2(capsys):
         assert main([sub, "--s", "17", f"--{flag}={value}"]) == 2, (flag, value)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--{flag} must be a finite number" in err
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["bloch", "--mu", "4", "--s", "17", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not missing.parent.exists()
+    # measure's grid starts one step after --tau, so it takes no --t-min
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--s", "17", "--tau", "4", "--t-min", "3", "--t-max", "8"])
+    assert exc.value.code == 2
 
 
 def test_resource_cap_exit_3(capsys, monkeypatch):
@@ -218,6 +226,18 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert all(flag in err for flag in ("--t-min", "--t-max", "--step"))
+    assert main(["measure", "--s", "17", "--tau", "4", "--t-max", "1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--t-min" not in err
+    assert all(flag in err for flag in ("--tau", "--t-max", "--step"))
+
+    def no_dense_build(*args, **kwargs):
+        raise AssertionError("dense matrix built before the sector cap check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("qwclock.oracle.build", no_dense_build)
+        assert main(["oracle-check", "--s", "25"]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
 
     def out_of_memory(values):
         raise MemoryError()

@@ -236,9 +236,17 @@ def test_single_link_grover_plateau():
     assert best_count > 0.85
 
 
-def test_sector_state_desk_cap():
+def test_sector_state_desk_cap(monkeypatch):
     with pytest.raises(qc.ResourceLimitError):
         qc.SectorState.from_product(qc.ChainSpec(25), (1, 2))
+
+    # the cap fires before the C(s, n) occupation lists are enumerated
+    def no_labels(s, n):
+        raise AssertionError(f"listed C({s}, {n}) labels past the cap")
+
+    monkeypatch.setattr("qwclock.multi.sector_occupations", no_labels)
+    with pytest.raises(qc.ResourceLimitError):
+        qc.SectorState.from_product(qc.ChainSpec(100_000), (1, 2))
 
 
 def test_joint_law_normalization():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import qwclock as qc
 from qwclock.quadrature import composite_gauss_legendre
@@ -250,6 +251,28 @@ def test_empirical_characteristic_function():
     z = 2.3
     direct = np.sum(emp.masses * np.exp(1j * z * emp.speeds))
     assert abs(emp.characteristic(z) - direct) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        qc.law_localized(),
+        qc.law_shifted(3),
+        qc.law_pad_cn(5),
+        qc.law_pad_ck(9, 3),
+        qc.law_general(qc.gamma_state(qc.ChainSpec(64, 1.0), 5)),
+    ],
+    ids=lambda law: law.family,
+)
+def test_law_characteristic_matches_adaptive_quadrature(law):
+    # independent route: scipy's adaptive quadrature of the v-space density
+    for T in (0.5, -0.5, 7.0, -7.0, 40.0, -40.0, 300.0, -300.0):
+        parts = [
+            quad(lambda p: law.density(np.sin(p)) * np.cos(p) * trig(T * np.sin(p)),
+                 0.0, np.pi / 2, limit=500)[0]
+            for trig in (np.cos, np.sin)
+        ]
+        assert abs(law.characteristic(T) - complex(*parts)) < 1e-10, T
 
 
 def test_convergence_in_law():
