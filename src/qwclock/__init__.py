@@ -12,6 +12,7 @@ from .chain import (
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
+    ResourceLimitError,
     amplitude_kernel,
     basis_state,
     chain_hamiltonian,
@@ -37,7 +38,6 @@ from .multi import (
 )
 from .oracle import (
     DenseHamiltonian,
-    ResourceLimitError,
     partial_trace,
     sector_occupations,
     von_neumann_entropy,

@@ -18,6 +18,7 @@ __all__ = [
     "CursorWavefunction",
     "PositionStatistics",
     "NormalizationError",
+    "ResourceLimitError",
     "eigenvalue",
     "eigenfunction",
     "eigenbasis",
@@ -33,10 +34,22 @@ __all__ = [
 
 # diagnostic bound on norm drift; states are never silently renormalized
 NORM_DRIFT_TOL = 1e-9
+# the one size limit: bytes a run may allocate by shape, checked beforehand
+MEMORY_BUDGET = 4 * 2**30
 
 
 class NormalizationError(ValueError):
     """A state's norm drifted past the diagnostic bound."""
+
+
+class ResourceLimitError(RuntimeError):
+    """The estimated memory of a requested instance exceeds MEMORY_BUDGET."""
+
+
+def _check_memory(nbytes, what: str) -> None:
+    """Refuse an estimate of nbytes (exact for ints; nan and inf fail) before allocating."""
+    if not nbytes <= MEMORY_BUDGET:
+        raise ResourceLimitError(f"{what} exceeds the {MEMORY_BUDGET >> 30} GiB memory budget")
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,7 @@ def eigenbasis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     V is real, symmetric and orthogonal.  Arrays are cached read-only.
     """
     s = spec.s
+    _check_memory(24 * s * s, f"eigenbasis of s={s} sites")  # V and two temporaries
     k = np.arange(1, s + 1)
     e = -spec.lam * np.cos(k * np.pi / (s + 1))
     V = np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * np.outer(k, k) / (s + 1))
@@ -167,6 +181,9 @@ def _evolve_modes(spec: ChainSpec, amps: np.ndarray, times) -> np.ndarray:
     psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
     This is the package's one spectral transform; callers check the norm.
     """
+    s, T, d = spec.s, len(times), amps.shape[1]
+    # V, its complex copy and about three (s, T, d) complex temporaries
+    _check_memory(24 * s * s + 48 * s * T * d, f"evolving s={s} sites over {T} times")
     e, V = eigenbasis(spec)
     coeff = V.T @ amps  # (s, d)
     phases = np.exp(-1j * np.outer(e, times))  # (s, T)

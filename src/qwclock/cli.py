@@ -5,8 +5,8 @@ parameters.  Output is comma-separated with a header row, 15 significant
 digits, LF line endings; identical flags produce byte-identical output.
 Exit codes: 0 success, 1 oracle-check deviation >= 1e-10, 2 parameter
 error (non-finite float flags and unwritable --out paths included), 3
-resource error (a cap, a time grid with no finite sample count, or
-running out of memory).
+resource error (a memory estimate, checked before allocating, over
+chain.MEMORY_BUDGET, or running out of memory).
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import sys
 import numpy as np
 
 from . import chain, multi, oracle, register, speed
-from .oracle import ResourceLimitError
+from .chain import ResourceLimitError, _check_memory
 
 _CHECK_TOL = 1e-10
+_ROW_BYTES = 400  # memory per emitted CSV row, measured
 
 
 def _fmt(value) -> str:
@@ -45,17 +46,15 @@ def _emit(header, rows, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _time_grid(t_min: float, t_max: float, step: float) -> np.ndarray:
+def _time_grid(t_min: float, t_max: float, step: float, flags=None) -> np.ndarray:
+    """Grid t_min, t_min + step, ... <= t_max; `flags` names it in errors."""
     if step <= 0:
         raise ValueError(f"time step must be positive, got step={step}")
     if t_max <= t_min:
         raise ValueError(f"need t-max > t-min, got {t_max} <= {t_min}")
     count = np.floor((t_max - t_min) / step + 1e-9) + 1
-    if not np.isfinite(count):
-        raise ResourceLimitError(
-            f"time grid --t-min {t_min!r} to --t-max {t_max!r} by --step {step!r} "
-            "has no finite sample count"
-        )
+    flags = flags or f"--t-min {t_min!r} to --t-max {t_max!r} by --step {step!r}"
+    _check_memory(_ROW_BYTES * count, f"time grid {flags} of {count:.3g} samples")
     return t_min + step * np.arange(int(count))
 
 
@@ -128,7 +127,9 @@ def _toy_setup(mu: int, s: int, coupling: float):
 
 
 def _default_sites(values) -> int:
-    return 2 ** values["mu"] + 1
+    s = 2 ** values["mu"] + 1
+    _check_memory(8 * s * s, f"--mu {values['mu']} with 2**mu + 1 sites")  # V alone
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,7 @@ def _run_speed_density(v):
     grid = v["grid"]
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
+    _check_memory(_ROW_BYTES * grid, f"--grid {grid}")
     vv = np.arange(1, grid + 1) / (grid + 1.0)
     return ["v", "f", "F"], zip(vv, law.density(vv), law.cdf(vv))
 
@@ -276,13 +278,8 @@ def _run_measure(v):
         )
     machine = register.MachineState.from_product(program, r1, psi0).evolve(tau)
     collapsed, probability = register.measure_register_sigma3(machine, signs[v["outcome"]])
-    try:
-        offsets = _time_grid(step, t_max - tau, step)
-    except ResourceLimitError:
-        raise ResourceLimitError(
-            f"time grid --tau {tau!r} to --t-max {t_max!r} by --step {step!r} "
-            "has no finite sample count"
-        ) from None
+    flags = f"--tau {tau!r} to --t-max {t_max!r} by --step {step!r}"
+    offsets = _time_grid(step, t_max - tau, step, flags)
     traj = register.machine_trajectory(collapsed, offsets)
     rows = [
         (tau + dt, s1, s3, r, gm, probability)
@@ -292,11 +289,16 @@ def _run_measure(v):
 
 
 def _run_oracle_check(v):
+    if v["s"] < 3:
+        raise ValueError(f"oracle-check needs --s >= 3, got --s {v['s']}")
     checks = []
     params, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
-    # the sector states check their size caps before any dense matrix is built
+    # every budget is checked before the first dense matrix: states, then the largest build
     free0 = multi.SectorState.from_product(spec, (1, 2))
     link0 = multi.SectorState.from_product(spec, (1, 2), r1)
+    x0 = max(2, spec.s // 2)
+    g = register.rotation_about_2(params.alpha)
+    ham_link = oracle.build(spec, register.single_link_program(spec.s, x0, g), sector=2)
     ham = oracle.build(spec, program, sector=1)
     machine0 = register.MachineState.from_product(program, r1, psi0)
     vec0 = machine0.spinors.reshape(-1)
@@ -332,11 +334,6 @@ def _run_oracle_check(v):
         dev_free = max(dev_free, np.abs(a.to_vector() - b).max())
     checks.append(("free_sector", dev_free))
 
-    x0 = spec.s // 2
-    g = register.rotation_about_2(params.alpha)
-    ham_link = oracle.build(
-        spec, register.single_link_program(spec.s, x0, g), sector=2
-    )
     dev_link = 0.0
     for t in (1.0, 0.75 * spec.s):
         a = multi.propagate_single_link(link0, x0, g, t)
@@ -486,17 +483,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = _load_scenario(args.scenario) if args.scenario else {}
-        values = _resolve(args.options, args, scenario)
-        header, rows, *failed = args.runner(values)  # oracle-check adds a flag
-        _emit(header, rows, args.out)
+        # one stderr line at most: non-finite values fail the norm checks or _fmt
+        with np.errstate(all="ignore"):
+            scenario = _load_scenario(args.scenario) if args.scenario else {}
+            values = _resolve(args.options, args, scenario)
+            header, rows, *failed = args.runner(values)  # oracle-check adds a flag
+            _emit(header, rows, args.out)
     except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 1 if any(failed) else 0
+    if any(failed):
+        print(f"error: oracle-check deviation >= {_CHECK_TOL:g}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

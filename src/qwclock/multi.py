@@ -9,13 +9,15 @@ primitive counted by how many excitations sit past the link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .chain import NORM_DRIFT_TOL, ChainSpec, NormalizationError, eigenvalue, propagator
-from .oracle import ResourceLimitError, sector_occupations
+from .chain import _check_memory
+from .oracle import sector_occupations
 from .quadrature import composite_gauss_legendre
 
 __all__ = [
@@ -30,17 +32,12 @@ __all__ = [
     "joint_speed_law",
 ]
 
-# desk-scale caps for dense sector amplitudes
-MAX_SITES = 24
-MAX_EXCITATIONS = 4
 
-
-def _check_desk_scale(s: int, n: int) -> None:
-    if s > MAX_SITES or n > MAX_EXCITATIONS:
-        raise ResourceLimitError(
-            f"sector s={s}, n={n} beyond desk scale "
-            f"(s <= {MAX_SITES}, n <= {MAX_EXCITATIONS})"
-        )
+def _check_sector_memory(s: int, n: int, d: int) -> None:
+    """Budget the C(s, n) labels, the s x s propagator and about four d*s^n tensors;
+    every SectorState passes this, so propagate_free_sector is budgeted too."""
+    labels = math.comb(s, n) * (64 + 16 * n)
+    _check_memory(labels + 64 * s * s + 64 * d * s**n, f"sector s={s}, n={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +112,11 @@ class SectorState:
     amplitudes: np.ndarray  # (d, C(s, n)) complex
 
     def __post_init__(self) -> None:
-        _check_desk_scale(self.spec.s, self.n)
         if not 1 <= self.n <= self.spec.s:
             raise ValueError(f"excitation number n={self.n} outside 1..{self.spec.s}")
         arr = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", arr)
+        _check_sector_memory(self.spec.s, self.n, arr.shape[0] if arr.ndim == 2 else 1)
         m = len(sector_occupations(self.spec.s, self.n))
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
@@ -144,11 +141,9 @@ class SectorState:
         if occupied[-1] > spec.s:
             raise ValueError(f"sites {occupied} exceed the chain length s={spec.s}")
         n = len(occupied)
-        _check_desk_scale(spec.s, n)  # before the C(s, n) labels are listed
+        reg = np.asarray([1.0] if register_state is None else register_state, dtype=complex)
+        _check_sector_memory(spec.s, n, reg.size)  # before the labels are listed
         labels = sector_occupations(spec.s, n)
-        reg = np.array([1.0], dtype=complex) if register_state is None else np.asarray(
-            register_state, dtype=complex
-        )
         amps = np.zeros((reg.size, len(labels)), dtype=complex)
         amps[:, labels.index(occupied)] = reg
         return cls(spec, n, amps)

@@ -5,17 +5,20 @@ matrix, either on the full spin space (dimension d*2^s) or restricted to
 a fixed excitation-number sector (dimension d*C(s, n)), evolves by exact
 eigendecomposition and exposes the reduced density operators.  Every
 analytic path in the package is cross-checked against this module.
+A build whose dense matrices would exceed chain.MEMORY_BUDGET raises
+ResourceLimitError before any label or matrix is made.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, ResourceLimitError, _check_memory
 
 __all__ = [
     "ResourceLimitError",
@@ -26,15 +29,7 @@ __all__ = [
     "von_neumann_entropy",
     "number_operator",
     "sector_occupations",
-    "SIZE_CAP",
 ]
-
-SIZE_CAP = 200_000
-
-
-class ResourceLimitError(RuntimeError):
-    """The requested dense instance exceeds the desk-scale size cap."""
-
 
 def _program_unitaries(program, s: int) -> np.ndarray:
     arr = np.asarray(getattr(program, "unitaries", program), dtype=complex)
@@ -60,7 +55,6 @@ class DenseHamiltonian:
     sector: int | None
     cursor_labels: tuple[tuple[int, ...], ...]
     matrix: np.ndarray
-    _eig: list = field(default_factory=list, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -69,15 +63,9 @@ class DenseHamiltonian:
     def cursor_index(self, sites) -> int:
         return self._label_map[tuple(sorted(int(x) for x in sites))]
 
-    @property
+    @functools.cached_property
     def _label_map(self) -> dict:
-        if not hasattr(self, "_label_cache"):
-            object.__setattr__(
-                self,
-                "_label_cache",
-                {label: i for i, label in enumerate(self.cursor_labels)},
-            )
-        return self._label_cache
+        return {label: i for i, label in enumerate(self.cursor_labels)}
 
     def index(self, register_index: int, sites) -> int:
         if not 0 <= register_index < self.d:
@@ -94,11 +82,12 @@ class DenseHamiltonian:
         vec[base : base + self.d] = reg
         return vec
 
+    @functools.cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.linalg.eigh(self.matrix))
+
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._eig:
-            vals, vecs = np.linalg.eigh(self.matrix)
-            self._eig.append((vals, vecs))
-        return self._eig[0]
+        return self._eigensystem
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,17 +113,13 @@ def build(spec: ChainSpec, program, sector: int | None = 1) -> DenseHamiltonian:
     unitaries = _program_unitaries(program, s)
     d = unitaries.shape[1]
 
-    if sector is None:
-        labels = _full_labels(s)
-    else:
-        if not 0 <= sector <= s:
-            raise ValueError(f"sector n={sector} outside 0..{s}")
-        labels = sector_occupations(s, sector)
-    dim = d * len(labels)
-    if dim > SIZE_CAP:
-        raise ResourceLimitError(
-            f"dense dimension {dim} exceeds the cap {SIZE_CAP}"
-        )
+    if sector is not None and not 0 <= sector <= s:
+        raise ValueError(f"sector n={sector} outside 0..{s}")
+    dim = d * (2**s if sector is None else math.comb(s, sector))
+    # the matrix and up to five more of its size: its adjoint and their
+    # difference here, then eigh's copy, workspace and eigenvectors
+    _check_memory(96 * dim * dim, f"dense sector={sector} at s={s}, d={d}")
+    labels = _full_labels(s) if sector is None else sector_occupations(s, sector)
 
     index = {label: i for i, label in enumerate(labels)}
     h = np.zeros((dim, dim), dtype=complex)
@@ -192,6 +177,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 def number_operator(s: int, d: int) -> np.ndarray:
     """Total excitation number on the full space, diagonal in the basis."""
+    _check_memory(8 * (d * 2**s) ** 2, f"number operator at s={s}, d={d}")
     labels = _full_labels(s)
     diag = np.repeat([len(label) for label in labels], d).astype(float)
     return np.diag(diag)

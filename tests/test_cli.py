@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwclock as qc
 from qwclock.cli import main
@@ -177,18 +185,27 @@ def test_measure_grid_error_names_flags(capsys):
     )
 
 
-def test_oracle_check_passes(capsys):
-    code, out = run_cli(["oracle-check", "--s", "6", "--mu", "4"], capsys)
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "check,max_deviation"
-    assert len(lines) == 6
-    for line in lines[1:]:
-        name, dev = line.split(",")
-        assert float(dev) < 1e-10
+def test_oracle_check_passes(capsys, monkeypatch):
+    # s=3 is the smallest chain with a link for two excitations; s=25 was
+    # refused by the old fixed sector caps (s <= 24)
+    for s in ("6", "3", "25"):
+        code, out = run_cli(["oracle-check", "--s", s, "--mu", "4"], capsys)
+        assert code == 0, s
+        lines = out.strip().split("\n")
+        assert lines[0] == "check,max_deviation"
+        assert len(lines) == 6
+        for line in lines[1:]:
+            name, dev = line.split(",")
+            assert float(dev) < 1e-10
+    # a failed check still emits the table, then exits 1 with one stderr line
+    monkeypatch.setattr("qwclock.cli._CHECK_TOL", 0.0)
+    assert main(["oracle-check", "--s", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("check,max_deviation\n")
+    assert captured.err == "error: oracle-check deviation >= 0\n"
 
 
-def test_parameter_errors_exit_2(capsys, tmp_path):
+def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert run_cli(["bloch", "--mu", "0"], capsys)[0] == 2
     assert run_cli(["bloch", "--s", "17", "--step", "-1"], capsys)[0] == 2
     assert run_cli(["bloch", "--s", "17", "--t-max", "-5"], capsys)[0] == 2
@@ -213,31 +230,63 @@ def test_parameter_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--s", "17", "--tau", "4", "--t-min", "3", "--t-max", "8"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # two excitations need a link x0 >= 2: refused before any state or dense build
+    with monkeypatch.context() as patch:
+        patch.setattr("qwclock.oracle.build", _must_not_run)
+        patch.setattr("qwclock.multi.SectorState.from_product", _must_not_run)
+        assert main(["oracle-check", "--s", "2"]) == 2
+    assert capsys.readouterr().err == "error: oracle-check needs --s >= 3, got --s 2\n"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran past the check that should refuse first")
+
+
+def _one_line_naming(capsys, *flags):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert all(flag in err for flag in flags), err
 
 
 def test_resource_cap_exit_3(capsys, monkeypatch):
-    code, _ = run_cli(
-        ["multi", "--s", "30", "--g", "2", "--x0", "5", "--t-max", "1", "--step", "1"],
-        capsys,
-    )
-    assert code == 3
-    # a time grid whose sample count overflows to infinity
-    assert main(["bloch", "--mu", "4", "--s", "17", "--t-max", "1e308"]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert all(flag in err for flag in ("--t-min", "--t-max", "--step"))
+    # the sector budget is checked before the C(400, 4) labels are listed;
+    # multi --s 30 --g 2 now runs (test_multi checks it against the oracle)
+    with monkeypatch.context() as patch:
+        patch.setattr("qwclock.multi.sector_occupations", _must_not_run)
+        assert main(["multi", "--s", "400", "--g", "4"]) == 3
+    _one_line_naming(capsys, "s=400", "n=4")
+    argv = ["multi", "--s", "30", "--g", "2", "--x0", "5", "--t-max", "1", "--step", "1"]
+    assert run_cli(argv, capsys)[0] == 0
+    # time grids past the budget, down to one whose sample count is infinite
+    for grid in (["--t-max", "1e308"], ["--step", "1e-300"], ["--t-max", "1e20", "--step", "1"]):
+        assert main(["bloch", "--mu", "4", "--s", "17", *grid]) == 3, grid
+        _one_line_naming(capsys, "--t-min", "--t-max", "--step")
+    # s = 100000 sites: refused before the 80 GB eigenbasis V exists
+    with monkeypatch.context() as patch:
+        patch.setattr("qwclock.chain.eigenbasis", _must_not_run)
+        assert main(["bloch", "--mu", "4", "--s", "100000", "--t-max", "1", "--step", "1"]) == 3
+    _one_line_naming(capsys, "s=100000")
+    # the derived --s default 2**mu + 1, checked in integer arithmetic
+    for mu in ("100000", "1000", "40"):
+        assert main(["bloch", "--mu", mu]) == 3, mu
+        _one_line_naming(capsys, f"--mu {mu}")
     assert main(["measure", "--s", "17", "--tau", "4", "--t-max", "1e308"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--t-min" not in err
     assert all(flag in err for flag in ("--tau", "--t-max", "--step"))
 
-    def no_dense_build(*args, **kwargs):
-        raise AssertionError("dense matrix built before the sector cap check")
-
+    # oracle-check refuses before any dense matrix: at s=10000 in its sector
+    # states, before their labels; at s=83 in its largest build, built first
     with monkeypatch.context() as patch:
-        patch.setattr("qwclock.oracle.build", no_dense_build)
-        assert main(["oracle-check", "--s", "25"]) == 3
-    assert capsys.readouterr().err.count("\n") == 1
+        patch.setattr("qwclock.oracle.build", _must_not_run)
+        patch.setattr("qwclock.multi.sector_occupations", _must_not_run)
+        assert main(["oracle-check", "--s", "10000"]) == 3
+    _one_line_naming(capsys, "s=10000")
+    with monkeypatch.context() as patch:
+        patch.setattr("qwclock.oracle.sector_occupations", _must_not_run)
+        assert main(["oracle-check", "--s", "83"]) == 3
+    _one_line_naming(capsys, "s=83")
 
     def out_of_memory(values):
         raise MemoryError()
@@ -274,3 +323,123 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# Flag values for the exit-code contract: every size is either tiny or far
+# past the memory budget, so no example allocates much.
+_F = ["-1", "0", "0.5", "3", "1e-300", "1e20", "1e308", "inf", "nan"]
+_I = ["-1", "0", "1", "2", "3"]
+_S = ["-1", "1", "2", "3", "5", "9", "20000"]
+_MU = [None, "-1", "1", "2", "4", "40", "100000"]
+_GRID = {
+    "t-min": [None, *_F],
+    "t-max": ["-1", "0.5", "3", "1e20", "1e308", "nan"],
+    "step": ["-1", "0", "0.5", "1", "1e-300", "inf"],
+}
+_TOY = {"mu": _MU, "s": [None, *_S], "coupling": [None, *_F], **_GRID}
+_POSITION = {"s": _S, "n": [None, *_I], "coupling": [None, *_F], **_GRID}
+_FLAGS = {
+    "bloch": _TOY,
+    "entropy": _TOY,
+    "probability": _TOY,
+    "alternating": _TOY,
+    "mean-q": _POSITION,
+    "var-q": _POSITION,
+    "speed-density": {
+        "family": [None, "localized", "shifted", "pad-ck", "pad-cn", "gamma", "nope"],
+        "x0": [None, *_I],
+        "epsilon": [None, *_I, "9"],
+        "k": [None, *_I],
+        "n": [None, *_I],
+        "grid": ["-1", "0", "3", "1000000000000"],
+    },
+    "launchpad": {
+        "variant": [None, "telomere", "flat", "gamma", "nope"],
+        "mu": _MU,
+        "s": [None, *_S],
+        "n": [None, *_I],
+        "num-active": [None, *_I],
+        "coupling": [None, *_F],
+        **_GRID,
+    },
+    "multi": {"mu": _MU, "g": [None, *_I], "x0": [None, *_I], "s": _S, **_GRID},
+    "measure": {
+        "mu": _MU,
+        "s": [None, *_S],
+        "tau": [None, *_F],
+        "outcome": [None, "plus", "minus", "nope"],
+        "t-max": [None, *_GRID["t-max"]],
+        "step": [None, *_GRID["step"]],
+    },
+    "oracle-check": {"mu": _MU, "s": [None, *_S], "coupling": [None, *_F]},
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [sub]
+    for flag, values in _FLAGS[sub].items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    out = draw(st.sampled_from([None, "ok.csv", "missing/x.csv"]))
+    return argv, out
+
+
+def test_exit_code_contract(capsys, tmp_path):
+    """0 ok, 1 oracle-check only, 2 or 3 with exactly one stderr line."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_cli_argv())
+    def check(case):
+        argv, out = case
+        if out is not None:
+            argv = [*argv, "--out", str(tmp_path / out)]
+        with warnings.catch_warnings(record=True) as caught:  # stderr lines, too
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code in (0, 2, 3) or (code == 1 and argv[0] == "oracle-check"), argv
+        if code != 0:
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+            assert not caught, (argv, [str(w.message) for w in caught])
+
+    check()
+
+
+_NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now fails
+from qwclock.cli import main
+runs = [
+    ["bloch", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
+    ["entropy", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
+    ["probability", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
+    ["mean-q", "--s", "9", "--t-max", "2", "--step", "1"],
+    ["var-q", "--s", "9", "--n", "2", "--t-max", "2", "--step", "1"],
+    ["speed-density", "--family", "gamma", "--n", "3", "--grid", "3"],
+    ["launchpad", "--mu", "4", "--s", "12", "--n", "2", "--t-max", "2", "--step", "1"],
+    ["alternating", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
+    ["multi", "--mu", "4", "--g", "2", "--x0", "3", "--s", "6", "--t-max", "2", "--step", "1"],
+    ["measure", "--mu", "4", "--s", "9", "--tau", "1", "--t-max", "3", "--step", "1"],
+    ["oracle-check", "--mu", "4", "--s", "4"],
+]
+print([main(argv) for argv in runs])
+"""
+
+
+def test_runtime_needs_numpy_only():
+    """Every subcommand runs with scipy unimportable; scipy is test-only."""
+    package_root = str(Path(qc.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    codes = result.stdout.strip().splitlines()[-1]
+    assert codes == str([0] * 11), codes

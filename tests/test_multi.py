@@ -141,15 +141,17 @@ def test_single_link_identity_equals_free():
 
 def test_single_link_matches_dense_oracle():
     params = qc.grover_params(4)
-    spec = qc.ChainSpec(8)
     g = qc.rotation_about_2(params.alpha)
     r1 = qc.grover_initial_state(params)
-    state = qc.SectorState.from_product(spec, (1, 2), r1)
-    ham = oracle.build(spec, qc.single_link_program(8, 4, g), sector=2)
-    for t in (1.0, 6.0, 18.0):
-        analytic = qc.propagate_single_link(state, 4, g, t)
-        dense = oracle.evolve(ham, state.to_vector(), t)
-        assert np.abs(analytic.to_vector() - dense).max() < 1e-10
+    # s=30 lies past the old fixed cap s <= 24
+    for s, x0 in ((8, 4), (30, 5)):
+        spec = qc.ChainSpec(s)
+        state = qc.SectorState.from_product(spec, (1, 2), r1)
+        ham = oracle.build(spec, qc.single_link_program(s, x0, g), sector=2)
+        for t in (1.0, 6.0, 18.0):
+            analytic = qc.propagate_single_link(state, x0, g, t)
+            dense = oracle.evolve(ham, state.to_vector(), t)
+            assert np.abs(analytic.to_vector() - dense).max() < 1e-10, (s, t)
 
 
 def test_single_link_register_is_count_weighted_mixture():
@@ -237,16 +239,23 @@ def test_single_link_grover_plateau():
 
 
 def test_sector_state_desk_cap(monkeypatch):
-    with pytest.raises(qc.ResourceLimitError):
-        qc.SectorState.from_product(qc.ChainSpec(25), (1, 2))
-
-    # the cap fires before the C(s, n) occupation lists are enumerated
+    # the memory budget fires before the C(s, n) occupation lists are enumerated
     def no_labels(s, n):
-        raise AssertionError(f"listed C({s}, {n}) labels past the cap")
+        raise AssertionError(f"listed C({s}, {n}) labels past the budget")
 
     monkeypatch.setattr("qwclock.multi.sector_occupations", no_labels)
     with pytest.raises(qc.ResourceLimitError):
+        qc.SectorState.from_product(qc.ChainSpec(400), (1, 2, 3, 4))
+    with pytest.raises(qc.ResourceLimitError):
         qc.SectorState.from_product(qc.ChainSpec(100_000), (1, 2))
+    with pytest.raises(qc.ResourceLimitError):
+        qc.SectorState(qc.ChainSpec(400), 4, np.ones((2, 1)))
+    # the register dimension d scales the d*s^n tensors: this s=60, n=3
+    # sector fits with a bare cursor and is refused with d=2**9
+    monkeypatch.undo()
+    assert qc.SectorState.from_product(qc.ChainSpec(60), (1, 2, 3)).d == 1
+    with pytest.raises(qc.ResourceLimitError):
+        qc.SectorState.from_product(qc.ChainSpec(60), (1, 2, 3), np.eye(512)[0])
 
 
 def test_joint_law_normalization():

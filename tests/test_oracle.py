@@ -169,10 +169,24 @@ def test_two_active_links_dense_path():
     assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     params = qc.grover_params(2)
     with pytest.raises(qc.ResourceLimitError):
         oracle.build(qc.ChainSpec(18), qc.toy_program(18, params.alpha), sector=None)
+    # dimension 2 * 2**16 is under the old 2e5 dimension cap but needs 256 GiB;
+    # the budget refuses it, and sector 3 at s=40, before any label is listed
+    monkeypatch.setattr("qwclock.oracle._full_labels", _no_labels)
+    monkeypatch.setattr("qwclock.oracle.sector_occupations", _no_labels)
+    with pytest.raises(qc.ResourceLimitError):
+        oracle.build(qc.ChainSpec(16), qc.toy_program(16, params.alpha), sector=None)
+    with pytest.raises(qc.ResourceLimitError):
+        oracle.build(qc.ChainSpec(40), qc.toy_program(40, params.alpha), sector=3)
+    with pytest.raises(qc.ResourceLimitError):
+        oracle.number_operator(30, 2)
+
+
+def _no_labels(*args):
+    raise AssertionError("labels listed past the memory budget")
 
 
 def test_basis_labeling_round_trip():
@@ -186,6 +200,7 @@ def test_basis_labeling_round_trip():
     for i, label in enumerate(labels):
         assert ham.cursor_index(label) == i
         assert ham.index(0, label) == i
+    assert ham.eigensystem() is ham.eigensystem()  # decomposed once, then cached
     vec = ham.basis_vector(np.array([1.0]), (2, 4))
     assert vec[ham.index(0, (2, 4))] == 1.0
     assert np.abs(vec).sum() == 1.0
