@@ -127,13 +127,26 @@ def eigenbasis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     V is real, symmetric and orthogonal.  Arrays are cached read-only.
     """
     s = spec.s
-    _check_memory(24 * s * s, f"eigenbasis of s={s} sites")  # V and two temporaries
+    # V, two temporaries and the complex copy _complex_modes keeps beside it
+    _check_memory(40 * s * s, f"eigenbasis of s={s} sites")
     k = np.arange(1, s + 1)
     e = -spec.lam * np.cos(k * np.pi / (s + 1))
     V = np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * np.outer(k, k) / (s + 1))
     e.flags.writeable = False
     V.flags.writeable = False
     return e, V
+
+
+@functools.lru_cache(maxsize=32)
+def _complex_modes(spec: ChainSpec) -> np.ndarray:
+    """V cast to complex once, cached read-only (budgeted by eigenbasis).
+
+    V is exactly symmetric, so the kernel uses this copy untransposed for
+    both of its products; V.T would pick another BLAS flag and other bits.
+    """
+    Vc = eigenbasis(spec)[1].astype(complex)
+    Vc.flags.writeable = False
+    return Vc
 
 
 def chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -180,14 +193,18 @@ def _evolve_modes(spec: ChainSpec, amps: np.ndarray, times) -> np.ndarray:
     Maps (s, d) site amplitudes to (s, T, d):
     psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
     This is the package's one spectral transform; callers check the norm.
+    Times do not mix, so a grid may be evolved in chunks; for d = 2 the bits
+    do not depend on the chunk width (a one-column product may round otherwise).
     """
     s, T, d = spec.s, len(times), amps.shape[1]
-    # V, its complex copy and about three (s, T, d) complex temporaries
+    # V, its complex copy and about three (s, T, d) complex temporaries; in a
+    # trajectory T is one chunk's width, so this is checked chunk by chunk
     _check_memory(24 * s * s + 48 * s * T * d, f"evolving s={s} sites over {T} times")
-    e, V = eigenbasis(spec)
-    coeff = V.T @ amps  # (s, d)
+    e = eigenbasis(spec)[0]
+    Vc = _complex_modes(spec)
+    coeff = Vc @ amps  # (s, d)
     phases = np.exp(-1j * np.outer(e, times))  # (s, T)
-    return np.tensordot(V, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+    return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
 
 
 def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:

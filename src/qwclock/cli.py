@@ -170,7 +170,13 @@ def _launchpad_start(v):
     spec = chain.ChainSpec(v["s"], v["coupling"])
     count = v["num-active"]
     if count is None:
-        count = int(np.floor(np.pi / 4.0 * 2 ** (v["mu"] / 2.0)))
+        try:
+            count = int(np.floor(np.pi / 4.0 * 2 ** (v["mu"] / 2.0)))
+        except OverflowError:
+            raise ValueError(
+                f"--mu {v['mu']} overflows the --num-active default "
+                "floor(pi/4 2^(mu/2)); give --num-active"
+            ) from None
     variant = v["variant"]
     if variant == "telomere":
         program = register.rotation_window_program(spec.s, params.alpha, 1, count)

@@ -9,6 +9,7 @@ primitive counted by how many excitations sit past the link.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -95,8 +96,12 @@ def sector_energy(spec: ChainSpec, momenta) -> float:
     return float(sum(eigenvalue(spec, k) for k in _as_sites(momenta)))
 
 
+@functools.lru_cache(maxsize=32)
 def _occupation_array(s: int, n: int) -> np.ndarray:
-    return np.array(sector_occupations(s, n), dtype=int)
+    """The (C(s, n), n) occupation labels as one cached, read-only array."""
+    arr = np.array(sector_occupations(s, n), dtype=int)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

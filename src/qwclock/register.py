@@ -21,6 +21,7 @@ from .chain import (
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
+    _check_memory,
     _evolve_modes,
     _site_statistics,
 )
@@ -72,6 +73,8 @@ _ID2 = np.eye(2, dtype=complex)
 
 _UNITARY_TOL = 1e-12
 _R_DEGENERATE = 1e-12
+# bytes of (s, 2) complex spinors per time chunk of machine_trajectory
+_CHUNK_BYTES = 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +390,46 @@ def _fill_undefined(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
     return raw[idx]
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over sites strictly row by row, so the bits never depend on the chunk width."""
+    return np.cumsum(a, axis=0)[-1]
+
+
+def _chunk_sums(machine: MachineState, phi0: np.ndarray, times: np.ndarray):
+    """rho[1, 0], s3 and norm^2 of the register over one chunk of times."""
+    phi = _evolve_modes(machine.spec, phi0, times)  # (s, chunk, 2)
+    W = machine.program.cumulative
+    chi0, chi1 = (
+        W[:, i, 0, None] * phi[:, :, 0] + W[:, i, 1, None] * phi[:, :, 1] for i in range(2)
+    )
+    p0 = np.abs(chi0) ** 2
+    p1 = np.abs(chi1) ** 2
+    return _sum_rows(chi0.conj() * chi1), _sum_rows(p0 - p1), _sum_rows(p0 + p1)
+
+
 def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     """Sample the register state on a time grid (batched spectral transform).
 
-    Times are offsets from the machine's current state.  Raises
-    NormalizationError if the norm drifts beyond NORM_DRIFT_TOL at any time.
+    Times are offsets from the machine's current state.  The grid is evolved
+    in chunks of about _CHUNK_BYTES of spinors, each reduced to the Bloch
+    vector and norm before the next, so temporaries are O(s * chunk), not
+    O(s * T).  Raises NormalizationError if the norm drifts beyond
+    NORM_DRIFT_TOL at any time.
     """
     times = np.asarray(times, dtype=float)
-    phi_t = _evolve_modes(machine.spec, machine.comoving_components(), times)
-    chi = np.einsum("xij,xtj->xti", machine.program.cumulative, phi_t)  # (s, T, 2)
-
-    cross = np.sum(chi[:, :, 0].conj() * chi[:, :, 1], axis=0)
+    # the O(T) results: three sums here and about ten series in the trajectory
+    _check_memory(128 * times.size, f"trajectory over {times.size} times")
+    phi0 = machine.comoving_components()
+    width = max(1, _CHUNK_BYTES // (32 * machine.spec.s))  # one (s, 2) complex sample
+    cross = np.empty(times.size, dtype=complex)
+    s3 = np.empty(times.size)
+    norm2 = np.empty(times.size)
+    for start in range(0, times.size, width):
+        window = slice(start, start + width)
+        cross[window], s3[window], norm2[window] = _chunk_sums(machine, phi0, times[window])
     s1 = 2.0 * cross.real
     s2 = 2.0 * cross.imag
-    p0 = np.abs(chi[:, :, 0]) ** 2
-    p1 = np.abs(chi[:, :, 1]) ** 2
-    s3 = np.sum(p0 - p1, axis=0)
-    drift = float(np.abs(np.sum(p0 + p1, axis=0) - 1.0).max(initial=0.0))
+    drift = float(np.abs(norm2 - 1.0).max(initial=0.0))
     if drift > NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
 

@@ -237,6 +237,13 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
         patch.setattr("qwclock.multi.SectorState.from_product", _must_not_run)
         assert main(["oracle-check", "--s", "2"]) == 2
     assert capsys.readouterr().err == "error: oracle-check needs --s >= 3, got --s 2\n"
+    # the --num-active default floor(pi/4 2^(mu/2)) overflows a float from --mu 2048
+    for argv in (["--mu", "2048", "--s", "17", "--t-max", "1"], ["--mu", "100000"]):
+        assert main(["launchpad", *argv]) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: --mu {argv[1]} overflows the --num-active default "
+            "floor(pi/4 2^(mu/2)); give --num-active\n"
+        )
 
 
 def _must_not_run(*args, **kwargs):

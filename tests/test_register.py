@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qwclock as qc
-from qwclock import chain, register
+from qwclock import chain, multi, register
 from qwclock.register import SIGMA2, machine_trajectory
 
 
@@ -355,6 +355,91 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
         machine.evolve(1.0)
     with pytest.raises(qc.NormalizationError):
         machine_trajectory(machine, np.array([0.0, 1.0]))
+
+    # a grid of two chunks that drifts in its one-sample last chunk only
+    times = 0.01 * np.arange(_chunk_width(17) + 1)
+
+    def drifting_late(spec, amps, t):
+        scale = np.where(np.asarray(t) >= times[-1], 1.0 + 1e-6, 1.0)
+        return evolve_modes(spec, amps, t) * scale[None, :, None]
+
+    monkeypatch.setattr(register, "_evolve_modes", drifting_late)
+    machine_trajectory(machine, times[:-1])
+    with pytest.raises(qc.NormalizationError):
+        machine_trajectory(machine, times)
+
+
+def _chunk_width(s):
+    return max(1, register._CHUNK_BYTES // (32 * s))
+
+
+def _random_machine(s, seed=0):
+    """Random real orthogonal links (as every CLI program has), complex register start."""
+    rng = np.random.default_rng(seed)
+    links, _ = np.linalg.qr(rng.standard_normal((s - 1, 2, 2)))
+    r1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    psi0 = qc.gamma_state(qc.ChainSpec(s), 3)
+    return qc.MachineState.from_product(qc.PrimitiveProgram(links), r1 / np.linalg.norm(r1), psi0)
+
+
+@pytest.mark.parametrize("s", [24, 129, 769, 2049])
+def test_machine_trajectory_bitwise_equals_unchunked_formula(s):
+    """Chunked trajectory against the whole-grid formula it replaced, bit for bit.
+
+    The grid's last chunk holds one sample: numpy sums one column pairwise,
+    so only a row-sequential reduction keeps the bits of the whole-grid sum.
+    Two cases keep only the value, not the last bit: a grid of one sample
+    (pairwise there, row by row now), and links with complex entries, where
+    numpy's complex multiply may round the explicit 2x2 dressing otherwise
+    than einsum does.
+    """
+    machine = _random_machine(s)
+    times = 0.37 * np.arange(_chunk_width(s) + 1)
+    traj = machine_trajectory(machine, times)
+
+    e, V = chain.eigenbasis(machine.spec)
+    coeff = V.T @ machine.comoving_components()
+    phases = np.exp(-1j * np.outer(e, times))
+    phi = np.tensordot(V, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+    chi = np.einsum("xij,xtj->xti", machine.program.cumulative, phi)
+    cross = np.sum(chi[:, :, 0].conj() * chi[:, :, 1], axis=0)
+    s3 = np.sum(np.abs(chi[:, :, 0]) ** 2 - np.abs(chi[:, :, 1]) ** 2, axis=0)
+    assert np.array_equal(traj.s1, 2.0 * cross.real)
+    assert np.array_equal(traj.s2, 2.0 * cross.imag)
+    assert np.array_equal(traj.s3, s3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_evolve_modes_bitwise_equals_real_basis_formula(d):
+    """The cached complex V, used untransposed, gives the bits of V.T and the real V."""
+    rng = np.random.default_rng(d)
+    for s in (17, 513):
+        spec = qc.ChainSpec(s)
+        amps = rng.standard_normal((s, d)) + 1j * rng.standard_normal((s, d))
+        times = np.array([0.0, 0.7, 13.0, 250.5])
+        e, V = chain.eigenbasis(spec)
+        for grid in (times, *([t] for t in times)):  # one time per call, as in propagate
+            phases = np.exp(-1j * np.outer(e, grid))
+            expected = np.tensordot(V, phases[:, :, None] * (V.T @ amps)[:, None, :], axes=(1, 0))
+            assert np.array_equal(chain._evolve_modes(spec, amps, grid), expected)
+
+
+def test_trajectory_budget_refuses_long_grid(monkeypatch):
+    # chunks bound the spinors, not the O(T) results: 4e7 times are refused up front
+    _, _, program, r1, psi0 = toy_setup(mu=4, s=17)
+    machine = qc.MachineState.from_product(program, r1, psi0)
+    monkeypatch.setattr(register, "_evolve_modes", None)  # nothing is evolved
+    with pytest.raises(qc.ResourceLimitError):
+        machine_trajectory(machine, np.broadcast_to(0.0, (40_000_000,)))
+
+
+def test_cached_arrays_read_only():
+    spec = qc.ChainSpec(9)
+    cached = [*chain.eigenbasis(spec), chain._complex_modes(spec), multi._occupation_array(9, 3)]
+    assert np.array_equal(chain._complex_modes(spec), chain.eigenbasis(spec)[1])
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_local_extrema_helpers():
