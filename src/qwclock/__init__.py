@@ -34,6 +34,7 @@ from .multi import (
     propagate_free_sector,
     propagate_single_link,
     sector_energy,
+    single_link_densities,
     slater_amplitude,
 )
 from .oracle import (

@@ -36,6 +36,9 @@ __all__ = [
 NORM_DRIFT_TOL = 1e-9
 # the one size limit: bytes a run may allocate by shape, checked beforehand
 MEMORY_BUDGET = 4 * 2**30
+# the BLAS library's GEMM workspace, counted in every estimate: OpenBLAS
+# touched 1 to 8.4 MiB of it in the first large product of a process
+_BLAS_WORKSPACE = 16 * 2**20
 
 
 class NormalizationError(ValueError):
@@ -48,7 +51,7 @@ class ResourceLimitError(RuntimeError):
 
 def _check_memory(nbytes, what: str) -> None:
     """Refuse an estimate of nbytes (exact for ints; nan and inf fail) before allocating."""
-    if not nbytes <= MEMORY_BUDGET:
+    if not nbytes + _BLAS_WORKSPACE <= MEMORY_BUDGET:
         raise ResourceLimitError(f"{what} exceeds the {MEMORY_BUDGET >> 30} GiB memory budget")
 
 
@@ -73,13 +76,18 @@ def _check_site(spec: ChainSpec, x: int, name: str = "x") -> None:
 
 @dataclass(frozen=True, eq=False)
 class CursorWavefunction:
-    """Normalized amplitudes over the s chain sites (site x at index x-1)."""
+    """Normalized amplitudes over the s chain sites (site x at index x-1).
+
+    The amplitudes are a read-only copy of the given ones, so the mode
+    coefficients cached from them on the first propagation stay valid.
+    """
 
     spec: ChainSpec
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.spec.s,):
             raise ValueError(
@@ -95,6 +103,13 @@ class CursorWavefunction:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+    @functools.cached_property
+    def _coefficients(self) -> np.ndarray:
+        """(s, 1) sine-mode coefficients, computed once per state and read-only."""
+        coeff = _complex_modes(self.spec) @ self.amplitudes[:, None]
+        coeff.flags.writeable = False
+        return coeff
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,22 +202,23 @@ def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:
     return CursorWavefunction(spec, amps)
 
 
-def _evolve_modes(spec: ChainSpec, amps: np.ndarray, times) -> np.ndarray:
+def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     """Free chain evolution of d amplitude columns over a time grid.
 
-    Maps (s, d) site amplitudes to (s, T, d):
+    Maps the (s, d) mode coefficients coeff = _complex_modes(spec) @ psi0 of
+    site amplitudes psi0 to (s, T, d):
     psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
-    This is the package's one spectral transform; callers check the norm.
-    Times do not mix, so a grid may be evolved in chunks; for d = 2 the bits
-    do not depend on the chunk width (a one-column product may round otherwise).
+    This is the package's one spectral transform; callers compute coeff once
+    per start and check the norm.  Times do not mix, so a grid may be evolved
+    in chunks; for d = 2 the bits do not depend on the chunk width (a
+    one-column product may round otherwise).
     """
-    s, T, d = spec.s, len(times), amps.shape[1]
+    s, T, d = spec.s, len(times), coeff.shape[1]
     # V, its complex copy and about three (s, T, d) complex temporaries; in a
     # trajectory T is one chunk's width, so this is checked chunk by chunk
     _check_memory(24 * s * s + 48 * s * T * d, f"evolving s={s} sites over {T} times")
     e = eigenbasis(spec)[0]
     Vc = _complex_modes(spec)
-    coeff = Vc @ amps  # (s, d)
     phases = np.exp(-1j * np.outer(e, times))  # (s, T)
     return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
 
@@ -210,10 +226,12 @@ def _evolve_modes(spec: ChainSpec, amps: np.ndarray, times) -> np.ndarray:
 def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:
     """Evolve a cursor state for time t in the sine eigenbasis.
 
-    Raises NormalizationError if the norm drifts beyond NORM_DRIFT_TOL.
+    The state's mode coefficients are computed on its first propagation and
+    reused by later ones.  Raises NormalizationError if the norm drifts
+    beyond NORM_DRIFT_TOL.
     """
     spec = psi0.spec
-    amps = _evolve_modes(spec, psi0.amplitudes[:, None], [t])[:, 0, 0]
+    amps = _evolve_modes(spec, psi0._coefficients, [t])[:, 0, 0]
     norm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted to {norm2!r} after propagation")

@@ -126,6 +126,15 @@ def _toy_setup(mu: int, s: int, coupling: float):
     return params, spec, program, r1, psi0
 
 
+def _pad_size(n: int, s=None) -> int:
+    """The pad size 2n-1 of --n, checked to fit --s sites when s is given."""
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got --n {n}")
+    if s is not None and 2 * n - 1 > s:
+        raise ValueError(f"--n {n} gives a pad of 2n-1 = {2 * n - 1} sites, more than --s {s}")
+    return 2 * n - 1
+
+
 def _default_sites(values) -> int:
     s = 2 ** values["mu"] + 1
     _check_memory(8 * s * s, f"--mu {values['mu']} with 2**mu + 1 sites")  # V alone
@@ -182,7 +191,13 @@ def _launchpad_start(v):
         program = register.rotation_window_program(spec.s, params.alpha, 1, count)
         psi0 = chain.basis_state(spec, 1)
     elif variant in ("flat", "gamma"):
-        epsilon = 2 * v["n"] - 1
+        epsilon = _pad_size(v["n"])
+        last = epsilon + max(count, 1) - 1  # the window's last link
+        if last > spec.s - 1:
+            raise ValueError(
+                f"--n {v['n']} and --num-active {count} need links {epsilon}..{last}, "
+                f"but --s {spec.s} has links 1..{spec.s - 1}"
+            )
         program = register.rotation_window_program(
             spec.s, params.alpha, epsilon, count
         )
@@ -209,7 +224,7 @@ def _position_runner(column, moment):
     def run(v):
         spec = chain.ChainSpec(v["s"], v["coupling"])
         if v["n"] is not None:
-            psi0 = chain.launchpad_state(spec, 2 * v["n"] - 1, v["n"])
+            psi0 = chain.launchpad_state(spec, _pad_size(v["n"], spec.s), v["n"])
         else:
             psi0 = chain.basis_state(spec, 1)
         times = _time_grid(v["t-min"], v["t-max"], v["step"])
@@ -233,7 +248,7 @@ def _speed_law_from(v) -> speed.SpeedLaw:
     if family == "pad-cn":
         return speed.law_pad_cn(v["n"])
     if family == "gamma":
-        spec = chain.ChainSpec(max(2, 2 * v["n"] - 1))
+        spec = chain.ChainSpec(max(2, _pad_size(v["n"])))
         return speed.law_general(chain.gamma_state(spec, v["n"]))
     raise ValueError(f"unknown speed family {family!r}")
 
@@ -249,6 +264,8 @@ def _run_speed_density(v):
 
 
 def _run_multi(v):
+    if v["g"] < 1:
+        raise ValueError(f"--g must be at least 1, got --g {v['g']}")
     params = register.grover_params(v["mu"])
     spec = chain.ChainSpec(v["s"], v["coupling"])
     g = register.rotation_about_2(params.alpha)
@@ -256,9 +273,7 @@ def _run_multi(v):
     state0 = multi.SectorState.from_product(spec, tuple(range(1, v["g"] + 1)), r1)
     times = _time_grid(v["t-min"], v["t-max"], v["step"])
     rows = []
-    for t in times:
-        state = multi.propagate_single_link(state0, v["x0"], g, t)
-        rho = state.register_density_matrix()
+    for t, rho in zip(times, multi.single_link_densities(state0, v["x0"], g, times)):
         s1, s2, s3 = register.bloch_vector(rho)
         r = float(np.sqrt(s1**2 + s2**2 + s3**2))
         rows.append(

@@ -29,6 +29,7 @@ __all__ = [
     "sector_energy",
     "propagate_free_sector",
     "propagate_single_link",
+    "single_link_densities",
     "count_past_link_distribution",
     "joint_speed_law",
 ]
@@ -186,15 +187,18 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-def _embed_antisymmetric(state: SectorState) -> np.ndarray:
-    """Scatter ordered amplitudes onto the full n-leg antisymmetric tensor."""
-    s, n, d = state.spec.s, state.n, state.d
+def _embed_antisymmetric(amps: np.ndarray, s: int, n: int) -> np.ndarray:
+    """Scatter (d, C(s, n)) ordered amplitudes onto the n-leg antisymmetric tensor.
+
+    The tensor is stored leg-1-major, (l1, d, l2, ..., ln): the layout in which
+    np.tensordot hands the first leg to its product.
+    """
     subs = _occupation_array(s, n) - 1
-    full = np.zeros((d,) + (s,) * n, dtype=complex)
+    full = np.zeros((s, amps.shape[0]) + (s,) * (n - 1), dtype=complex)
     for perm in permutations(range(n)):
         sign = _permutation_sign(perm)
         idx = tuple(subs[:, j] for j in perm)
-        full[(slice(None),) + idx] = sign * state.amplitudes
+        full[(idx[0], slice(None)) + idx[1:]] = (sign * amps).T
     return full
 
 
@@ -204,17 +208,40 @@ def _extract_ordered(full: np.ndarray, s: int, n: int) -> np.ndarray:
     return full[(slice(None),) + idx]
 
 
-def propagate_free_sector(state: SectorState, t: float) -> SectorState:
-    """Evolve under the bare chain: one single-particle propagator per leg."""
-    u = propagator(state.spec, t)
-    full = _embed_antisymmetric(state)
-    for axis in range(1, full.ndim):
-        full = np.moveaxis(np.tensordot(u, full, axes=(1, axis)), 0, axis)
-    amps = _extract_ordered(full, state.spec.s, state.n)
+def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, n: int):
+    """Free-sector amplitudes (d, C(s, n)) of the embedded start after the propagator u.
+
+    Leg by leg as np.tensordot did, with each leg's operand copied to the same
+    C-ordered layout, but into the work buffers out and spare.  (For n = 2,
+    d = 1 np.tensordot passed a transposed view; OpenBLAS gives the same bits.)
+    """
+    s = u.shape[0]
+    np.dot(u, start.reshape(s, -1), out=out.reshape(s, -1))
+    full = np.moveaxis(out, 0, 1)  # (d, l1, ..., ln), leg 1 updated
+    for axis in range(2, n + 1):
+        np.copyto(spare, np.moveaxis(full, axis, 0))
+        np.dot(u, spare.reshape(s, -1), out=out.reshape(s, -1))
+        full = np.moveaxis(out, 0, axis)
+    ordered = _extract_ordered(full, s, n)
     # each ordered amplitude appears n! times in the tensor, carrying its sign
-    norm2 = float(np.sum(np.abs(amps) ** 2))
+    norm2 = float(np.sum(np.abs(ordered) ** 2))
     if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
         raise NormalizationError(f"sector norm^2 drifted to {norm2!r}")
+    return ordered
+
+
+def _free_sector_samples(spec: ChainSpec, n: int, amps: np.ndarray, times):
+    """Yield the free-sector amplitudes of a start at each time: the start is
+    embedded once, so a run holds three d * s^n tensors and allocates none per sample."""
+    start = _embed_antisymmetric(amps, spec.s, n)
+    out, spare = np.empty_like(start), np.empty_like(start)  # both (s, d, s, ..., s)
+    for t in times:
+        yield _free_sample(propagator(spec, t), start, out, spare, n)
+
+
+def propagate_free_sector(state: SectorState, t: float) -> SectorState:
+    """Evolve under the bare chain: one single-particle propagator per leg."""
+    amps = next(_free_sector_samples(state.spec, state.n, state.amplitudes, [t]))
     return SectorState(state.spec, state.n, amps)
 
 
@@ -234,15 +261,9 @@ def count_past_link_distribution(state: SectorState, x0: int) -> np.ndarray:
     return probs
 
 
-def propagate_single_link(
-    state: SectorState, x0: int, g: np.ndarray, t: float
-) -> SectorState:
-    """Evolve with primitive g on link x0 only.
-
-    Each configuration carries the register factor g^(count of excitations
-    past x0); undressing by those powers reduces the dynamics to the free
-    sector, which is propagated and then re-dressed.
-    """
+def _single_link_samples(state: SectorState, x0: int, g: np.ndarray, times):
+    """Yield the amplitudes (d, C(s, n)) at each time with primitive g on link x0;
+    the start is checked and undressed once, before the first sample."""
     if x0 < state.n:
         raise ValueError(f"active link x0={x0} must be >= n={state.n}")
     if x0 > state.spec.s - 1:
@@ -255,19 +276,49 @@ def propagate_single_link(
 
     counts = _counts_past(state.spec.s, state.n, x0)
     powers = [np.linalg.matrix_power(g, m) for m in range(state.n + 1)]
+    masks = [(m, mask) for m in range(state.n + 1) if (mask := counts == m).any()]
 
     undressed = np.empty_like(state.amplitudes)
-    for m in range(state.n + 1):
-        mask = counts == m
-        if mask.any():
-            undressed[:, mask] = powers[m].conj().T @ state.amplitudes[:, mask]
-    free = propagate_free_sector(SectorState(state.spec, state.n, undressed), t)
-    dressed = np.empty_like(free.amplitudes)
-    for m in range(state.n + 1):
-        mask = counts == m
-        if mask.any():
-            dressed[:, mask] = powers[m] @ free.amplitudes[:, mask]
-    return SectorState(state.spec, state.n, dressed)
+    for m, mask in masks:
+        undressed[:, mask] = powers[m].conj().T @ state.amplitudes[:, mask]
+
+    def redress(free):
+        dressed = np.empty_like(free)
+        for m, mask in masks:
+            dressed[:, mask] = powers[m] @ free[:, mask]
+        return dressed
+
+    # map, unlike a for-loop variable, keeps no sample alive while the next is evolved
+    yield from map(redress, _free_sector_samples(state.spec, state.n, undressed, times))
+
+
+def propagate_single_link(
+    state: SectorState, x0: int, g: np.ndarray, t: float
+) -> SectorState:
+    """Evolve with primitive g on link x0 only.
+
+    Each configuration carries the register factor g^(count of excitations
+    past x0); undressing by those powers reduces the dynamics to the free
+    sector, which is propagated and then re-dressed.
+    """
+    return SectorState(state.spec, state.n, next(_single_link_samples(state, x0, g, [t])))
+
+
+def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> np.ndarray:
+    """Register density matrices, shape (T, d, d), with primitive g on link x0 only.
+
+    One start evolved over a time grid: it is checked, undressed and embedded
+    once, and each time costs n leg products of the d * s^n tensor.  Raises
+    ValueError before the first sample, and NormalizationError if the norm
+    drifts beyond NORM_DRIFT_TOL at any time.
+    """
+    times = np.asarray(times, dtype=float)
+    _check_memory(16 * state.d**2 * times.size, f"register densities at {times.size} times")
+    rho = np.empty((times.size, state.d, state.d), dtype=complex)
+    densities = map(lambda amps: amps @ amps.conj().T, _single_link_samples(state, x0, g, times))
+    for i, rho_t in enumerate(densities):  # no sample's amplitudes outlive it
+        rho[i] = rho_t
+    return rho
 
 
 class JointSpeedLaw:

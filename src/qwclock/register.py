@@ -22,6 +22,7 @@ from .chain import (
     NormalizationError,
     PositionStatistics,
     _check_memory,
+    _complex_modes,
     _evolve_modes,
     _site_statistics,
 )
@@ -244,7 +245,8 @@ class MachineState:
 
     def evolve(self, t: float) -> "MachineState":
         """Exact evolution for time t (each comoving component walks freely)."""
-        phi_t = _evolve_modes(self.spec, self.comoving_components(), [t])[:, 0, :]
+        coeff = _complex_modes(self.spec) @ self.comoving_components()
+        phi_t = _evolve_modes(self.spec, coeff, [t])[:, 0, :]
         spinors = np.einsum("xij,xj->xi", self.program.cumulative, phi_t)
         return MachineState(self.spec, self.program, spinors)
 
@@ -395,9 +397,9 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1]
 
 
-def _chunk_sums(machine: MachineState, phi0: np.ndarray, times: np.ndarray):
+def _chunk_sums(machine: MachineState, coeff: np.ndarray, times: np.ndarray):
     """rho[1, 0], s3 and norm^2 of the register over one chunk of times."""
-    phi = _evolve_modes(machine.spec, phi0, times)  # (s, chunk, 2)
+    phi = _evolve_modes(machine.spec, coeff, times)  # (s, chunk, 2)
     W = machine.program.cumulative
     chi0, chi1 = (
         W[:, i, 0, None] * phi[:, :, 0] + W[:, i, 1, None] * phi[:, :, 1] for i in range(2)
@@ -417,16 +419,21 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     NORM_DRIFT_TOL at any time.
     """
     times = np.asarray(times, dtype=float)
-    # the O(T) results: three sums here and about ten series in the trajectory
-    _check_memory(128 * times.size, f"trajectory over {times.size} times")
-    phi0 = machine.comoving_components()
-    width = max(1, _CHUNK_BYTES // (32 * machine.spec.s))  # one (s, 2) complex sample
+    s = machine.spec.s
+    width = max(1, _CHUNK_BYTES // (32 * s))  # one (s, 2) complex sample
+    # the O(T) results (three sums here, about ten series in the trajectory),
+    # V and its complex copy, and the widest chunk's dressing: phi, chi0, chi1,
+    # p0, p1 and two row-sum temporaries, 112 B per site and sample, more than
+    # the kernel's own temporaries (96 B)
+    nbytes = 128 * times.size + 24 * s * s + 112 * s * min(width, times.size)
+    _check_memory(nbytes, f"trajectory of s={s} sites over {times.size} times")
+    coeff = _complex_modes(machine.spec) @ machine.comoving_components()
     cross = np.empty(times.size, dtype=complex)
     s3 = np.empty(times.size)
     norm2 = np.empty(times.size)
     for start in range(0, times.size, width):
         window = slice(start, start + width)
-        cross[window], s3[window], norm2[window] = _chunk_sums(machine, phi0, times[window])
+        cross[window], s3[window], norm2[window] = _chunk_sums(machine, coeff, times[window])
     s1 = 2.0 * cross.real
     s2 = 2.0 * cross.imag
     drift = float(np.abs(norm2 - 1.0).max(initial=0.0))

@@ -237,6 +237,20 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
         patch.setattr("qwclock.multi.SectorState.from_product", _must_not_run)
         assert main(["oracle-check", "--s", "2"]) == 2
     assert capsys.readouterr().err == "error: oracle-check needs --s >= 3, got --s 2\n"
+    # pad and excitation counts are checked in the runner, naming the flags given
+    for argv, line in [
+        (["mean-q", "--s", "9", "--n", "0"], "--n must be at least 1, got --n 0"),
+        (["mean-q", "--s", "9", "--n", "6"], "--n 6 gives a pad of 2n-1 = 11 sites, more than --s 9"),
+        (["var-q", "--s", "9", "--n", "6"], "--n 6 gives a pad of 2n-1 = 11 sites, more than --s 9"),
+        (["speed-density", "--family", "gamma", "--n", "0"], "--n must be at least 1, got --n 0"),
+        (["launchpad", "--variant", "gamma", "--n", "0", "--mu", "4", "--s", "17"],
+         "--n must be at least 1, got --n 0"),
+        (["launchpad", "--variant", "flat", "--n", "20", "--mu", "4", "--s", "17"],
+         "--n 20 and --num-active 3 need links 39..41, but --s 17 has links 1..16"),
+        (["multi", "--g", "0", "--s", "8"], "--g must be at least 1, got --g 0"),
+    ]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {line}\n", argv
     # the --num-active default floor(pi/4 2^(mu/2)) overflows a float from --mu 2048
     for argv in (["--mu", "2048", "--s", "17", "--t-max", "1"], ["--mu", "100000"]):
         assert main(["launchpad", *argv]) == 2, argv

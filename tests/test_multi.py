@@ -1,10 +1,11 @@
-from itertools import combinations
+import weakref
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 import qwclock as qc
-from qwclock import oracle
+from qwclock import multi, oracle
 
 
 def test_occupation_set_validation():
@@ -181,7 +182,7 @@ def test_single_link_register_state_properties():
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
-def test_single_link_validation():
+def test_single_link_validation(monkeypatch):
     spec = qc.ChainSpec(8)
     state = qc.SectorState.from_product(spec, (1, 2, 3), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
@@ -190,6 +191,95 @@ def test_single_link_validation():
         qc.propagate_single_link(state, 8, np.eye(2, dtype=complex), 1.0)
     with pytest.raises(ValueError):
         qc.propagate_single_link(state, 4, 1.5 * np.eye(2, dtype=complex), 1.0)
+    # a trajectory is refused before its first sample is evolved
+    monkeypatch.setattr(multi, "propagator", None)
+    for x0, g in ((2, np.eye(2)), (8, np.eye(2)), (4, 1.5 * np.eye(2)), (4, np.eye(3))):
+        with pytest.raises(ValueError):
+            qc.single_link_densities(state, x0, g, [0.0, 1.0, 2.0])
+
+
+def test_single_link_densities_keep_no_sample_alive(monkeypatch):
+    """When a sample starts, the previous propagator and amplitudes are freed
+    (at n = 1, s = 3000 a kept propagator alone adds 144 MB)."""
+    refs = []
+    unitary, extract = multi.propagator, multi._extract_ordered
+
+    def propagator(spec, t):
+        assert all(ref() is None for ref in refs), "a previous sample is still referenced"
+        u = unitary(spec, t)
+        refs.append(weakref.ref(u))
+        return u
+
+    def extract_ordered(full, s, n):
+        amps = extract(full, s, n)
+        refs.append(weakref.ref(amps))
+        return amps
+
+    monkeypatch.setattr(multi, "propagator", propagator)
+    monkeypatch.setattr(multi, "_extract_ordered", extract_ordered)
+    state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
+    qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), [0.5, 1.0, 1.5])
+    assert len(refs) == 6
+
+
+def _per_sample_free(spec, n, amps, t):
+    """One free sample as evolved before single_link_densities: embed the
+    (d, l1, ..., ln) tensor, one tensordot per leg, extract."""
+    subs = np.array(list(combinations(range(spec.s), n)))
+    full = np.zeros((amps.shape[0],) + (spec.s,) * n, dtype=complex)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        full[(slice(None),) + tuple(subs[:, j] for j in perm)] = sign * amps
+    u = qc.propagator(spec, t)
+    for axis in range(1, n + 1):
+        full = np.moveaxis(np.tensordot(u, full, axes=(1, axis)), 0, axis)
+    return full[(slice(None),) + tuple(subs[:, j] for j in range(n))]
+
+
+def _per_sample_single_link(state, x0, g, t):
+    """The free sample of the undressed start, re-dressed."""
+    n = state.n
+    subs = np.array(list(combinations(range(1, state.spec.s + 1), n)))
+    counts = np.sum(subs > x0, axis=1)
+    powers = [np.linalg.matrix_power(g, m) for m in range(n + 1)]
+    masks = [counts == m for m in range(n + 1)]
+    undressed = np.empty_like(state.amplitudes)
+    for m, mask in enumerate(masks):
+        if mask.any():
+            undressed[:, mask] = powers[m].conj().T @ state.amplitudes[:, mask]
+    free = _per_sample_free(state.spec, n, undressed, t)
+    dressed = np.empty_like(free)
+    for m, mask in enumerate(masks):
+        if mask.any():
+            dressed[:, mask] = powers[m] @ free[:, mask]
+    return dressed
+
+
+@pytest.mark.parametrize(
+    "s,n,d", [(10, 2, 2), (16, 4, 2), (7, 3, 2), (13, 4, 1), (9, 1, 2), (8, 2, 1)]
+)
+def test_single_link_densities_bitwise_equal_per_sample_formula(s, n, d):
+    """The trajectory gives every sample the bits of the per-sample formula.
+
+    At (8, 2, 1), oracle-check's free start, np.tensordot hands the second
+    leg to BLAS as a transposed view, where the trajectory copies it first.
+    """
+    rng = np.random.default_rng(10 * s + n)
+    spec = qc.ChainSpec(s)
+    m = len(list(combinations(range(s), n)))
+    amps = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    state = qc.SectorState(spec, n, amps / np.linalg.norm(amps))
+    g, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    x0 = (n + s - 1) // 2
+    times = np.array([0.0, 0.9, 3.7, 2.5 * s])
+    rho = qc.single_link_densities(state, x0, g, times)
+    assert rho.shape == (times.size, d, d)
+    for i, t in enumerate(times):
+        expected = _per_sample_single_link(state, x0, g, t)
+        assert np.array_equal(rho[i], expected @ expected.conj().T), t
+        assert np.array_equal(qc.propagate_single_link(state, x0, g, t).amplitudes, expected)
+        free = _per_sample_free(spec, n, state.amplitudes, t)
+        assert np.array_equal(qc.propagate_free_sector(state, t).amplitudes, free)
 
 
 def test_count_past_link_distribution():

@@ -368,6 +368,19 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
     with pytest.raises(qc.NormalizationError):
         machine_trajectory(machine, times)
 
+    # the sector path evolves one start over the grid: only its last time drifts
+    unitary = multi.propagator
+
+    def drifting_last(spec, t):
+        return unitary(spec, t) * (1.0 + 1e-6 if t == times[-1] else 1.0)
+
+    monkeypatch.setattr(multi, "propagator", drifting_last)
+    state = qc.SectorState.from_product(qc.ChainSpec(8), (1, 2, 3), r1)
+    g = program.unitary(1)
+    qc.single_link_densities(state, 4, g, times[-4:-1])
+    with pytest.raises(qc.NormalizationError):
+        qc.single_link_densities(state, 4, g, times[-4:])
+
 
 def _chunk_width(s):
     return max(1, register._CHUNK_BYTES // (32 * s))
@@ -421,7 +434,28 @@ def test_evolve_modes_bitwise_equals_real_basis_formula(d):
         for grid in (times, *([t] for t in times)):  # one time per call, as in propagate
             phases = np.exp(-1j * np.outer(e, grid))
             expected = np.tensordot(V, phases[:, :, None] * (V.T @ amps)[:, None, :], axes=(1, 0))
-            assert np.array_equal(chain._evolve_modes(spec, amps, grid), expected)
+            coeff = chain._complex_modes(spec) @ amps
+            assert np.array_equal(chain._evolve_modes(spec, coeff, grid), expected)
+
+
+def test_propagate_reuses_cached_coefficients_bitwise():
+    """Repeated propagations of one state reuse its coefficients, with the bits of
+    the formula that recomputed them per call."""
+    rng = np.random.default_rng(3)
+    for s in (17, 513):
+        spec = qc.ChainSpec(s)
+        amps = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        psi = qc.CursorWavefunction(spec, amps / np.linalg.norm(amps))
+        e, V = chain.eigenbasis(spec)
+        Vc = V.astype(complex)
+        for t in (0.0, 0.7, 13.0, 250.5):
+            coeff = Vc @ psi.amplitudes[:, None]
+            phases = np.exp(-1j * np.outer(e, [t]))
+            expected = np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+            assert np.array_equal(qc.propagate(psi, t).amplitudes, expected[:, 0, 0])
+            if t == 0.0:
+                cached = vars(psi)["_coefficients"]
+        assert vars(psi)["_coefficients"] is cached
 
 
 def test_trajectory_budget_refuses_long_grid(monkeypatch):
@@ -435,7 +469,17 @@ def test_trajectory_budget_refuses_long_grid(monkeypatch):
 
 def test_cached_arrays_read_only():
     spec = qc.ChainSpec(9)
-    cached = [*chain.eigenbasis(spec), chain._complex_modes(spec), multi._occupation_array(9, 3)]
+    given = np.full(9, 1.0 / 3.0)
+    psi = qc.CursorWavefunction(spec, given)
+    given[0] = 0.0  # the state holds its own copy
+    assert psi.amplitudes[0] == 1.0 / 3.0
+    cached = [
+        *chain.eigenbasis(spec),
+        chain._complex_modes(spec),
+        multi._occupation_array(9, 3),
+        psi.amplitudes,
+        psi._coefficients,
+    ]
     assert np.array_equal(chain._complex_modes(spec), chain.eigenbasis(spec)[1])
     for arr in cached:
         with pytest.raises(ValueError):
