@@ -39,6 +39,9 @@ MEMORY_BUDGET = 4 * 2**30
 # the BLAS library's GEMM workspace, counted in every estimate: OpenBLAS
 # touched 1 to 8.4 MiB of it in the first large product of a process
 _BLAS_WORKSPACE = 16 * 2**20
+# chains of at least this many sites take the FFT sine transform, shorter ones
+# the dense GEMM: the crossover measured at a trajectory's chunk width
+_FFT_SITES = 640
 
 
 class NormalizationError(ValueError):
@@ -107,7 +110,7 @@ class CursorWavefunction:
     @functools.cached_property
     def _coefficients(self) -> np.ndarray:
         """(s, 1) sine-mode coefficients, computed once per state and read-only."""
-        coeff = _complex_modes(self.spec) @ self.amplitudes[:, None]
+        coeff = _mode_coefficients(self.spec, self.amplitudes[:, None])
         coeff.flags.writeable = False
         return coeff
 
@@ -135,6 +138,15 @@ def eigenfunction(spec: ChainSpec, k: int, x: int) -> float:
 
 
 @functools.lru_cache(maxsize=32)
+def _energies(spec: ChainSpec) -> np.ndarray:
+    """Energies e[k-1] = -lam*cos(k*pi/(s+1)), cached read-only (O(s) bytes)."""
+    k = np.arange(1, spec.s + 1)
+    e = -spec.lam * np.cos(k * np.pi / (spec.s + 1))
+    e.flags.writeable = False
+    return e
+
+
+@functools.lru_cache(maxsize=32)
 def eigenbasis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """All energies and modes at once.
 
@@ -145,11 +157,9 @@ def eigenbasis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     # V, two temporaries and the complex copy _complex_modes keeps beside it
     _check_memory(40 * s * s, f"eigenbasis of s={s} sites")
     k = np.arange(1, s + 1)
-    e = -spec.lam * np.cos(k * np.pi / (s + 1))
     V = np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * np.outer(k, k) / (s + 1))
-    e.flags.writeable = False
     V.flags.writeable = False
-    return e, V
+    return _energies(spec), V
 
 
 @functools.lru_cache(maxsize=32)
@@ -162,6 +172,41 @@ def _complex_modes(spec: ChainSpec) -> np.ndarray:
     Vc = eigenbasis(spec)[1].astype(complex)
     Vc.flags.writeable = False
     return Vc
+
+
+def _sine_transform(ext: np.ndarray) -> np.ndarray:
+    """V @ y for every row of ext, in place, by one FFT of the odd extension.
+
+    ext has shape (..., 2(s+1)) and holds c * y in entries 1..s, with
+    c = i/2 sqrt(2/(s+1)).  Entries 0 and s+1 are zeroed and entries
+    s+2.. become -c * y[::-1]; the FFT's entries 1..s are then
+    -2i c sum_x sin(pi k x/(s+1)) y(x) = (V @ y)[k-1] (Martucci, IEEE Trans.
+    Signal Process. 42, 1038 (1994)).  Returns the (..., s) view of them.
+    Each row is transformed alone, so its bits do not depend on the batch.
+    """
+    s = ext.shape[-1] // 2 - 1
+    ext[..., 0] = ext[..., s + 1] = 0.0
+    np.negative(ext[..., s:0:-1], out=ext[..., s + 2 :])
+    return np.fft.fft(ext, axis=-1, out=ext)[..., 1 : s + 1]
+
+
+def _sine_scale(s: int) -> complex:
+    """The factor c = i/2 sqrt(2/(s+1)) that _sine_transform expects in its input."""
+    return 0.5j * np.sqrt(2.0 / (s + 1))
+
+
+def _mode_coefficients(spec: ChainSpec, amps: np.ndarray) -> np.ndarray:
+    """(s, d) mode coefficients V @ amps of (s, d) site amplitudes.
+
+    The GEMM over the cached complex V below _FFT_SITES sites, the FFT sine
+    transform (no V) from there on.
+    """
+    s = spec.s
+    if s < _FFT_SITES:
+        return _complex_modes(spec) @ amps
+    ext = np.empty((amps.shape[1], 2 * (s + 1)), dtype=complex)
+    np.multiply(amps.T, _sine_scale(s), out=ext[:, 1 : s + 1])
+    return _sine_transform(ext).T
 
 
 def chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -205,19 +250,35 @@ def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:
 def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     """Free chain evolution of d amplitude columns over a time grid.
 
-    Maps the (s, d) mode coefficients coeff = _complex_modes(spec) @ psi0 of
-    site amplitudes psi0 to (s, T, d):
+    Maps the (s, d) mode coefficients coeff = _mode_coefficients(spec, psi0)
+    of site amplitudes psi0 to (s, T, d):
     psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
     This is the package's one spectral transform; callers compute coeff once
-    per start and check the norm.  Times do not mix, so a grid may be evolved
-    in chunks; for d = 2 the bits do not depend on the chunk width (a
-    one-column product may round otherwise).
+    per start and check the norm.  Below _FFT_SITES sites it is a GEMM over
+    the cached complex V, from there on the FFT sine transform, which returns
+    a strided view.  Times do not mix, so a grid may be evolved in chunks;
+    for d = 2 on the GEMM path, and always on the FFT path, the bits do not
+    depend on the chunk width (a one-column product may round otherwise).
     """
     s, T, d = spec.s, len(times), coeff.shape[1]
+    e = _energies(spec)
+    if s >= _FFT_SITES:
+        # the (T, d, 2(s+1)) extension and the (T, s) phase arguments, no V
+        _check_memory(32 * (s + 1) * T * d + 8 * s * T, f"evolving s={s} sites over {T} times")
+        ext = np.empty((T, d, 2 * (s + 1)), dtype=complex)
+        body = ext[:, :, 1 : s + 1]
+        # the phases exp(-i e_k t) go straight into the first column, which
+        # the others then scale; no (s, T, d) product exists beside ext
+        arg = np.multiply.outer(times, -e)
+        np.cos(arg, out=body[:, 0].real)
+        np.sin(arg, out=body[:, 0].imag)
+        scaled = _sine_scale(s) * coeff.T  # (d, s)
+        np.multiply(body[:, :1], scaled[1:], out=body[:, 1:])
+        body[:, 0] *= scaled[0]
+        return _sine_transform(ext).transpose(2, 0, 1)
     # V, its complex copy and about three (s, T, d) complex temporaries; in a
     # trajectory T is one chunk's width, so this is checked chunk by chunk
     _check_memory(24 * s * s + 48 * s * T * d, f"evolving s={s} sites over {T} times")
-    e = eigenbasis(spec)[0]
     Vc = _complex_modes(spec)
     phases = np.exp(-1j * np.outer(e, times))  # (s, T)
     return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))

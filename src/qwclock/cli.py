@@ -22,6 +22,10 @@ from .chain import ResourceLimitError, _check_memory
 
 _CHECK_TOL = 1e-10
 _ROW_BYTES = 400  # memory per emitted CSV row, measured
+# memory per chain site of a whole run on a short grid: the program's
+# unitaries and their unitarity check, cumulative products, start state,
+# spinors and a one-sample chunk (measured peak: 434 B per site, measure)
+_SITE_BYTES = 512
 
 
 def _fmt(value) -> str:
@@ -117,19 +121,36 @@ def _grid_options(t_max_default):
     ]
 
 
+def _check_sites(s: int, what: str) -> None:
+    """Refuse s sites whose O(s) arrays, with V on the GEMM path, exceed the budget."""
+    basis = 8 * s * s if s < chain._FFT_SITES else 0
+    _check_memory(_SITE_BYTES * s + basis, what)
+
+
+def _chain_spec(s: int, coupling: float) -> chain.ChainSpec:
+    """The chain of --s sites, checked against the budget before any array exists."""
+    _check_sites(s, f"--s {s} sites")
+    return chain.ChainSpec(s, coupling)
+
+
 def _toy_setup(mu: int, s: int, coupling: float):
     params = register.grover_params(mu)
-    spec = chain.ChainSpec(s, coupling)
+    spec = _chain_spec(s, coupling)
     program = register.toy_program(s, params.alpha)
     r1 = register.grover_initial_state(params)
     psi0 = chain.basis_state(spec, 1)
     return params, spec, program, r1, psi0
 
 
+def _at_least(flag: str, value: int, low: int, bound=None) -> None:
+    """Refuse --flag below low; bound names low when another flag sets it."""
+    if value < low:
+        raise ValueError(f"--{flag} must be at least {bound or low}, got --{flag} {value}")
+
+
 def _pad_size(n: int, s=None) -> int:
     """The pad size 2n-1 of --n, checked to fit --s sites when s is given."""
-    if n < 1:
-        raise ValueError(f"--n must be at least 1, got --n {n}")
+    _at_least("n", n, 1)
     if s is not None and 2 * n - 1 > s:
         raise ValueError(f"--n {n} gives a pad of 2n-1 = {2 * n - 1} sites, more than --s {s}")
     return 2 * n - 1
@@ -137,7 +158,7 @@ def _pad_size(n: int, s=None) -> int:
 
 def _default_sites(values) -> int:
     s = 2 ** values["mu"] + 1
-    _check_memory(8 * s * s, f"--mu {values['mu']} with 2**mu + 1 sites")  # V alone
+    _check_sites(s, f"--mu {values['mu']} with 2**mu + 1 sites")
     return s
 
 
@@ -176,7 +197,7 @@ def _toy_start(v):
 
 def _launchpad_start(v):
     params = register.grover_params(v["mu"])
-    spec = chain.ChainSpec(v["s"], v["coupling"])
+    spec = _chain_spec(v["s"], v["coupling"])
     count = v["num-active"]
     if count is None:
         try:
@@ -186,6 +207,7 @@ def _launchpad_start(v):
                 f"--mu {v['mu']} overflows the --num-active default "
                 "floor(pi/4 2^(mu/2)); give --num-active"
             ) from None
+    _at_least("num-active", count, 0)
     variant = v["variant"]
     if variant == "telomere":
         program = register.rotation_window_program(spec.s, params.alpha, 1, count)
@@ -213,7 +235,7 @@ def _launchpad_start(v):
 
 def _alternating_start(v):
     params = register.grover_params(v["mu"])
-    spec = chain.ChainSpec(v["s"], v["coupling"])
+    spec = _chain_spec(v["s"], v["coupling"])
     program = register.alternating_program(spec.s, params.theta)
     return program, register.grover_initial_state(params), chain.basis_state(spec, 1)
 
@@ -222,7 +244,7 @@ def _position_runner(column, moment):
     """Runner for one moment of the free cursor's site distribution over time."""
 
     def run(v):
-        spec = chain.ChainSpec(v["s"], v["coupling"])
+        spec = _chain_spec(v["s"], v["coupling"])
         if v["n"] is not None:
             psi0 = chain.launchpad_state(spec, _pad_size(v["n"], spec.s), v["n"])
         else:
@@ -242,10 +264,16 @@ def _speed_law_from(v) -> speed.SpeedLaw:
     if family == "localized":
         return speed.law_localized()
     if family == "shifted":
+        _at_least("x0", v["x0"], 1)
         return speed.law_shifted(v["x0"])
     if family == "pad-ck":
-        return speed.law_pad_ck(v["epsilon"], v["k"])
+        epsilon, k = v["epsilon"], v["k"]
+        _at_least("epsilon", epsilon, 1)
+        if not 1 <= k <= epsilon:
+            raise ValueError(f"--k must be between 1 and --epsilon {epsilon}, got --k {k}")
+        return speed.law_pad_ck(epsilon, k)
     if family == "pad-cn":
+        _pad_size(v["n"])
         return speed.law_pad_cn(v["n"])
     if family == "gamma":
         spec = chain.ChainSpec(max(2, _pad_size(v["n"])))
@@ -264,16 +292,21 @@ def _run_speed_density(v):
 
 
 def _run_multi(v):
-    if v["g"] < 1:
-        raise ValueError(f"--g must be at least 1, got --g {v['g']}")
+    n, x0 = v["g"], v["x0"]
+    _at_least("g", n, 1)
     params = register.grover_params(v["mu"])
     spec = chain.ChainSpec(v["s"], v["coupling"])
+    if n > spec.s:
+        raise ValueError(f"--g {n} excitations do not fit on --s {spec.s} sites")
+    _at_least("x0", x0, n, f"--g {n}")
+    if x0 > spec.s - 1:
+        raise ValueError(f"--x0 must be at most --s {spec.s} minus 1, got --x0 {x0}")
     g = register.rotation_about_2(params.alpha)
     r1 = register.grover_initial_state(params)
-    state0 = multi.SectorState.from_product(spec, tuple(range(1, v["g"] + 1)), r1)
+    state0 = multi.SectorState.from_product(spec, tuple(range(1, n + 1)), r1)
     times = _time_grid(v["t-min"], v["t-max"], v["step"])
     rows = []
-    for t, rho in zip(times, multi.single_link_densities(state0, v["x0"], g, times)):
+    for t, rho in zip(times, multi.single_link_densities(state0, x0, g, times)):
         s1, s2, s3 = register.bloch_vector(rho)
         r = float(np.sqrt(s1**2 + s2**2 + s3**2))
         rows.append(

@@ -158,11 +158,6 @@ class SectorState:
         """Flatten with the register label varying fastest (oracle layout)."""
         return self.amplitudes.T.reshape(-1)
 
-    @classmethod
-    def from_vector(cls, spec: ChainSpec, n: int, d: int, vec) -> "SectorState":
-        arr = np.asarray(vec, dtype=complex).reshape(-1, d).T
-        return cls(spec, n, arr)
-
     def register_density_matrix(self) -> np.ndarray:
         return self.amplitudes @ self.amplitudes.conj().T
 

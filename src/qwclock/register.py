@@ -4,7 +4,8 @@ The machine state in the one-excitation sector is stored as a spinor per
 chain site.  Conjugating site x by the accumulated link unitaries
 W(x) = U_{x-1} ... U_1 turns the dynamics into free chain propagation of
 each register component, so evolution, Bloch trajectories, entropy and
-measurement collapse are all exact at O(s^2) cost.
+measurement collapse are all exact, at O(s^2) cost per sample below the
+FFT crossover and O(s log s) from it on.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .chain import (
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
+    _FFT_SITES,
     _check_memory,
-    _complex_modes,
     _evolve_modes,
+    _mode_coefficients,
     _site_statistics,
 )
 from .special import speed_characteristic_kernel
@@ -74,8 +76,11 @@ _ID2 = np.eye(2, dtype=complex)
 
 _UNITARY_TOL = 1e-12
 _R_DEGENERATE = 1e-12
-# bytes of (s, 2) complex spinors per time chunk of machine_trajectory
+# bytes per time chunk of machine_trajectory: of (s, 2) complex spinors on the
+# GEMM path, where wide products are fast, and of all the chunk's temporaries
+# on the FFT path, where a chunk that stays in cache is fast
 _CHUNK_BYTES = 4 * 2**20
+_FFT_CHUNK_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +250,7 @@ class MachineState:
 
     def evolve(self, t: float) -> "MachineState":
         """Exact evolution for time t (each comoving component walks freely)."""
-        coeff = _complex_modes(self.spec) @ self.comoving_components()
+        coeff = _mode_coefficients(self.spec, self.comoving_components())
         phi_t = _evolve_modes(self.spec, coeff, [t])[:, 0, :]
         spinors = np.einsum("xij,xj->xi", self.program.cumulative, phi_t)
         return MachineState(self.spec, self.program, spinors)
@@ -409,25 +414,47 @@ def _chunk_sums(machine: MachineState, coeff: np.ndarray, times: np.ndarray):
     return _sum_rows(chi0.conj() * chi1), _sum_rows(p0 - p1), _sum_rows(p0 + p1)
 
 
+def _chunk_bytes_per_sample(s: int) -> int:
+    """Peak temporaries of machine_trajectory per time sample of a chunk.
+
+    phi, chi0, chi1, p0, p1 and two row-sum temporaries: 112 B per site on
+    the GEMM path, more than the kernel's own temporaries (96 B); on the FFT
+    path phi is a view of the two columns' 2(s+1)-entry extensions, 64 B per
+    site in place of 32 B.
+    """
+    return 144 * (s + 1) if s >= _FFT_SITES else 112 * s
+
+
+def _chunk_width(s: int) -> int:
+    """Time samples per chunk of machine_trajectory."""
+    if s >= _FFT_SITES:
+        return max(1, _FFT_CHUNK_BYTES // _chunk_bytes_per_sample(s))
+    return max(1, _CHUNK_BYTES // (32 * s))  # one (s, 2) complex sample
+
+
 def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     """Sample the register state on a time grid (batched spectral transform).
 
     Times are offsets from the machine's current state.  The grid is evolved
-    in chunks of about _CHUNK_BYTES of spinors, each reduced to the Bloch
-    vector and norm before the next, so temporaries are O(s * chunk), not
-    O(s * T).  Raises NormalizationError if the norm drifts beyond
-    NORM_DRIFT_TOL at any time.
+    in chunks of _chunk_width(s) samples, each reduced to the Bloch vector
+    and norm before the next, so temporaries are O(s * chunk), not O(s * T).
+    Raises NormalizationError if the norm drifts beyond NORM_DRIFT_TOL at
+    any time.
     """
     times = np.asarray(times, dtype=float)
     s = machine.spec.s
-    width = max(1, _CHUNK_BYTES // (32 * s))  # one (s, 2) complex sample
+    width = _chunk_width(s)
     # the O(T) results (three sums here, about ten series in the trajectory),
-    # V and its complex copy, and the widest chunk's dressing: phi, chi0, chi1,
-    # p0, p1 and two row-sum temporaries, 112 B per site and sample, more than
-    # the kernel's own temporaries (96 B)
-    nbytes = 128 * times.size + 24 * s * s + 112 * s * min(width, times.size)
+    # the comoving components with their mode coefficients (160 B per site
+    # with the FFT's extension), V and its complex copy on the GEMM path, and
+    # the widest chunk
+    basis = 0 if s >= _FFT_SITES else 24 * s * s
+    nbytes = (
+        128 * times.size + 160 * s + basis
+        + _chunk_bytes_per_sample(s) * min(width, times.size)
+    )
     _check_memory(nbytes, f"trajectory of s={s} sites over {times.size} times")
-    coeff = _complex_modes(machine.spec) @ machine.comoving_components()
+    coeff = _mode_coefficients(machine.spec, machine.comoving_components())
     cross = np.empty(times.size, dtype=complex)
     s3 = np.empty(times.size)
     norm2 = np.empty(times.size)

@@ -248,6 +248,19 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
         (["launchpad", "--variant", "flat", "--n", "20", "--mu", "4", "--s", "17"],
          "--n 20 and --num-active 3 need links 39..41, but --s 17 has links 1..16"),
         (["multi", "--g", "0", "--s", "8"], "--g must be at least 1, got --g 0"),
+        (["multi", "--g", "9", "--s", "8"], "--g 9 excitations do not fit on --s 8 sites"),
+        (["multi", "--g", "3", "--s", "8", "--x0", "2"], "--x0 must be at least --g 3, got --x0 2"),
+        (["multi", "--g", "2", "--s", "8", "--x0", "8"],
+         "--x0 must be at most --s 8 minus 1, got --x0 8"),
+        (["speed-density", "--family", "pad-cn", "--n", "0"], "--n must be at least 1, got --n 0"),
+        (["speed-density", "--family", "pad-ck", "--epsilon", "0"],
+         "--epsilon must be at least 1, got --epsilon 0"),
+        (["speed-density", "--family", "pad-ck", "--k", "10"],
+         "--k must be between 1 and --epsilon 9, got --k 10"),
+        (["speed-density", "--family", "shifted", "--x0", "0"],
+         "--x0 must be at least 1, got --x0 0"),
+        (["launchpad", "--variant", "flat", "--n", "3", "--s", "17", "--mu", "4",
+          "--num-active", "-1"], "--num-active must be at least 0, got --num-active -1"),
     ]:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv
@@ -283,11 +296,16 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     for grid in (["--t-max", "1e308"], ["--step", "1e-300"], ["--t-max", "1e20", "--step", "1"]):
         assert main(["bloch", "--mu", "4", "--s", "17", *grid]) == 3, grid
         _one_line_naming(capsys, "--t-min", "--t-max", "--step")
-    # s = 100000 sites: refused before the 80 GB eigenbasis V exists
+    # s = 10^8 sites: the per-site estimate refuses before the program exists
+    with monkeypatch.context() as patch:
+        patch.setattr("qwclock.register.PrimitiveProgram", _must_not_run)
+        assert main(["bloch", "--mu", "4", "--s", "100000000", "--t-max", "1", "--step", "1"]) == 3
+    _one_line_naming(capsys, "--s 100000000")
+    # s = 100000 sites runs on the FFT kernel, which never builds the 80 GB V
     with monkeypatch.context() as patch:
         patch.setattr("qwclock.chain.eigenbasis", _must_not_run)
-        assert main(["bloch", "--mu", "4", "--s", "100000", "--t-max", "1", "--step", "1"]) == 3
-    _one_line_naming(capsys, "s=100000")
+        argv = ["bloch", "--mu", "4", "--s", "100000", "--t-max", "1", "--step", "1"]
+        assert run_cli(argv, capsys)[0] == 0
     # the derived --s default 2**mu + 1, checked in integer arithmetic
     for mu in ("100000", "1000", "40"):
         assert main(["bloch", "--mu", mu]) == 3, mu
@@ -436,6 +454,7 @@ sys.modules["scipy"] = None  # any scipy import now fails
 from qwclock.cli import main
 runs = [
     ["bloch", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
+    ["bloch", "--mu", "4", "--s", "700", "--t-max", "2", "--step", "1"],  # the FFT kernel
     ["entropy", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
     ["probability", "--mu", "4", "--s", "9", "--t-max", "2", "--step", "1"],
     ["mean-q", "--s", "9", "--t-max", "2", "--step", "1"],
@@ -463,4 +482,4 @@ def test_runtime_needs_numpy_only():
     )
     assert result.returncode == 0, result.stderr
     codes = result.stdout.strip().splitlines()[-1]
-    assert codes == str([0] * 11), codes
+    assert codes == str([0] * 12), codes

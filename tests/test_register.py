@@ -357,7 +357,7 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
         machine_trajectory(machine, np.array([0.0, 1.0]))
 
     # a grid of two chunks that drifts in its one-sample last chunk only
-    times = 0.01 * np.arange(_chunk_width(17) + 1)
+    times = 0.01 * np.arange(register._chunk_width(17) + 1)
 
     def drifting_late(spec, amps, t):
         scale = np.where(np.asarray(t) >= times[-1], 1.0 + 1e-6, 1.0)
@@ -382,10 +382,6 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
         qc.single_link_densities(state, 4, g, times[-4:])
 
 
-def _chunk_width(s):
-    return max(1, register._CHUNK_BYTES // (32 * s))
-
-
 def _random_machine(s, seed=0):
     """Random real orthogonal links (as every CLI program has), complex register start."""
     rng = np.random.default_rng(seed)
@@ -395,11 +391,35 @@ def _random_machine(s, seed=0):
     return qc.MachineState.from_product(qc.PrimitiveProgram(links), r1 / np.linalg.norm(r1), psi0)
 
 
+def _odd_fft(y):
+    """Entries 1..s of one FFT of the odd extension [0, y, 0, -y[::-1]] along
+    the last axis: -2i sum_x sin(pi k x/(s+1)) y(x)."""
+    s = y.shape[-1]
+    ext = np.zeros(y.shape[:-1] + (2 * (s + 1),), dtype=complex)
+    ext[..., 1 : s + 1] = y
+    ext[..., s + 2 :] = -y[..., ::-1]
+    return np.fft.fft(ext, axis=-1)[..., 1 : s + 1]
+
+
+def _fft_evolution(spec, amps, times):
+    """The FFT path's (s, T, d) evolution of site amplitudes over a whole grid,
+    written out; c = i/2 sqrt(2/(s+1)) turns _odd_fft into V @ y."""
+    s = spec.s
+    c = 0.5j * np.sqrt(2.0 / (s + 1))
+    coeff = _odd_fft(amps.T * c)  # V @ amps, (d, s)
+    e = -spec.lam * np.cos(np.arange(1, s + 1) * np.pi / (s + 1))
+    arg = np.multiply.outer(times, -e)
+    phases = np.empty(arg.shape, dtype=complex)
+    phases.real, phases.imag = np.cos(arg), np.sin(arg)
+    return _odd_fft(phases[:, None, :] * (c * coeff)[None]).transpose(2, 0, 1)
+
+
 @pytest.mark.parametrize("s", [24, 129, 769, 2049])
 def test_machine_trajectory_bitwise_equals_unchunked_formula(s):
-    """Chunked trajectory against the whole-grid formula it replaced, bit for bit.
+    """Chunked trajectory against the whole-grid formula of its kernel, bit for bit.
 
-    The grid's last chunk holds one sample: numpy sums one column pairwise,
+    s = 24 and 129 take the GEMM kernel, 769 and 2049 the FFT kernel.  The
+    grid's last chunk holds one sample: numpy sums one column pairwise,
     so only a row-sequential reduction keeps the bits of the whole-grid sum.
     Two cases keep only the value, not the last bit: a grid of one sample
     (pairwise there, row by row now), and links with complex entries, where
@@ -407,19 +427,81 @@ def test_machine_trajectory_bitwise_equals_unchunked_formula(s):
     than einsum does.
     """
     machine = _random_machine(s)
-    times = 0.37 * np.arange(_chunk_width(s) + 1)
+    times = 0.37 * np.arange(register._chunk_width(s) + 1)
     traj = machine_trajectory(machine, times)
 
-    e, V = chain.eigenbasis(machine.spec)
-    coeff = V.T @ machine.comoving_components()
-    phases = np.exp(-1j * np.outer(e, times))
-    phi = np.tensordot(V, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
-    chi = np.einsum("xij,xtj->xti", machine.program.cumulative, phi)
+    if s < chain._FFT_SITES:
+        e, V = chain.eigenbasis(machine.spec)
+        coeff = V.T @ machine.comoving_components()
+        phases = np.exp(-1j * np.outer(e, times))
+        phi = np.tensordot(V, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+    else:
+        phi = _fft_evolution(machine.spec, machine.comoving_components(), times)
+    # C order: np.sum over axis 0 then adds the rows in sequence
+    chi = np.einsum("xij,xtj->xti", machine.program.cumulative, phi, order="C")
     cross = np.sum(chi[:, :, 0].conj() * chi[:, :, 1], axis=0)
     s3 = np.sum(np.abs(chi[:, :, 0]) ** 2 - np.abs(chi[:, :, 1]) ** 2, axis=0)
     assert np.array_equal(traj.s1, 2.0 * cross.real)
     assert np.array_equal(traj.s2, 2.0 * cross.imag)
     assert np.array_equal(traj.s3, s3)
+
+
+@pytest.mark.parametrize("s", [17, 40, 513, 769, 2049])
+def test_fft_kernel_matches_gemm_kernel(s, monkeypatch):
+    """Both kernels at one size: coefficients and evolution agree to 1e-13.
+
+    s + 1 = 41 is prime, where pocketfft takes its Bluestein algorithm.
+    """
+    rng = np.random.default_rng(s)
+    spec = qc.ChainSpec(s)
+    amps = rng.standard_normal((s, 2)) + 1j * rng.standard_normal((s, 2))
+    amps /= np.linalg.norm(amps, axis=0)
+    times = np.array([0.0, 0.7, 13.0, 250.5, 2.0 * s])
+    results = []
+    for crossover in (10**9, 2):  # GEMM, then FFT
+        monkeypatch.setattr(chain, "_FFT_SITES", crossover)
+        coeff = chain._mode_coefficients(spec, amps)
+        results.append((coeff, chain._evolve_modes(spec, coeff, times)))
+    (coeff_gemm, phi_gemm), (coeff_fft, phi_fft) = results
+    assert np.abs(coeff_fft - chain._complex_modes(spec) @ amps).max() < 1e-13
+    assert np.abs(coeff_fft - coeff_gemm).max() < 1e-13
+    assert np.abs(phi_fft - phi_gemm).max() < 1e-13
+
+
+@pytest.mark.parametrize("s", [640, 769, 1020, 2049])
+def test_fft_bits_do_not_depend_on_batch(s):
+    """Each column of the sine transform has the same bits alone as in any batch."""
+    rng = np.random.default_rng(s)
+    ext = np.empty((37, 2 * (s + 1)), dtype=complex)
+    ext[:, 1 : s + 1] = rng.standard_normal((37, s)) + 1j * rng.standard_normal((37, s))
+    rows = [ext[i].copy() for i in range(37)]
+    batch = chain._sine_transform(ext[:5].copy())
+    whole = chain._sine_transform(ext)
+    for i, row in enumerate(rows):
+        alone = chain._sine_transform(row)
+        assert np.array_equal(whole[i], alone)
+        if i < 5:
+            assert np.array_equal(batch[i], alone)
+
+
+def test_fft_trajectory_against_dense_oracle():
+    """A trajectory on the FFT path (s = the crossover, s + 1 = 641 prime) and
+    the machine's own evolution match the dense sector-1 oracle (d = 2)."""
+    from qwclock import oracle
+
+    s = chain._FFT_SITES
+    machine = _random_machine(s, seed=1)
+    ham = oracle.build(machine.spec, machine.program, sector=1)
+    vec0 = machine.spinors.reshape(-1)
+    times = np.array([0.0, 3.7, 0.5 * s, 1.3 * s])
+    traj = machine_trajectory(machine, times)
+    for i, t in enumerate(times):
+        dense = oracle.evolve(ham, vec0, t)
+        s1, s2, s3 = qc.bloch_vector(oracle.partial_trace(dense, 2, "register"))
+        assert abs(traj.s1[i] - s1) < 1e-10
+        assert abs(traj.s2[i] - s2) < 1e-10
+        assert abs(traj.s3[i] - s3) < 1e-10
+        assert np.abs(machine.evolve(t).spinors.reshape(-1) - dense).max() < 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -473,12 +555,14 @@ def test_cached_arrays_read_only():
     psi = qc.CursorWavefunction(spec, given)
     given[0] = 0.0  # the state holds its own copy
     assert psi.amplitudes[0] == 1.0 / 3.0
+    long_psi = qc.basis_state(qc.ChainSpec(chain._FFT_SITES), 1)  # FFT coefficients
     cached = [
         *chain.eigenbasis(spec),
         chain._complex_modes(spec),
         multi._occupation_array(9, 3),
         psi.amplitudes,
         psi._coefficients,
+        long_psi._coefficients,
     ]
     assert np.array_equal(chain._complex_modes(spec), chain.eigenbasis(spec)[1])
     for arr in cached:
