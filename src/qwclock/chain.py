@@ -42,6 +42,11 @@ _BLAS_WORKSPACE = 16 * 2**20
 # chains of at least this many sites take the FFT sine transform, shorter ones
 # the dense GEMM: the crossover measured at a trajectory's chunk width
 _FFT_SITES = 640
+# bytes per time chunk of a trajectory: of the kernel's (s, d) complex output
+# on the GEMM path, where wide products are fast, and of all the chunk's
+# temporaries on the FFT path, where a chunk that stays in cache is fast
+_CHUNK_BYTES = 4 * 2**20
+_FFT_CHUNK_BYTES = 2**20
 
 
 class NormalizationError(ValueError):
@@ -256,9 +261,11 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     This is the package's one spectral transform; callers compute coeff once
     per start and check the norm.  Below _FFT_SITES sites it is a GEMM over
     the cached complex V, from there on the FFT sine transform, which returns
-    a strided view.  Times do not mix, so a grid may be evolved in chunks;
-    for d = 2 on the GEMM path, and always on the FFT path, the bits do not
-    depend on the chunk width (a one-column product may round otherwise).
+    a strided view.  Times do not mix, so a grid may be evolved in chunks
+    (_grid_chunks); for d = 2 on the GEMM path, and always on the FFT path,
+    the bits do not depend on the chunk width (a one-column product may round
+    otherwise).  On the GEMM path this holds with one BLAS thread: a threaded
+    GEMM splits its columns by their count, so its bits may follow the width.
     """
     s, T, d = spec.s, len(times), coeff.shape[1]
     e = _energies(spec)
@@ -282,6 +289,27 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     Vc = _complex_modes(spec)
     phases = np.exp(-1j * np.outer(e, times))  # (s, T)
     return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+
+
+def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int):
+    """The windows in which a trajectory evolves d columns over a time grid.
+
+    The caller holds `held` bytes for the whole run and `site_bytes` per site
+    and sample beside the kernel's own temporaries, which are 16 d B per site
+    and sample on the GEMM path (plus V and its complex copy) and 32 d B per
+    site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
+    with the widest chunk, is checked once here, before any window is evolved.
+    """
+    s, T = spec.s, len(times)
+    if s >= _FFT_SITES:
+        basis, per_sample = 0, (32 * d + site_bytes) * (s + 1)
+        width = max(1, _FFT_CHUNK_BYTES // per_sample)
+    else:
+        basis, per_sample = 24 * s * s, (16 * d + site_bytes) * s
+        width = max(1, _CHUNK_BYTES // (16 * d * s))
+    nbytes = held + basis + per_sample * min(width, T)
+    _check_memory(nbytes, f"trajectory of s={s} sites over {T} times")
+    return (slice(start, start + width) for start in range(0, T, width))
 
 
 def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:

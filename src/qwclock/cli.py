@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,15 +77,14 @@ def _load_scenario(path: str) -> dict:
     return values
 
 
-class _Opt:
+class _Opt(NamedTuple):
     """One long-form option with a type and a (possibly derived) default."""
 
-    def __init__(self, name, typ, default, help, required=False):
-        self.name = name
-        self.typ = typ
-        self.default = default
-        self.help = help
-        self.required = required
+    name: str
+    typ: type
+    default: object
+    help: str
+    required: bool = False
 
     @property
     def attr(self) -> str:
@@ -122,9 +122,8 @@ def _grid_options(t_max_default):
 
 
 def _check_sites(s: int, what: str) -> None:
-    """Refuse s sites whose O(s) arrays, with V on the GEMM path, exceed the budget."""
-    basis = 8 * s * s if s < chain._FFT_SITES else 0
-    _check_memory(_SITE_BYTES * s + basis, what)
+    """Refuse s sites whose O(s) arrays exceed the budget (eigenbasis checks V itself)."""
+    _check_memory(_SITE_BYTES * s, what)
 
 
 def _chain_spec(s: int, coupling: float) -> chain.ChainSpec:
@@ -174,13 +173,13 @@ _SERIES = {
 _PAD_COLUMNS = ["p_target", "entropy", "s1", "s3", "r"]
 
 
-def _trajectory_runner(start, columns):
-    """Runner for a register trajectory; start(v) gives (program, r1, psi0)."""
+def _trajectory_runner(start, columns, trajectory=register.register_trajectory):
+    """Runner for a register trajectory: trajectory(*start(v), times)."""
 
     def run(v):
-        program, r1, psi0 = start(v)
+        args = start(v)  # every parameter is checked before the grid
         times = _time_grid(v["t-min"], v["t-max"], v["step"])
-        traj = register.register_trajectory(program, r1, psi0, times)
+        traj = trajectory(*args, times)
         series = [
             _SERIES[col](traj) if col in _SERIES else getattr(traj, col)
             for col in columns
@@ -291,7 +290,7 @@ def _run_speed_density(v):
     return ["v", "f", "F"], zip(vv, law.density(vv), law.cdf(vv))
 
 
-def _run_multi(v):
+def _multi_start(v):
     n, x0 = v["g"], v["x0"]
     _at_least("g", n, 1)
     params = register.grover_params(v["mu"])
@@ -301,18 +300,16 @@ def _run_multi(v):
     _at_least("x0", x0, n, f"--g {n}")
     if x0 > spec.s - 1:
         raise ValueError(f"--x0 must be at most --s {spec.s} minus 1, got --x0 {x0}")
-    g = register.rotation_about_2(params.alpha)
     r1 = register.grover_initial_state(params)
     state0 = multi.SectorState.from_product(spec, tuple(range(1, n + 1)), r1)
-    times = _time_grid(v["t-min"], v["t-max"], v["step"])
-    rows = []
-    for t, rho in zip(times, multi.single_link_densities(state0, x0, g, times)):
-        s1, s2, s3 = register.bloch_vector(rho)
-        r = float(np.sqrt(s1**2 + s2**2 + s3**2))
-        rows.append(
-            (t, rho[0, 0].real, register.entropy_from_r(r), s1, s3, r)
-        )
-    return ["t", *_PAD_COLUMNS], rows
+    return state0, x0, register.rotation_about_2(params.alpha)
+
+
+def _multi_trajectory(state0, x0, g, times) -> register.RegisterTrajectory:
+    rho = multi.single_link_densities(state0, x0, g, times)
+    p0 = rho[:, 0, 0].real  # the target population itself, not (1 + s3)/2
+    s3 = (rho[:, 0, 0] - rho[:, 1, 1]).real
+    return register.RegisterTrajectory.from_coherence(times, rho[:, 1, 0], s3, p0)
 
 
 def _run_measure(v):
@@ -492,7 +489,7 @@ def _commands():
                 coupling,
                 *_grid_options(lambda v: 4.0 * v["s"]),
             ],
-            _run_multi,
+            _trajectory_runner(_multi_start, _PAD_COLUMNS, _multi_trajectory),
         ),
         "measure": (
             "register measured at time tau; post-measurement trajectory",

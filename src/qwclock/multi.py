@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -165,23 +165,6 @@ class SectorState:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
 
 
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _embed_antisymmetric(amps: np.ndarray, s: int, n: int) -> np.ndarray:
     """Scatter (d, C(s, n)) ordered amplitudes onto the n-leg antisymmetric tensor.
 
@@ -191,7 +174,7 @@ def _embed_antisymmetric(amps: np.ndarray, s: int, n: int) -> np.ndarray:
     subs = _occupation_array(s, n) - 1
     full = np.zeros((s, amps.shape[0]) + (s,) * (n - 1), dtype=complex)
     for perm in permutations(range(n)):
-        sign = _permutation_sign(perm)
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))  # inversion parity
         idx = tuple(subs[:, j] for j in perm)
         full[(idx[0], slice(None)) + idx[1:]] = (sign * amps).T
     return full

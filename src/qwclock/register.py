@@ -22,9 +22,8 @@ from .chain import (
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
-    _FFT_SITES,
-    _check_memory,
     _evolve_modes,
+    _grid_chunks,
     _mode_coefficients,
     _site_statistics,
 )
@@ -76,11 +75,6 @@ _ID2 = np.eye(2, dtype=complex)
 
 _UNITARY_TOL = 1e-12
 _R_DEGENERATE = 1e-12
-# bytes per time chunk of machine_trajectory: of (s, 2) complex spinors on the
-# GEMM path, where wide products are fast, and of all the chunk's temporaries
-# on the FFT path, where a chunk that stays in cache is fast
-_CHUNK_BYTES = 4 * 2**20
-_FFT_CHUNK_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +378,31 @@ class RegisterTrajectory:
     lam1: np.ndarray
     lam2: np.ndarray
 
+    @classmethod
+    def from_coherence(cls, times, coherence, s3, p_success) -> "RegisterTrajectory":
+        """The series of a register with rho[1, 0] = coherence and Bloch s3 over times.
+
+        Every trajectory derives s1, s2, r, gamma, entropy and the readout
+        bounds lam1, lam2 here; p_success is the caller's target probability.
+        """
+        s1 = 2.0 * coherence.real
+        s2 = 2.0 * coherence.imag
+        r = np.sqrt(s1**2 + s2**2 + s3**2)
+        defined = r >= _R_DEGENERATE
+        return cls(
+            times=times,
+            s1=s1,
+            s2=s2,
+            s3=s3,
+            r=r,
+            gamma=np.unwrap(_fill_undefined(np.arctan2(s1, s3), defined)),
+            gamma_defined=defined,
+            entropy=entropy_from_r(r),
+            p_success=p_success,
+            lam1=(1.0 + r) / 2.0,
+            lam2=(1.0 - r) / 2.0,
+        )
+
 
 def _fill_undefined(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """Carry the last defined angle across degenerate (r ~ 0) samples."""
@@ -414,75 +433,31 @@ def _chunk_sums(machine: MachineState, coeff: np.ndarray, times: np.ndarray):
     return _sum_rows(chi0.conj() * chi1), _sum_rows(p0 - p1), _sum_rows(p0 + p1)
 
 
-def _chunk_bytes_per_sample(s: int) -> int:
-    """Peak temporaries of machine_trajectory per time sample of a chunk.
-
-    phi, chi0, chi1, p0, p1 and two row-sum temporaries: 112 B per site on
-    the GEMM path, more than the kernel's own temporaries (96 B); on the FFT
-    path phi is a view of the two columns' 2(s+1)-entry extensions, 64 B per
-    site in place of 32 B.
-    """
-    return 144 * (s + 1) if s >= _FFT_SITES else 112 * s
-
-
-def _chunk_width(s: int) -> int:
-    """Time samples per chunk of machine_trajectory."""
-    if s >= _FFT_SITES:
-        return max(1, _FFT_CHUNK_BYTES // _chunk_bytes_per_sample(s))
-    return max(1, _CHUNK_BYTES // (32 * s))  # one (s, 2) complex sample
-
-
 def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     """Sample the register state on a time grid (batched spectral transform).
 
     Times are offsets from the machine's current state.  The grid is evolved
-    in chunks of _chunk_width(s) samples, each reduced to the Bloch vector
+    in the chunks chain._grid_chunks picks, each reduced to the Bloch vector
     and norm before the next, so temporaries are O(s * chunk), not O(s * T).
     Raises NormalizationError if the norm drifts beyond NORM_DRIFT_TOL at
     any time.
     """
     times = np.asarray(times, dtype=float)
-    s = machine.spec.s
-    width = _chunk_width(s)
-    # the O(T) results (three sums here, about ten series in the trajectory),
-    # the comoving components with their mode coefficients (160 B per site
-    # with the FFT's extension), V and its complex copy on the GEMM path, and
-    # the widest chunk
-    basis = 0 if s >= _FFT_SITES else 24 * s * s
-    nbytes = (
-        128 * times.size + 160 * s + basis
-        + _chunk_bytes_per_sample(s) * min(width, times.size)
-    )
-    _check_memory(nbytes, f"trajectory of s={s} sites over {times.size} times")
+    # held: the O(T) results (three sums here, about ten series in the
+    # trajectory) and the comoving components with their mode coefficients
+    # (160 B per site with the FFT's extension); per site and sample: the
+    # dressing chi0, chi1, p0, p1 and the row-sum temporaries
+    windows = _grid_chunks(machine.spec, times, 2, 128 * times.size + 160 * machine.spec.s, 80)
     coeff = _mode_coefficients(machine.spec, machine.comoving_components())
     cross = np.empty(times.size, dtype=complex)
     s3 = np.empty(times.size)
     norm2 = np.empty(times.size)
-    for start in range(0, times.size, width):
-        window = slice(start, start + width)
+    for window in windows:
         cross[window], s3[window], norm2[window] = _chunk_sums(machine, coeff, times[window])
-    s1 = 2.0 * cross.real
-    s2 = 2.0 * cross.imag
     drift = float(np.abs(norm2 - 1.0).max(initial=0.0))
     if drift > NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
-
-    r = np.sqrt(s1**2 + s2**2 + s3**2)
-    defined = r >= _R_DEGENERATE
-    gamma = np.unwrap(_fill_undefined(np.arctan2(s1, s3), defined))
-    return RegisterTrajectory(
-        times=times,
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        r=r,
-        gamma=gamma,
-        gamma_defined=defined,
-        entropy=entropy_from_r(r),
-        p_success=(1.0 + s3) / 2.0,
-        lam1=(1.0 + r) / 2.0,
-        lam2=(1.0 - r) / 2.0,
-    )
+    return RegisterTrajectory.from_coherence(times, cross, s3, (1.0 + s3) / 2.0)
 
 
 def register_trajectory(

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 from itertools import combinations, permutations
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import qwclock as qc
-from qwclock import multi, oracle
+from qwclock import cli, multi, oracle
 
 
 def test_occupation_set_validation():
@@ -280,6 +281,24 @@ def test_single_link_densities_bitwise_equal_per_sample_formula(s, n, d):
         assert np.array_equal(qc.propagate_single_link(state, x0, g, t).amplitudes, expected)
         free = _per_sample_free(spec, n, state.amplitudes, t)
         assert np.array_equal(qc.propagate_free_sector(state, t).amplitudes, free)
+
+
+@pytest.mark.parametrize("s,x0,mu", [(9, 3, 4), (16, 8, 6), (24, 5, 9)])
+def test_one_excitation_sector_matches_register_trajectory(s, x0, mu):
+    """One excitation two ways: the sector's densities through
+    RegisterTrajectory.from_coherence, as the multi CLI runs them, and the
+    machine's trajectory."""
+    params = qc.grover_params(mu)
+    g, r1 = qc.rotation_about_2(params.alpha), qc.grover_initial_state(params)
+    spec = qc.ChainSpec(s)
+    times = 0.25 * np.arange(12 * s + 1)
+    sector = cli._multi_trajectory(qc.SectorState.from_product(spec, (1,), r1), x0, g, times)
+    machine = qc.register_trajectory(
+        qc.single_link_program(s, x0, g), r1, qc.basis_state(spec, 1), times
+    )
+    for field in dataclasses.fields(qc.RegisterTrajectory):
+        a, b = (np.asarray(getattr(traj, field.name), dtype=float) for traj in (sector, machine))
+        assert np.abs(a - b).max() < 1e-12, field.name
 
 
 def test_count_past_link_distribution():

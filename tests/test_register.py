@@ -357,7 +357,7 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
         machine_trajectory(machine, np.array([0.0, 1.0]))
 
     # a grid of two chunks that drifts in its one-sample last chunk only
-    times = 0.01 * np.arange(register._chunk_width(17) + 1)
+    times = 0.01 * np.arange(_trajectory_chunks(17, 1)[0] + 1)
 
     def drifting_late(spec, amps, t):
         scale = np.where(np.asarray(t) >= times[-1], 1.0 + 1e-6, 1.0)
@@ -380,6 +380,45 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
     qc.single_link_densities(state, 4, g, times[-4:-1])
     with pytest.raises(qc.NormalizationError):
         qc.single_link_densities(state, 4, g, times[-4:])
+
+
+def _trajectory_chunks(s, T):
+    """Chunk width and checked estimate of a trajectory of s sites over T times,
+    written out: 4 MiB of (s, 2) complex samples on the GEMM path, and 1 MiB
+    of 144 B per extended site on the FFT path; the O(T) results, 160 B per
+    site, V with its complex copy below 640 sites, and the widest chunk."""
+    if s >= 640:
+        width, basis, per_sample = max(1, 2**20 // (144 * (s + 1))), 0, 144 * (s + 1)
+    else:
+        width, basis, per_sample = max(1, 4 * 2**20 // (32 * s)), 24 * s * s, 112 * s
+    return width, 128 * T + 160 * s + basis + per_sample * min(width, T)
+
+
+@pytest.mark.parametrize("s,width", [(17, 7710), (639, 205), (640, 11), (769, 9), (2049, 3)])
+def test_trajectory_windows_and_estimate_pinned(s, width, monkeypatch):
+    """machine_trajectory evolves, and checks to the byte, the chunks written out above."""
+    checked, evolved = [], []
+    check_memory, evolve_modes = chain._check_memory, register._evolve_modes
+
+    def recording_check(nbytes, what):
+        if what.startswith("trajectory of"):
+            checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    def recording_evolve(spec, coeff, times):
+        evolved.append(len(times))
+        return evolve_modes(spec, coeff, times)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(register, "_evolve_modes", recording_evolve)
+    machine = _random_machine(s)
+    for T in (1, width - 1, width, 2 * width + 1):
+        checked.clear()
+        evolved.clear()
+        machine_trajectory(machine, 0.5 * np.arange(T))
+        assert _trajectory_chunks(s, T)[0] == width
+        assert checked == [_trajectory_chunks(s, T)[1]]
+        assert evolved == [width] * (T // width) + ([T % width] if T % width else [])
 
 
 def _random_machine(s, seed=0):
@@ -427,7 +466,7 @@ def test_machine_trajectory_bitwise_equals_unchunked_formula(s):
     than einsum does.
     """
     machine = _random_machine(s)
-    times = 0.37 * np.arange(register._chunk_width(s) + 1)
+    times = 0.37 * np.arange(_trajectory_chunks(s, 1)[0] + 1)
     traj = machine_trajectory(machine, times)
 
     if s < chain._FFT_SITES:
