@@ -47,6 +47,14 @@ _FFT_SITES = 640
 # temporaries on the FFT path, where a chunk that stays in cache is fast
 _CHUNK_BYTES = 4 * 2**20
 _FFT_CHUNK_BYTES = 2**20
+# a uniform grid's phases take exact cos and sin at every _PHASE_ANCHOR-th
+# sample only, and one product with a table of offsets in between; and the
+# bytes per time chunk of a one-column trajectory on the FFT path.  Both are
+# measured: from 16 anchors the (s, 15) table, or a chunk's arrays, pass the
+# allocator's 128 KiB mmap threshold at s = 769, which added 0.15 to 0.25 MB
+# of peak RSS and saved no time
+_PHASE_ANCHOR = 8
+_COLUMN_CHUNK_BYTES = 3 * 2**17
 
 
 class NormalizationError(ValueError):
@@ -276,9 +284,7 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
         body = ext[:, :, 1 : s + 1]
         # the phases exp(-i e_k t) go straight into the first column, which
         # the others then scale; no (s, T, d) product exists beside ext
-        arg = np.multiply.outer(times, -e)
-        np.cos(arg, out=body[:, 0].real)
-        np.sin(arg, out=body[:, 0].imag)
+        _phases(e, times, out=body[:, 0])
         scaled = _sine_scale(s) * coeff.T  # (d, s)
         np.multiply(body[:, :1], scaled[1:], out=body[:, 1:])
         body[:, 0] *= scaled[0]
@@ -291,6 +297,70 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
 
 
+def _phases(e: np.ndarray, times, out=None) -> np.ndarray:
+    """(T, s) phases exp(-i e_k t) from exact cos and sin of t * (-e_k)."""
+    arg = np.multiply.outer(times, -e)
+    if out is None:
+        out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _uniform_step(times):
+    """The step h of a uniform grid, None for any other grid.
+
+    A grid of T >= 2 samples is uniform when |t_j - (t_0 + j h)| <= 4 ulp of
+    max|t| for every j, with h = (t_{T-1} - t_0)/(T-1).
+    """
+    T = len(times)
+    if T < 2:
+        return None
+    h = (times[-1] - times[0]) / (T - 1)
+    dev = np.abs(times - (times[0] + h * np.arange(T))).max()
+    return float(h) if dev <= 4 * np.spacing(np.abs(times).max()) else None
+
+
+def _evolve_column(
+    spec: ChainSpec, coeff: np.ndarray, times, step: float, held: int, site_bytes: int
+):
+    """Free evolution of one amplitude column over a uniform time grid, window by window.
+
+    The FFT path of _evolve_modes for d = 1, for chains of at least
+    _FFT_SITES sites, on a grid of step `step` (_uniform_step).  Yields
+    (window, psi) for the windows _grid_chunks picks, psi the (chunk, s)
+    view of psi(t_j, x) = sum_k exp(-i e_k t_j) v_k(x) coeff[k] for the
+    (s, 1) coeff = _mode_coefficients(spec, psi0); psi is valid until the
+    next window.  `held` and `site_bytes` are the caller's, as for
+    _grid_chunks; the offset table and the anchor row are counted here.
+
+    Sample j has the anchor a = j - j % _PHASE_ANCHOR and takes
+    (exp(-i e t_a) c coeff) exp(-i e (j - a) h), with c = _sine_scale(s) and
+    h = step: exact cos and sin at the anchors only, and the offsets
+    exp(-i e m h), m = 1 .. _PHASE_ANCHOR - 1, from one table per run.  The
+    bits depend on j only, never on the window.
+    """
+    s, K = spec.s, _PHASE_ANCHOR
+    e = _energies(spec)
+    # the offset table with the anchor row, and the phase temporaries of an anchor
+    windows = _grid_chunks(spec, times, 1, held + (16 * K + 24) * s, site_bytes)
+    offsets = _phases(e, step * np.arange(1, K))
+    scaled = _sine_scale(s) * coeff[:, 0]
+    anchor = row = None
+    for window in windows:
+        start, stop = window.start, window.stop
+        ext = np.empty((stop - start, 2 * (s + 1)), dtype=complex)
+        body = ext[:, 1 : s + 1]
+        for a in range(start - start % K, stop, K):
+            if a != anchor:
+                anchor, row = a, _phases(e, times[a : a + 1])[0] * scaled
+            if a >= start:
+                body[a - start] = row
+            lo, hi = max(a + 1, start), min(a + K, stop)
+            np.multiply(row, offsets[lo - a - 1 : hi - a - 1], out=body[lo - start : hi - start])
+        yield window, _sine_transform(ext)
+
+
 def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int):
     """The windows in which a trajectory evolves d columns over a time grid.
 
@@ -299,17 +369,19 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int):
     and sample on the GEMM path (plus V and its complex copy) and 32 d B per
     site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
     with the widest chunk, is checked once here, before any window is evolved.
+    On the FFT path a chunk of one column (_evolve_column) holds
+    _COLUMN_CHUNK_BYTES, of more columns _FFT_CHUNK_BYTES.
     """
     s, T = spec.s, len(times)
     if s >= _FFT_SITES:
         basis, per_sample = 0, (32 * d + site_bytes) * (s + 1)
-        width = max(1, _FFT_CHUNK_BYTES // per_sample)
+        width = max(1, (_FFT_CHUNK_BYTES if d > 1 else _COLUMN_CHUNK_BYTES) // per_sample)
     else:
         basis, per_sample = 24 * s * s, (16 * d + site_bytes) * s
         width = max(1, _CHUNK_BYTES // (16 * d * s))
     nbytes = held + basis + per_sample * min(width, T)
     _check_memory(nbytes, f"trajectory of s={s} sites over {T} times")
-    return (slice(start, start + width) for start in range(0, T, width))
+    return (slice(start, min(start + width, T)) for start in range(0, T, width))
 
 
 def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:

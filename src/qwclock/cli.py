@@ -12,6 +12,7 @@ chain.MEMORY_BUDGET, or running out of memory).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import NamedTuple
@@ -23,32 +24,34 @@ from .chain import ResourceLimitError, _check_memory
 
 _CHECK_TOL = 1e-10
 _ROW_BYTES = 400  # memory per emitted CSV row, measured
+_EMIT_ROWS = 256  # rows per block of CSV text, a few dozen kB
 # memory per chain site of a whole run on a short grid: the program's
 # unitaries and their unitarity check, cumulative products, start state,
 # spinors and a one-sample chunk (measured peak: 434 B per site, measure)
 _SITE_BYTES = 512
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    out = float(value)
-    if not np.isfinite(out):
-        raise ValueError(f"refusing to emit non-finite value {out!r}")
-    if out == 0.0:
-        out = 0.0  # normalize -0.0
-    return format(out, ".15g")
+def _emit(header, columns, out_path) -> None:
+    """Write equal-length columns (arrays, or sequences of floats or strings) as CSV.
 
-
-def _emit(header, rows, out_path) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    Numbers print to 15 significant digits, -0.0 as 0.  Every numeric column
+    is checked to be finite before the first byte is written; the rows are
+    then formatted from Python floats and written _EMIT_ROWS at a time, so a
+    long table never holds all its values as Python objects, or all its text.
+    """
+    # + 0.0 turns -0.0 into 0.0
+    columns = [c if isinstance(c[0], str) else np.asarray(c, dtype=float) + 0.0 for c in columns]
+    for col in columns:
+        if isinstance(col, np.ndarray) and not np.isfinite(col).all():
+            bad = float(col[~np.isfinite(col)][0])
+            raise ValueError(f"refusing to emit non-finite value {bad!r}")
+    row_format = ",".join("%.15g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    with open(out_path, "w", newline="") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _EMIT_ROWS):
+            block = (col[start : start + _EMIT_ROWS] for col in columns)
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+            fh.write("".join(row_format % row for row in rows))
 
 
 def _time_grid(t_min: float, t_max: float, step: float, flags=None) -> np.ndarray:
@@ -127,13 +130,23 @@ def _check_sites(s: int, what: str) -> None:
 
 
 def _chain_spec(s: int, coupling: float) -> chain.ChainSpec:
-    """The chain of --s sites, checked against the budget before any array exists."""
+    """The chain of --s sites and --coupling, checked (against the budget too)
+    before any array exists."""
+    _at_least("s", s, 2)
+    if not coupling > 0:
+        raise ValueError(f"--coupling must be positive, got --coupling {coupling!r}")
     _check_sites(s, f"--s {s} sites")
     return chain.ChainSpec(s, coupling)
 
 
+def _grover(mu: int) -> register.GroverParams:
+    """The search parameters of --mu, checked to be at least 1."""
+    _at_least("mu", mu, 1)
+    return register.grover_params(mu)
+
+
 def _toy_setup(mu: int, s: int, coupling: float):
-    params = register.grover_params(mu)
+    params = _grover(mu)
     spec = _chain_spec(s, coupling)
     program = register.toy_program(s, params.alpha)
     r1 = register.grover_initial_state(params)
@@ -173,18 +186,22 @@ _SERIES = {
 _PAD_COLUMNS = ["p_target", "entropy", "s1", "s3", "r"]
 
 
-def _trajectory_runner(start, columns, trajectory=register.register_trajectory):
-    """Runner for a register trajectory: trajectory(*start(v), times)."""
+def _trajectory_runner(start, columns, trajectory=None):
+    """Runner for a register trajectory: trajectory(*start(v), times).
+
+    The default, register.register_trajectory, is looked up at each call,
+    so a wrapper installed on the module after import sees it.
+    """
 
     def run(v):
         args = start(v)  # every parameter is checked before the grid
         times = _time_grid(v["t-min"], v["t-max"], v["step"])
-        traj = trajectory(*args, times)
+        traj = (trajectory or register.register_trajectory)(*args, times)
         series = [
             _SERIES[col](traj) if col in _SERIES else getattr(traj, col)
             for col in columns
         ]
-        return ["t", *columns], zip(times, *series)
+        return ["t", *columns], [times, *series]
 
     return run
 
@@ -195,7 +212,7 @@ def _toy_start(v):
 
 
 def _launchpad_start(v):
-    params = register.grover_params(v["mu"])
+    params = _grover(v["mu"])
     spec = _chain_spec(v["s"], v["coupling"])
     count = v["num-active"]
     if count is None:
@@ -209,6 +226,11 @@ def _launchpad_start(v):
     _at_least("num-active", count, 0)
     variant = v["variant"]
     if variant == "telomere":
+        if count > spec.s - 1:
+            raise ValueError(
+                f"--num-active {count} needs links 1..{count}, "
+                f"but --s {spec.s} has links 1..{spec.s - 1}"
+            )
         program = register.rotation_window_program(spec.s, params.alpha, 1, count)
         psi0 = chain.basis_state(spec, 1)
     elif variant in ("flat", "gamma"):
@@ -233,7 +255,7 @@ def _launchpad_start(v):
 
 
 def _alternating_start(v):
-    params = register.grover_params(v["mu"])
+    params = _grover(v["mu"])
     spec = _chain_spec(v["s"], v["coupling"])
     program = register.alternating_program(spec.s, params.theta)
     return program, register.grover_initial_state(params), chain.basis_state(spec, 1)
@@ -249,11 +271,11 @@ def _position_runner(column, moment):
         else:
             psi0 = chain.basis_state(spec, 1)
         times = _time_grid(v["t-min"], v["t-max"], v["step"])
-        rows = [
-            (t, getattr(chain.position_statistics(chain.propagate(psi0, t)), moment))
+        values = [
+            getattr(chain.position_statistics(chain.propagate(psi0, t)), moment)
             for t in times
         ]
-        return ["t", column], rows
+        return ["t", column], [times, values]
 
     return run
 
@@ -283,18 +305,17 @@ def _speed_law_from(v) -> speed.SpeedLaw:
 def _run_speed_density(v):
     law = _speed_law_from(v)
     grid = v["grid"]
-    if grid < 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
+    _at_least("grid", grid, 1)
     _check_memory(_ROW_BYTES * grid, f"--grid {grid}")
     vv = np.arange(1, grid + 1) / (grid + 1.0)
-    return ["v", "f", "F"], zip(vv, law.density(vv), law.cdf(vv))
+    return ["v", "f", "F"], [vv, law.density(vv), law.cdf(vv)]
 
 
 def _multi_start(v):
     n, x0 = v["g"], v["x0"]
     _at_least("g", n, 1)
-    params = register.grover_params(v["mu"])
-    spec = chain.ChainSpec(v["s"], v["coupling"])
+    params = _grover(v["mu"])
+    spec = _chain_spec(v["s"], v["coupling"])
     if n > spec.s:
         raise ValueError(f"--g {n} excitations do not fit on --s {spec.s} sites")
     _at_least("x0", x0, n, f"--g {n}")
@@ -332,11 +353,8 @@ def _run_measure(v):
     flags = f"--tau {tau!r} to --t-max {t_max!r} by --step {step!r}"
     offsets = _time_grid(step, t_max - tau, step, flags)
     traj = register.machine_trajectory(collapsed, offsets)
-    rows = [
-        (tau + dt, s1, s3, r, gm, probability)
-        for dt, s1, s3, r, gm in zip(offsets, traj.s1, traj.s3, traj.r, traj.gamma)
-    ]
-    return ["t", "s1", "s3", "r", "gamma", "p_outcome"], rows
+    columns = [tau + offsets, traj.s1, traj.s3, traj.r, traj.gamma, [probability] * offsets.size]
+    return ["t", "s1", "s3", "r", "gamma", "p_outcome"], columns
 
 
 def _run_oracle_check(v):
@@ -392,8 +410,9 @@ def _run_oracle_check(v):
         dev_link = max(dev_link, np.abs(a.to_vector() - b).max())
     checks.append(("single_link_sector", dev_link))
 
-    failed = any(dev >= _CHECK_TOL for _, dev in checks)
-    return ["check", "max_deviation"], checks, failed
+    names, devs = zip(*checks)
+    failed = any(dev >= _CHECK_TOL for dev in devs)
+    return ["check", "max_deviation"], [names, np.array(devs)], failed
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +534,9 @@ def _commands():
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser.  Given a subcommand's name, only that subcommand gets
+    its options, which is all that parsing its command line reads."""
     parser = argparse.ArgumentParser(
         prog="qwclock",
         description="Scenario runner for the quantum-walk clock library (CSV output).",
@@ -523,6 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, runner) in _commands().items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         for opt in options:
             p.add_argument(f"--{opt.name}", type=opt.typ, default=None, help=opt.help)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -532,14 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        # one stderr line at most: non-finite values fail the norm checks or _fmt
+        # one stderr line at most: non-finite values fail the norm checks or _emit
         with np.errstate(all="ignore"):
             scenario = _load_scenario(args.scenario) if args.scenario else {}
             values = _resolve(args.options, args, scenario)
-            header, rows, *failed = args.runner(values)  # oracle-check adds a flag
-            _emit(header, rows, args.out)
+            header, columns, *failed = args.runner(values)  # oracle-check adds a flag
+            _emit(header, columns, args.out)
     except (ResourceLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -22,10 +22,13 @@ from .chain import (
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
+    _FFT_SITES,
+    _evolve_column,
     _evolve_modes,
     _grid_chunks,
     _mode_coefficients,
     _site_statistics,
+    _uniform_step,
 )
 from .special import speed_characteristic_kernel
 
@@ -417,8 +420,15 @@ def _fill_undefined(raw: np.ndarray, defined: np.ndarray) -> np.ndarray:
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum over sites strictly row by row, so the bits never depend on the chunk width."""
-    return np.cumsum(a, axis=0)[-1]
+    """Sum over sites strictly row by row, so the bits never depend on the chunk width.
+
+    numpy adds the rows of a C-ordered array in sequence, one vector add per
+    row; it would sum a single column pairwise, so that one is accumulated.
+    """
+    a = np.ascontiguousarray(a)
+    if a[0].size < 2:
+        return np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0)
 
 
 def _chunk_sums(machine: MachineState, coeff: np.ndarray, times: np.ndarray):
@@ -460,11 +470,63 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     return RegisterTrajectory.from_coherence(times, cross, s3, (1.0 + s3) / 2.0)
 
 
+def _position_average(
+    program: PrimitiveProgram, b: np.ndarray, psi0: CursorWavefunction, times, step: float
+) -> RegisterTrajectory:
+    """Trajectory of the comoving start psi0 (x) b over a uniform grid, a position average.
+
+    rho(t) = sum_x P_t(x) W(x) b b^dagger W(x)^dagger, with P_t the free
+    walk's site distribution from psi0, evolved as one column.  Each site
+    weighs Re and Im of [Wb]_1 conj([Wb]_0), |[Wb]_0|^2 - |[Wb]_1|^2 and 1
+    (the norm), and the weighted sites are summed row by row.
+    """
+    s, T = psi0.spec.s, times.size
+    u = np.einsum("xij,j->xi", program.cumulative, b)  # W(x) b
+    cross = u[:, 1] * u[:, 0].conj()
+    weights = np.empty((4, s))
+    weights[0], weights[1] = cross.real, cross.imag
+    weights[2] = np.abs(u[:, 0]) ** 2 - np.abs(u[:, 1]) ** 2
+    weights[3] = 1.0
+    sums = np.empty((T, 4))
+    # held: the O(T) results and, per site, the weights, W b and the start's
+    # coefficients; per site and sample: P with its two squares and the
+    # weighted sites
+    held = 128 * T + 160 * s
+    for window, psi in _evolve_column(psi0.spec, psi0._coefficients, times, step, held, 56):
+        p = np.square(psi.real) + np.square(psi.imag)  # (chunk, s)
+        terms = np.empty((s, p.shape[0], 4))  # filled site-contiguously
+        np.multiply(weights[:, None, :], p, out=terms.transpose(2, 1, 0))
+        sums[window] = _sum_rows(terms)
+    drift = float(np.abs(sums[:, 3] - 1.0).max(initial=0.0))
+    if drift > NORM_DRIFT_TOL:
+        raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
+    s3 = sums[:, 2]
+    coherence = sums[:, 0] + 1j * sums[:, 1]
+    return RegisterTrajectory.from_coherence(times, coherence, s3, (1.0 + s3) / 2.0)
+
+
 def register_trajectory(
     program: PrimitiveProgram, r1, psi0: CursorWavefunction, times
 ) -> RegisterTrajectory:
-    """Trajectory for the product start |R(1)> (x) psi0."""
-    return machine_trajectory(MachineState.from_product(program, r1, psi0), times)
+    """Trajectory for the product start |R(1)> (x) psi0.
+
+    From chain._FFT_SITES sites on, on a uniform grid (chain._uniform_step),
+    when W(x) is the same at every site x0 of psi0's support, the comoving
+    start is psi0 (x) b with b = W(x0)^dagger R(1), and the register density
+    is a position average of one free column (_position_average).  Every
+    other case runs machine_trajectory.
+    """
+    machine = MachineState.from_product(program, r1, psi0)
+    times = np.asarray(times, dtype=float)
+    if psi0.spec.s < _FFT_SITES:
+        return machine_trajectory(machine, times)
+    W = program.cumulative
+    support = np.flatnonzero(psi0.amplitudes)
+    step = _uniform_step(times)
+    if step is None or not (W[support] == W[support[0]]).all():
+        return machine_trajectory(machine, times)
+    b = W[support[0]].conj().T @ np.asarray(r1, dtype=complex)
+    return _position_average(program, b, psi0, times, step)
 
 
 class LindbladFit(NamedTuple):

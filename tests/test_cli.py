@@ -261,6 +261,12 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
          "--x0 must be at least 1, got --x0 0"),
         (["launchpad", "--variant", "flat", "--n", "3", "--s", "17", "--mu", "4",
           "--num-active", "-1"], "--num-active must be at least 0, got --num-active -1"),
+        (["bloch", "--mu", "0"], "--mu must be at least 1, got --mu 0"),
+        (["bloch", "--s", "1"], "--s must be at least 2, got --s 1"),
+        (["bloch", "--coupling", "0"], "--coupling must be positive, got --coupling 0.0"),
+        (["speed-density", "--grid", "0"], "--grid must be at least 1, got --grid 0"),
+        (["launchpad", "--variant", "telomere", "--s", "2"],
+         "--num-active 25 needs links 1..25, but --s 2 has links 1..1"),
     ]:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv
@@ -271,6 +277,33 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
             f"error: --mu {argv[1]} overflows the --num-active default "
             "floor(pi/4 2^(mu/2)); give --num-active\n"
         )
+
+
+def test_emit_normalizes_negative_zero_and_refuses_non_finite(tmp_path, capsys):
+    from qwclock.cli import _emit
+
+    _emit(["name", "x", "y"], [("a", "b"), np.array([-0.0, 1.0 / 3.0]), [2.5, -1e-300]], None)
+    assert capsys.readouterr().out == "name,x,y\na,0,2.5\nb,0.333333333333333,-1e-300\n"
+    out = tmp_path / "x.csv"
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match=f"refusing to emit non-finite value {bad!r}"):
+            _emit(["x"], [np.array([1.0] * 300 + [bad])], str(out))
+    assert not out.exists()
+
+
+def test_trajectory_runner_looks_up_the_trajectory_per_call(capsys, monkeypatch):
+    """A wrapper installed on register.register_trajectory after import runs,
+    as a tracer's span does."""
+    calls = []
+    trajectory = qc.register.register_trajectory
+
+    def wrapper(*args):
+        calls.append(len(args[-1]))
+        return trajectory(*args)
+
+    monkeypatch.setattr(qc.register, "register_trajectory", wrapper)
+    assert run_cli(["bloch", "--mu", "4", "--s", "17", "--t-max", "2"], capsys)[0] == 0
+    assert calls == [21]
 
 
 def _must_not_run(*args, **kwargs):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,18 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
     with pytest.raises(qc.NormalizationError):
         machine_trajectory(machine, times)
 
+    # the position average evolves one column: a start at site 1 takes it from 640 sites
+    evolve_column = chain._evolve_column
+
+    def drifting_column(*args):
+        for window, psi in evolve_column(*args):
+            yield window, psi * (1.0 + 1e-6)
+
+    monkeypatch.setattr(register, "_evolve_column", drifting_column)
+    _, _, long_program, _, long_psi0 = toy_setup(mu=4, s=chain._FFT_SITES)
+    with pytest.raises(qc.NormalizationError):
+        qc.register_trajectory(long_program, r1, long_psi0, np.array([0.0, 1.0]))
+
     # the sector path evolves one start over the grid: only its last time drifts
     unitary = multi.propagator
 
@@ -419,6 +433,194 @@ def test_trajectory_windows_and_estimate_pinned(s, width, monkeypatch):
         assert _trajectory_chunks(s, T)[0] == width
         assert checked == [_trajectory_chunks(s, T)[1]]
         assert evolved == [width] * (T // width) + ([T % width] if T % width else [])
+
+
+def _route_chunks(s, T):
+    """Chunk width and checked estimate of a position-average trajectory of s
+    sites over T times, written out: 384 KiB of 88 B per extended site (the
+    one-column extension, P with its two squares, the weighted sites); the
+    O(T) results, 160 B per site, 16 B per site for each of the 8 rows of
+    offsets and anchor, 24 B per site of anchor temporaries, and the widest
+    chunk."""
+    width = max(1, 3 * 2**17 // (88 * (s + 1)))
+    return width, 128 * T + 160 * s + 152 * s + 88 * (s + 1) * min(width, T)
+
+
+@pytest.mark.parametrize("s,width", [(640, 6), (769, 5), (2049, 2)])
+def test_position_average_windows_and_estimate_pinned(s, width, monkeypatch):
+    """The position average evolves, and checks to the byte, the chunks written out above."""
+    checked, evolved = [], []
+    check_memory, evolve_column = chain._check_memory, register._evolve_column
+
+    def recording_check(nbytes, what):
+        if what.startswith("trajectory of"):
+            checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    def recording_column(*args):
+        for window, psi in evolve_column(*args):
+            evolved.append(psi.shape[0])
+            yield window, psi
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(register, "_evolve_column", recording_column)
+    monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
+    _, _, program, r1, psi0 = toy_setup(mu=5, s=s)
+    for T in (2, width, width + 1, 2 * width + 1):  # one sample is no uniform grid
+        checked.clear()
+        evolved.clear()
+        qc.register_trajectory(program, r1, psi0, 0.5 * np.arange(T))
+        assert _route_chunks(s, T)[0] == width
+        assert checked == [_route_chunks(s, T)[1]]
+        assert evolved == [width] * (T // width) + ([T % width] if T % width else [])
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("took the path this start should not take")
+
+
+def _route_starts(s, seed=0):
+    """Every CLI start (toy, alternating, telomere, flat and gamma pads) with a
+    complex register start, as (name, program, r1, psi0)."""
+    rng = np.random.default_rng(seed)
+    r1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    r1 /= np.linalg.norm(r1)
+    params = qc.grover_params(7)
+    spec = qc.ChainSpec(s)
+    site1 = qc.basis_state(spec, 1)
+    past_pad = qc.rotation_window_program(s, params.alpha, 9, 11)  # the pads span sites 1..9
+    return [
+        ("toy", qc.toy_program(s, params.alpha), r1, site1),
+        ("alternating", qc.alternating_program(s, params.theta), r1, site1),
+        ("telomere", qc.rotation_window_program(s, params.alpha, 1, 11), r1, site1),
+        ("flat", past_pad, r1, qc.launchpad_state(spec, 9, 5)),
+        ("gamma", past_pad, r1, qc.gamma_state(spec, 5)),
+    ]
+
+
+@pytest.mark.parametrize("s", [640, 769, 2049])
+def test_position_average_matches_machine_trajectory(s, monkeypatch):
+    """Every CLI start takes the one-column route from 640 sites on and keeps
+    the Bloch vector of the two-column machine trajectory to 1e-13."""
+    times = (2.5 * s / 200) * np.arange(200)  # past the first reflection
+    for name, program, r1, psi0 in _route_starts(s):
+        expected = machine_trajectory(qc.MachineState.from_product(program, r1, psi0), times)
+        with monkeypatch.context() as patch:
+            patch.setattr(register, "machine_trajectory", _must_not_run)
+            traj = qc.register_trajectory(program, r1, psi0, times)
+        for field in ("s1", "s2", "s3", "r", "p_success"):
+            dev = np.abs(getattr(traj, field) - getattr(expected, field)).max()
+            assert dev < 1e-13, (name, field, dev)
+
+
+def test_position_average_against_dense_oracle():
+    """The one-column route at the crossover (s + 1 = 641 prime) against the
+    dense sector-1 oracle, with random links past a site-1 start."""
+    from qwclock import oracle
+
+    machine, ham = _dense_random_machine(chain._FFT_SITES, 1)
+    program = machine.program
+    r1 = np.array([0.6, 0.8j])
+    psi0 = qc.basis_state(machine.spec, 1)
+    times = np.linspace(0.0, 1.3 * machine.spec.s, 9)
+    traj = qc.register_trajectory(program, r1, psi0, times)
+    vec0 = qc.MachineState.from_product(program, r1, psi0).spinors.reshape(-1)
+    for i, t in enumerate(times):
+        rho = oracle.partial_trace(oracle.evolve(ham, vec0, t), 2, "register")
+        s1, s2, s3 = qc.bloch_vector(rho)
+        assert abs(traj.s1[i] - s1) < 1e-10
+        assert abs(traj.s2[i] - s2) < 1e-10
+        assert abs(traj.s3[i] - s3) < 1e-10
+
+
+@pytest.mark.parametrize("s", [769, 2049])
+def test_position_average_bitwise_equals_whole_grid_formula(s):
+    """The chunked route against its whole-grid formula, anchors included, bit
+    for bit.  Sample j takes its phases from the anchor a = j - j % K: exact
+    cos and sin at t_a times c V psi0, then one product with exp(-i e (j-a) h)
+    for j > a.  The grid spans anchors that straddle chunks and ends in a
+    short chunk."""
+    _, _, program, r1, psi0 = toy_setup(mu=6, s=s)
+    K = chain._PHASE_ANCHOR
+    times = 0.37 * np.arange(4 * K + 1)  # widths 5 and 2 leave a short last chunk
+    traj = qc.register_trajectory(program, r1, psi0, times)
+
+    spec = psi0.spec
+    c = 0.5j * np.sqrt(2.0 / (s + 1))
+    scaled = c * _odd_fft(psi0.amplitudes * c)  # c V psi0
+    e = -spec.lam * np.cos(np.arange(1, s + 1) * np.pi / (s + 1))
+
+    def phases(t):
+        arg = np.multiply.outer(t, -e)
+        out = np.empty(arg.shape, dtype=complex)
+        out.real, out.imag = np.cos(arg), np.sin(arg)
+        return out
+
+    h = (times[-1] - times[0]) / (times.size - 1)
+    offsets = phases(h * np.arange(1, K))
+    body = np.empty((times.size, s), dtype=complex)
+    for j in range(times.size):
+        a = j - j % K
+        body[j] = phases(times[a : a + 1])[0] * scaled
+        if j > a:
+            body[j] = body[j] * offsets[j - a - 1]
+    psi = _odd_fft(body)  # (T, s)
+    p = psi.real**2 + psi.imag**2
+    u = np.einsum("xij,j->xi", program.cumulative, r1)  # W(1) = 1, so b = r1
+    cross = u[:, 1] * u[:, 0].conj()
+    weights = np.stack([cross.real, cross.imag, np.abs(u[:, 0]) ** 2 - np.abs(u[:, 1]) ** 2])
+    total = weights[:, 0, None] * p[:, 0]
+    for x in range(1, s):  # site by site
+        total += weights[:, x, None] * p[:, x]
+    assert np.array_equal(traj.s1, 2.0 * total[0])
+    assert np.array_equal(traj.s2, 2.0 * total[1])
+    assert np.array_equal(traj.s3, total[2])
+
+
+def test_position_average_other_cases_equal_machine_trajectory(monkeypatch):
+    """A non-uniform grid, a start whose support spans differing W, and a chain
+    below the crossover run the two-column machine trajectory, bit for bit."""
+    monkeypatch.setattr(register, "_position_average", _must_not_run)
+    s = chain._FFT_SITES
+    params = qc.grover_params(5)
+    spec = qc.ChainSpec(s)
+    uniform = 0.5 * np.arange(40)
+    rough = uniform.copy()
+    rough[7] += 1e-9
+    cases = [
+        (qc.toy_program(s, params.alpha), qc.basis_state(spec, 1), rough),
+        (qc.toy_program(s, params.alpha), qc.gamma_state(spec, 3), uniform),
+        (qc.toy_program(s - 1, params.alpha), qc.basis_state(qc.ChainSpec(s - 1), 1), uniform),
+    ]
+    r1 = qc.grover_initial_state(params)
+    for program, psi0, times in cases:
+        traj = qc.register_trajectory(program, r1, psi0, times)
+        expected = machine_trajectory(qc.MachineState.from_product(program, r1, psi0), times)
+        for field in ("s1", "s2", "s3", "r", "gamma"):
+            assert np.array_equal(getattr(traj, field), getattr(expected, field)), field
+
+
+def test_uniform_step():
+    """Uniform within 4 ulp of max|t| of t_0 + j h, h = (t_{T-1} - t_0)/(T-1)."""
+    grid = 0.1 * np.arange(1000)
+    assert chain._uniform_step(grid) == (grid[-1] - grid[0]) / 999
+    assert chain._uniform_step(3.0 + 0.37 * np.arange(50)) is not None
+    nudged = grid.copy()
+    nudged[500] += 5 * np.spacing(grid[-1])
+    assert chain._uniform_step(nudged) is None
+    nudged[500] = grid[500] + 3 * np.spacing(grid[-1])
+    assert chain._uniform_step(nudged) is not None
+    assert chain._uniform_step(np.array([1.0])) is None
+    assert chain._uniform_step(np.array([0.0, 1.0, 3.0])) is None
+
+
+@functools.lru_cache(maxsize=1)
+def _dense_random_machine(s, seed):
+    """A _random_machine with the dense sector-1 oracle of its program, built once."""
+    from qwclock import oracle
+
+    machine = _random_machine(s, seed)
+    return machine, oracle.build(machine.spec, machine.program, sector=1)
 
 
 def _random_machine(s, seed=0):
@@ -529,8 +731,7 @@ def test_fft_trajectory_against_dense_oracle():
     from qwclock import oracle
 
     s = chain._FFT_SITES
-    machine = _random_machine(s, seed=1)
-    ham = oracle.build(machine.spec, machine.program, sector=1)
+    machine, ham = _dense_random_machine(s, 1)
     vec0 = machine.spinors.reshape(-1)
     times = np.array([0.0, 3.7, 0.5 * s, 1.3 * s])
     traj = machine_trajectory(machine, times)
