@@ -5,8 +5,14 @@ primitive to a register qubit per link crossed.  The package provides the
 exact spectral dynamics of the cursor, the asymptotic computation-speed
 laws, the Bloch/entropy evolution of the clocked register, multi-excitation
 clock states, and a dense brute-force oracle for cross-checking.
+
+Importing the package sets numpy's OpenBLAS to one thread, a process-wide
+side effect, so that outputs do not depend on the BLAS thread count.  It
+is skipped when OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
+set; qwclock._blas.REPORT says what was done.
 """
 
+from . import _blas  # noqa: F401  (pins BLAS before any product runs)
 from .chain import (
     ChainSpec,
     CursorWavefunction,
@@ -21,6 +27,7 @@ from .chain import (
     eigenvalue,
     gamma_state,
     launchpad_state,
+    position_moments,
     position_statistics,
     propagate,
     propagator,

@@ -9,6 +9,8 @@ basis transform.  Site indices are 1-based throughout.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "propagate",
     "basis_state",
     "position_statistics",
+    "position_moments",
     "launchpad_state",
     "gamma_state",
 ]
@@ -55,6 +58,54 @@ _FFT_CHUNK_BYTES = 2**20
 # of peak RSS and saved no time
 _PHASE_ANCHOR = 8
 _COLUMN_CHUNK_BYTES = 3 * 2**17
+# bytes of phases per window of a position sweep below _FFT_SITES sites
+_MOMENT_WINDOW_BYTES = 2**16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _each(fn, count: int) -> None:
+    """Call fn(i) for every i in range(count), spread over _cpus() threads.
+
+    The calling thread and one daemon thread per further CPU (no more
+    threads than calls) claim the indices in increasing order under a lock,
+    under the caller's numpy error state; once a call raises, no index is
+    claimed after it.  After the join, the exception of the lowest index is
+    raised: the one a serial loop would meet first.  Calls that write
+    disjoint outputs give the bits of that loop at any thread count.
+    """
+    lock = threading.Lock()
+    indices = iter(range(count))
+    errors: dict[int, BaseException] = {}
+    errstate = np.geterr()
+
+    def work() -> None:
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    i = None if errors else next(indices, None)
+                if i is None:
+                    return
+                try:
+                    fn(i)
+                except BaseException as exc:  # raised again after the join
+                    with lock:
+                        errors[i] = exc
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(_cpus(), count) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 class NormalizationError(ValueError):
@@ -361,16 +412,18 @@ def _evolve_column(
         yield window, _sine_transform(ext)
 
 
-def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int):
+def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, workers: int = 1):
     """The windows in which a trajectory evolves d columns over a time grid.
 
     The caller holds `held` bytes for the whole run and `site_bytes` per site
     and sample beside the kernel's own temporaries, which are 16 d B per site
     and sample on the GEMM path (plus V and its complex copy) and 32 d B per
     site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
-    with the widest chunk, is checked once here, before any window is evolved.
-    On the FFT path a chunk of one column (_evolve_column) holds
-    _COLUMN_CHUNK_BYTES, of more columns _FFT_CHUNK_BYTES.
+    with the widest chunk once per worker evolving one at a time (up to
+    `workers`, no more than there are chunks), is checked once here, before
+    any window is evolved.  On the FFT path a chunk of one column
+    (_evolve_column) holds _COLUMN_CHUNK_BYTES, of more columns
+    _FFT_CHUNK_BYTES.
     """
     s, T = spec.s, len(times)
     if s >= _FFT_SITES:
@@ -379,7 +432,7 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int):
     else:
         basis, per_sample = 24 * s * s, (16 * d + site_bytes) * s
         width = max(1, _CHUNK_BYTES // (16 * d * s))
-    nbytes = held + basis + per_sample * min(width, T)
+    nbytes = held + basis + per_sample * min(width, T) * min(workers, -(-T // width))
     _check_memory(nbytes, f"trajectory of s={s} sites over {T} times")
     return (slice(start, min(start + width, T)) for start in range(0, T, width))
 
@@ -393,10 +446,67 @@ def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:
     """
     spec = psi0.spec
     amps = _evolve_modes(spec, psi0._coefficients, [t])[:, 0, 0]
-    norm2 = float(np.sum(np.abs(amps) ** 2))
+    _drift_checked(amps)
+    return CursorWavefunction(spec, amps)
+
+
+def _drift_checked(amps: np.ndarray) -> np.ndarray:
+    """|amps|^2 of evolved amplitudes; NormalizationError if their sum drifted past NORM_DRIFT_TOL."""
+    p = np.abs(amps) ** 2
+    norm2 = float(np.sum(p))
     if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted to {norm2!r} after propagation")
-    return CursorWavefunction(spec, amps)
+    return p
+
+
+def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the site index of psi0 evolved to each of `times`.
+
+    Each sample has the bits of position_statistics(propagate(psi0, t)), at
+    any CPU count, and the first sample whose norm drifts past NORM_DRIFT_TOL
+    raises propagate's NormalizationError.  The samples are evolved in
+    windows: below _FFT_SITES sites one window's phases (at most
+    _MOMENT_WINDOW_BYTES) and the same one-column GEMM per sample, from there
+    on _grid_chunks' windows through _evolve_modes, whose FFT rows do not
+    depend on the batch.  _each spreads the windows over the CPUs; the memory
+    estimate counts one window per thread and is checked before any window
+    is evolved.
+    """
+    spec, coeff, times = psi0.spec, psi0._coefficients, np.asarray(times)
+    s, T = spec.s, len(times)
+    workers = _cpus()
+    # the two moment columns, and per thread one sample's column, product and squares
+    held = 16 * T + 64 * s * workers
+    if s >= _FFT_SITES:
+        # beside the extension, _evolve_modes' phase arguments: 8 B per site and sample
+        windows = list(_grid_chunks(spec, times, 1, held, 8, workers))
+
+        def evolve(window):
+            return _evolve_modes(spec, coeff, times[window])[:, :, 0].T
+
+    else:
+        width = max(1, _MOMENT_WINDOW_BYTES // (16 * s))
+        windows = [slice(a, min(a + width, T)) for a in range(0, T, width)]
+        # V and its complex copy, and per thread a window's phase arguments and phases
+        copies = min(workers, len(windows))
+        _check_memory(held + 24 * s * s + 40 * s * width * copies,
+                      f"position sweep of s={s} sites over {T} times")
+        Vc, e = _complex_modes(spec), _energies(spec)
+
+        def evolve(window):
+            phases = np.exp(-1j * np.outer(times[window], e))
+            return (np.dot(Vc, row[:, None] * coeff)[:, 0] for row in phases)
+
+    mean, variance = np.empty(T), np.empty(T)
+
+    def sweep(i):
+        window = windows[i]
+        for j, amps in zip(range(window.start, window.stop), evolve(window)):
+            stats = _site_statistics(_drift_checked(amps))
+            mean[j], variance[j] = stats.mean, stats.variance
+
+    _each(sweep, len(windows))
+    return mean, variance
 
 
 def _site_statistics(p: np.ndarray) -> PositionStatistics:

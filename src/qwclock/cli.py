@@ -2,7 +2,9 @@
 
 Each subcommand maps onto one library computation with explicit
 parameters.  Output is comma-separated with a header row, 15 significant
-digits, LF line endings; identical flags produce byte-identical output.
+digits, LF line endings; identical flags produce byte-identical output, at
+any CPU count (mean-q, var-q and the quadrature speed laws spread their
+points over the CPUs of the process's affinity mask).
 Exit codes: 0 success, 1 oracle-check deviation >= 1e-10, 2 parameter
 error (non-finite float flags and unwritable --out paths included), 3
 resource error (a memory estimate, checked before allocating, over
@@ -262,7 +264,8 @@ def _alternating_start(v):
 
 
 def _position_runner(column, moment):
-    """Runner for one moment of the free cursor's site distribution over time."""
+    """Runner for one moment of the free cursor's site distribution over time:
+    moment 0 the mean, 1 the variance."""
 
     def run(v):
         spec = _chain_spec(v["s"], v["coupling"])
@@ -271,11 +274,7 @@ def _position_runner(column, moment):
         else:
             psi0 = chain.basis_state(spec, 1)
         times = _time_grid(v["t-min"], v["t-max"], v["step"])
-        values = [
-            getattr(chain.position_statistics(chain.propagate(psi0, t)), moment)
-            for t in times
-        ]
-        return ["t", column], [times, values]
+        return ["t", column], [times, chain.position_moments(psi0, times)[moment]]
 
     return run
 
@@ -456,12 +455,12 @@ def _commands():
         "mean-q": (
             "mean cursor position over time",
             position_options(129),
-            _position_runner("mean_q", "mean"),
+            _position_runner("mean_q", 0),
         ),
         "var-q": (
             "cursor position variance over time",
             position_options(50),
-            _position_runner("var_q", "variance"),
+            _position_runner("var_q", 1),
         ),
         "speed-density": (
             "density and CDF of an asymptotic speed law",

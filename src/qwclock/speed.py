@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import NORM_DRIFT_TOL, ChainSpec, CursorWavefunction, propagate
+from .chain import NORM_DRIFT_TOL, ChainSpec, CursorWavefunction, _each, propagate
 from .quadrature import composite_gauss_legendre, integrate
 
 __all__ = [
@@ -92,7 +92,13 @@ def _law(family: str, integrand_p, density=None, cdf=None, moments=None) -> Spee
             return integrand_p(np.arcsin(v)) / np.sqrt(1.0 - v**2)
     if cdf is None:
         def cdf(v):
-            return np.array([integrate(integrand_p, 0.0, float(p)) for p in np.arcsin(v)])
+            top, out = np.arcsin(v), np.empty(len(v))
+
+            def point(i):  # one full rule per point, the points spread over the CPUs
+                out[i] = integrate(integrand_p, 0.0, float(top[i]))
+
+            _each(point, len(v))
+            return out
     if moments is None:
         p, w = composite_gauss_legendre(0.0, np.pi / 2)
         g = integrand_p(p)

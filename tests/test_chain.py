@@ -1,9 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwclock as qc
+from qwclock import chain
 from qwclock.chain import NORM_DRIFT_TOL
 
 
@@ -237,3 +242,134 @@ def test_amplitude_accessor_bounds():
         psi.amplitude(0)
     with pytest.raises(ValueError):
         psi.amplitude(5)
+
+
+def test_each_calls_every_index_once_under_contention(monkeypatch):
+    """More threads than CPUs and a short switch interval: no claim is lost or repeated."""
+    monkeypatch.setattr(chain, "_cpus", lambda: 8)
+    hits = np.zeros(3000, dtype=int)
+
+    def hit(i):
+        hits[i] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=chain._each, args=(hit, hits.size))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert (hits == 1).all()
+
+
+def test_each_raises_the_lowest_index_exception(monkeypatch):
+    """Index 2 raises first in time; index 1, which a serial loop meets first, wins."""
+    monkeypatch.setattr(chain, "_cpus", lambda: 3)
+    raised = threading.Event()
+
+    def fail(i):
+        if i == 1:
+            raised.wait(timeout=10)
+            raise ValueError("index 1")
+        if i == 2:
+            raised.set()
+            raise ValueError("index 2")
+
+    with pytest.raises(ValueError, match="index 1"):
+        chain._each(fail, 10)
+    assert raised.is_set()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_each_leaves_no_helper_thread_alive(fails, monkeypatch):
+    monkeypatch.setattr(chain, "_cpus", lambda: 4)
+    threads, before = set(), threading.active_count()
+
+    def work(i):
+        threads.add(threading.current_thread())
+        time.sleep(0.002)
+        if fails and i == 5:
+            raise RuntimeError("index 5")
+
+    if fails:
+        with pytest.raises(RuntimeError):
+            chain._each(work, 12)
+    else:
+        chain._each(work, 12)
+    assert len(threads) > 1
+    assert not any(t.is_alive() for t in threads - {threading.current_thread()})
+    assert threading.active_count() == before
+
+
+def test_each_keeps_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setattr(chain, "_cpus", lambda: 3)
+    states = {}
+
+    def record(i):
+        time.sleep(0.002)
+        states[threading.current_thread()] = np.geterr()
+
+    with np.errstate(all="ignore"):
+        chain._each(record, 9)
+        expected = np.geterr()
+    assert len(states) > 1
+    assert all(state == expected for state in states.values())
+
+
+@pytest.mark.parametrize("s", [33, 513, 639, 640, 769])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_position_moments_bitwise_equal_propagate(s, cpus, monkeypatch):
+    """Every sample has the bits of position_statistics(propagate(psi0, t)),
+    the per-sample loop the CLI ran, over several windows and threads."""
+    monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+    psi0 = qc.launchpad_state(qc.ChainSpec(s), 5, 3)
+    times = 0.7 * np.arange(40)
+    mean, variance = chain.position_moments(psi0, times)
+    stats = [qc.position_statistics(qc.propagate(psi0, t)) for t in times]
+    assert np.array_equal(mean, [st.mean for st in stats])
+    assert np.array_equal(variance, [st.variance for st in stats])
+
+
+def _sweep_estimate(s, T, cpus):
+    """The position sweep's checked estimate, written out: the two moment
+    columns (16 B per sample), each thread's one-sample temporaries (64 B per
+    site), and one window per thread that evolves one (no more threads than
+    windows).  Below 640 sites V and its complex copy (24 s^2) and windows of
+    65536 B of phases, 40 B per site and sample with their arguments; from 640
+    sites on _grid_chunks' one-column windows of 384 KiB of 40 B per extended
+    site and sample (extension and phase arguments)."""
+    held = 16 * T + 64 * s * cpus
+    if s < 640:
+        width = 65536 // (16 * s)
+        return held + 24 * s * s + 40 * s * width * min(cpus, -(-T // width))
+    width = 3 * 2**17 // (40 * (s + 1))
+    return held + 40 * (s + 1) * min(width, T) * min(cpus, -(-T // width))
+
+
+@pytest.mark.parametrize("s", [513, 769])
+def test_position_sweep_estimate_counts_a_window_per_thread(s, monkeypatch):
+    """The estimate is checked once, to the byte, before any window is evolved."""
+    events = []
+    check_memory, each = chain._check_memory, chain._each
+
+    def recording_check(nbytes, what):
+        if not what.startswith("evolving"):  # the kernel's own check, window by window
+            events.append(nbytes)
+        check_memory(nbytes, what)
+
+    def recording_each(fn, count):
+        events.append("evolve")
+        each(fn, count)
+
+    psi0 = qc.basis_state(qc.ChainSpec(s), 1)
+    psi0._coefficients  # noqa: B018  (the cached eigenbasis is checked here, once)
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_each", recording_each)
+    for T in (1, 30):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+            events.clear()
+            chain.position_moments(psi0, np.arange(float(T)))
+            assert events == [_sweep_estimate(s, T, cpus), "evolve"]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwclock as qc
+from qwclock import chain, cli
 from qwclock.cli import main
 
 
@@ -516,3 +517,61 @@ def test_runtime_needs_numpy_only():
     assert result.returncode == 0, result.stderr
     codes = result.stdout.strip().splitlines()[-1]
     assert codes == str([0] * 12), codes
+
+
+_SPREAD = [
+    ["speed-density", "--family", "gamma", "--n", "20", "--grid", "200"],
+    ["speed-density", "--family", "pad-ck", "--grid", "200"],
+    *(["mean-q", "--s", s, "--n", "3", "--step", "1"] for s in ("33", "513", "769")),
+    *(["var-q", "--s", s, "--step", "1"] for s in ("33", "513", "769")),
+]
+
+
+@pytest.mark.parametrize("argv", _SPREAD, ids=" ".join)
+def test_output_bytes_do_not_depend_on_the_cpu_count(argv, monkeypatch, capsys):
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("s,drifts", [(513, (9, 15)), (769, (20, 25))])
+def test_position_drift_exits_2_with_the_per_sample_line(s, drifts, monkeypatch, capsys):
+    """Two samples drift, by different amounts, in different windows.  At any
+    CPU count the CLI exits 2 with the line chain.propagate raises at the
+    first of them, which the per-sample loop printed.  Below 640 sites a
+    complex time takes the phases off the unit circle; from 640 sites on the
+    kernel's output is scaled."""
+    grid = cli._time_grid(0.0, float(s), 1.0)
+    if s < chain._FFT_SITES:
+        time_grid = cli._time_grid
+
+        def drifting_grid(*args):
+            times = time_grid(*args).astype(complex)
+            times[list(drifts)] += [1e-4j, 2e-4j]
+            return times
+
+        monkeypatch.setattr(cli, "_time_grid", drifting_grid)
+        grid = drifting_grid(0.0, float(s), 1.0)
+    else:
+        evolve_modes = chain._evolve_modes
+
+        def drifting(spec, coeff, times):
+            scale = 1.0 + np.isin(np.asarray(times), grid[drifts[0]]) * 1e-6
+            scale += np.isin(np.asarray(times), grid[drifts[1]]) * 2e-6
+            return evolve_modes(spec, coeff, times) * scale[None, :, None]
+
+        monkeypatch.setattr(chain, "_evolve_modes", drifting)
+    psi0 = chain.basis_state(chain.ChainSpec(s), 1)
+    for t in grid[: drifts[0]]:
+        chain.propagate(psi0, t)
+    with pytest.raises(qc.NormalizationError) as first:
+        chain.propagate(psi0, grid[drifts[0]])
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+        assert main(["mean-q", "--s", str(s), "--step", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {first.value}\n"
