@@ -58,7 +58,7 @@ _FFT_CHUNK_BYTES = 2**20
 # of peak RSS and saved no time
 _PHASE_ANCHOR = 8
 _COLUMN_CHUNK_BYTES = 3 * 2**17
-# bytes of phases per window of a position sweep below _FFT_SITES sites
+# bytes of phases per window of a one-column sweep below _FFT_SITES sites
 _MOMENT_WINDOW_BYTES = 2**16
 
 
@@ -161,7 +161,7 @@ class CursorWavefunction:
                 f"amplitude vector has shape {amps.shape}, expected ({self.spec.s},)"
             )
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
+        if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
             raise NormalizationError(f"state norm^2 = {norm2!r} deviates from 1")
 
     def amplitude(self, x: int) -> complex:
@@ -319,12 +319,12 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
     This is the package's one spectral transform; callers compute coeff once
     per start and check the norm.  Below _FFT_SITES sites it is a GEMM over
-    the cached complex V, from there on the FFT sine transform, which returns
-    a strided view.  Times do not mix, so a grid may be evolved in chunks
-    (_grid_chunks); for d = 2 on the GEMM path, and always on the FFT path,
-    the bits do not depend on the chunk width (a one-column product may round
-    otherwise).  On the GEMM path this holds with one BLAS thread: a threaded
-    GEMM splits its columns by their count, so its bits may follow the width.
+    the cached complex V, one product per sample for d = 1; from there on
+    the FFT sine transform, which returns a strided view.  Times do not mix,
+    so a grid may be evolved in chunks (_grid_chunks), and a sample's bits
+    depend on that sample alone on every path.  On the GEMM path this holds
+    with one BLAS thread: a threaded GEMM splits its columns by their count,
+    so its bits may follow the width.
     """
     s, T, d = spec.s, len(times), coeff.shape[1]
     e = _energies(spec)
@@ -344,8 +344,15 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     # trajectory T is one chunk's width, so this is checked chunk by chunk
     _check_memory(24 * s * s + 48 * s * T * d, f"evolving s={s} sites over {T} times")
     Vc = _complex_modes(spec)
-    phases = np.exp(-1j * np.outer(e, times))  # (s, T)
-    return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+    if d > 1:
+        phases = np.exp(-1j * np.outer(e, times))  # (s, T)
+        return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+    # each sample's product overwrites its phases: a T-column product would
+    # round otherwise than T one-column products
+    psi = np.exp(-1j * np.outer(times, e))  # (T, s)
+    for row in psi:
+        row[:] = np.dot(Vc, row[:, None] * coeff)[:, 0]
+    return psi.T[:, :, None]
 
 
 def _phases(e: np.ndarray, times, out=None) -> np.ndarray:
@@ -372,13 +379,22 @@ def _uniform_step(times):
     return float(h) if dev <= 4 * np.spacing(np.abs(times).max()) else None
 
 
+def _column_step(spec: ChainSpec, times):
+    """The step on which _evolve_column may evolve a grid, None where it may not.
+
+    That is the uniform step (_uniform_step) of a chain of at least
+    _FFT_SITES sites, and None below them or on any other grid.
+    """
+    return _uniform_step(times) if spec.s >= _FFT_SITES else None
+
+
 def _evolve_column(
     spec: ChainSpec, coeff: np.ndarray, times, step: float, held: int, site_bytes: int
 ):
     """Free evolution of one amplitude column over a uniform time grid, window by window.
 
-    The FFT path of _evolve_modes for d = 1, for chains of at least
-    _FFT_SITES sites, on a grid of step `step` (_uniform_step).  Yields
+    The FFT path of _evolve_modes for d = 1, on a grid of step
+    `step = _column_step(spec, times)`, which is not None.  Yields
     (window, psi) for the windows _grid_chunks picks, psi the (chunk, s)
     view of psi(t_j, x) = sum_k exp(-i e_k t_j) v_k(x) coeff[k] for the
     (s, 1) coeff = _mode_coefficients(spec, psi0); psi is valid until the
@@ -413,7 +429,7 @@ def _evolve_column(
 
 
 def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, workers: int = 1):
-    """The windows in which a trajectory evolves d columns over a time grid.
+    """The windows in which a sweep evolves d columns over a time grid.
 
     The caller holds `held` bytes for the whole run and `site_bytes` per site
     and sample beside the kernel's own temporaries, which are 16 d B per site
@@ -421,9 +437,10 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, wor
     site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
     with the widest chunk once per worker evolving one at a time (up to
     `workers`, no more than there are chunks), is checked once here, before
-    any window is evolved.  On the FFT path a chunk of one column
-    (_evolve_column) holds _COLUMN_CHUNK_BYTES, of more columns
-    _FFT_CHUNK_BYTES.
+    any window is evolved.  A chunk of one column holds
+    _MOMENT_WINDOW_BYTES of phases on the GEMM path and _COLUMN_CHUNK_BYTES
+    on the FFT path; of more columns, _CHUNK_BYTES of output on the GEMM path
+    and _FFT_CHUNK_BYTES on the FFT path.
     """
     s, T = spec.s, len(times)
     if s >= _FFT_SITES:
@@ -431,7 +448,7 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, wor
         width = max(1, (_FFT_CHUNK_BYTES if d > 1 else _COLUMN_CHUNK_BYTES) // per_sample)
     else:
         basis, per_sample = 24 * s * s, (16 * d + site_bytes) * s
-        width = max(1, _CHUNK_BYTES // (16 * d * s))
+        width = max(1, (_CHUNK_BYTES if d > 1 else _MOMENT_WINDOW_BYTES) // (16 * d * s))
     nbytes = held + basis + per_sample * min(width, T) * min(workers, -(-T // width))
     _check_memory(nbytes, f"trajectory of s={s} sites over {T} times")
     return (slice(start, min(start + width, T)) for start in range(0, T, width))
@@ -454,7 +471,7 @@ def _drift_checked(amps: np.ndarray) -> np.ndarray:
     """|amps|^2 of evolved amplitudes; NormalizationError if their sum drifted past NORM_DRIFT_TOL."""
     p = np.abs(amps) ** 2
     norm2 = float(np.sum(p))
-    if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
+    if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted to {norm2!r} after propagation")
     return p
 
@@ -464,45 +481,24 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
 
     Each sample has the bits of position_statistics(propagate(psi0, t)), at
     any CPU count, and the first sample whose norm drifts past NORM_DRIFT_TOL
-    raises propagate's NormalizationError.  The samples are evolved in
-    windows: below _FFT_SITES sites one window's phases (at most
-    _MOMENT_WINDOW_BYTES) and the same one-column GEMM per sample, from there
-    on _grid_chunks' windows through _evolve_modes, whose FFT rows do not
-    depend on the batch.  _each spreads the windows over the CPUs; the memory
-    estimate counts one window per thread and is checked before any window
-    is evolved.
+    raises propagate's NormalizationError.  _each spreads _grid_chunks'
+    windows over the CPUs, each evolved by _evolve_modes.
     """
     spec, coeff, times = psi0.spec, psi0._coefficients, np.asarray(times)
     s, T = spec.s, len(times)
     workers = _cpus()
-    # the two moment columns, and per thread one sample's column, product and squares
+    # the two moment columns, and per thread one sample's column, product and
+    # squares; per site and sample, the kernel's phase arguments (and on the
+    # GEMM path the phases' complex temporary)
     held = 16 * T + 64 * s * workers
-    if s >= _FFT_SITES:
-        # beside the extension, _evolve_modes' phase arguments: 8 B per site and sample
-        windows = list(_grid_chunks(spec, times, 1, held, 8, workers))
-
-        def evolve(window):
-            return _evolve_modes(spec, coeff, times[window])[:, :, 0].T
-
-    else:
-        width = max(1, _MOMENT_WINDOW_BYTES // (16 * s))
-        windows = [slice(a, min(a + width, T)) for a in range(0, T, width)]
-        # V and its complex copy, and per thread a window's phase arguments and phases
-        copies = min(workers, len(windows))
-        _check_memory(held + 24 * s * s + 40 * s * width * copies,
-                      f"position sweep of s={s} sites over {T} times")
-        Vc, e = _complex_modes(spec), _energies(spec)
-
-        def evolve(window):
-            phases = np.exp(-1j * np.outer(times[window], e))
-            return (np.dot(Vc, row[:, None] * coeff)[:, 0] for row in phases)
-
+    windows = list(_grid_chunks(spec, times, 1, held, 8 if s >= _FFT_SITES else 24, workers))
     mean, variance = np.empty(T), np.empty(T)
 
     def sweep(i):
         window = windows[i]
-        for j, amps in zip(range(window.start, window.stop), evolve(window)):
-            stats = _site_statistics(_drift_checked(amps))
+        amps = _evolve_modes(spec, coeff, times[window])[:, :, 0].T
+        for j, row in zip(range(window.start, window.stop), amps):
+            stats = _site_statistics(_drift_checked(row))
             mean[j], variance[j] = stats.mean, stats.variance
 
     _each(sweep, len(windows))

@@ -59,9 +59,11 @@ def _emit(header, columns, out_path) -> None:
 def _time_grid(t_min: float, t_max: float, step: float, flags=None) -> np.ndarray:
     """Grid t_min, t_min + step, ... <= t_max; `flags` names it in errors."""
     if step <= 0:
-        raise ValueError(f"time step must be positive, got step={step}")
+        raise ValueError(f"--step must be positive, got --step {step!r}")
     if t_max <= t_min:
-        raise ValueError(f"need t-max > t-min, got {t_max} <= {t_min}")
+        raise ValueError(
+            f"--t-max must be greater than --t-min, got --t-max {t_max!r} and --t-min {t_min!r}"
+        )
     count = np.floor((t_max - t_min) / step + 1e-9) + 1
     flags = flags or f"--t-min {t_min!r} to --t-max {t_max!r} by --step {step!r}"
     _check_memory(_ROW_BYTES * count, f"time grid {flags} of {count:.3g} samples")
@@ -179,17 +181,20 @@ def _default_sites(values) -> int:
 # ---------------------------------------------------------------------------
 # subcommand runners
 
-# CSV columns that are not a RegisterTrajectory field of the same name
+# CSV columns that are not a RegisterTrajectory field of the same name, and
+# the two of chain.position_moments' (mean, variance)
 _SERIES = {
     "S": lambda traj: traj.entropy,
     "p_target": lambda traj: traj.p_success,
     "p_other": lambda traj: 1.0 - traj.p_success,
+    "mean_q": lambda moments: moments[0],
+    "var_q": lambda moments: moments[1],
 }
 _PAD_COLUMNS = ["p_target", "entropy", "s1", "s3", "r"]
 
 
 def _trajectory_runner(start, columns, trajectory=None):
-    """Runner for a register trajectory: trajectory(*start(v), times).
+    """Runner for a series over the time grid: trajectory(*start(v), times).
 
     The default, register.register_trajectory, is looked up at each call,
     so a wrapper installed on the module after import sees it.
@@ -263,20 +268,11 @@ def _alternating_start(v):
     return program, register.grover_initial_state(params), chain.basis_state(spec, 1)
 
 
-def _position_runner(column, moment):
-    """Runner for one moment of the free cursor's site distribution over time:
-    moment 0 the mean, 1 the variance."""
-
-    def run(v):
-        spec = _chain_spec(v["s"], v["coupling"])
-        if v["n"] is not None:
-            psi0 = chain.launchpad_state(spec, _pad_size(v["n"], spec.s), v["n"])
-        else:
-            psi0 = chain.basis_state(spec, 1)
-        times = _time_grid(v["t-min"], v["t-max"], v["step"])
-        return ["t", column], [times, chain.position_moments(psi0, times)[moment]]
-
-    return run
+def _position_start(v):
+    spec = _chain_spec(v["s"], v["coupling"])
+    if v["n"] is not None:
+        return (chain.launchpad_state(spec, _pad_size(v["n"], spec.s), v["n"]),)
+    return (chain.basis_state(spec, 1),)
 
 
 def _speed_law_from(v) -> speed.SpeedLaw:
@@ -455,12 +451,12 @@ def _commands():
         "mean-q": (
             "mean cursor position over time",
             position_options(129),
-            _position_runner("mean_q", 0),
+            _trajectory_runner(_position_start, ["mean_q"], chain.position_moments),
         ),
         "var-q": (
             "cursor position variance over time",
             position_options(50),
-            _position_runner("var_q", 1),
+            _trajectory_runner(_position_start, ["var_q"], chain.position_moments),
         ),
         "speed-density": (
             "density and CDF of an asymptotic speed law",

@@ -127,7 +127,7 @@ class SectorState:
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
         norm2 = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
+        if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
             raise NormalizationError(f"sector norm^2 = {norm2!r} deviates from 1")
 
     @property
@@ -203,7 +203,7 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     ordered = _extract_ordered(full, s, n)
     # each ordered amplitude appears n! times in the tensor, carrying its sign
     norm2 = float(np.sum(np.abs(ordered) ** 2))
-    if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
+    if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
         raise NormalizationError(f"sector norm^2 drifted to {norm2!r}")
     return ordered
 
@@ -249,7 +249,7 @@ def _single_link_samples(state: SectorState, x0: int, g: np.ndarray, times):
     g = np.asarray(g, dtype=complex)
     if g.shape != (state.d, state.d):
         raise ValueError(f"primitive has shape {g.shape}, expected {(state.d,) * 2}")
-    if np.abs(g.conj().T @ g - np.eye(state.d)).max() > 1e-12:
+    if not np.abs(g.conj().T @ g - np.eye(state.d)).max() <= 1e-12:
         raise ValueError("primitive must be unitary")
 
     counts = _counts_past(state.spec.s, state.n, x0)

@@ -135,7 +135,7 @@ def build(spec: ChainSpec, program, sector: int | None = 1) -> DenseHamiltonian:
             h[j * d : (j + 1) * d, i * d : (i + 1) * d] += block
             h[i * d : (i + 1) * d, j * d : (j + 1) * d] += block.conj().T
     herm_dev = np.abs(h - h.conj().T).max()
-    if herm_dev > 1e-13:
+    if not herm_dev <= 1e-13:
         raise AssertionError(f"built matrix deviates from Hermitian by {herm_dev:g}")
     return DenseHamiltonian(
         spec=spec, d=d, sector=sector, cursor_labels=labels, matrix=h

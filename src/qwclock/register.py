@@ -22,13 +22,12 @@ from .chain import (
     CursorWavefunction,
     NormalizationError,
     PositionStatistics,
-    _FFT_SITES,
+    _column_step,
     _evolve_column,
     _evolve_modes,
     _grid_chunks,
     _mode_coefficients,
     _site_statistics,
-    _uniform_step,
 )
 from .special import speed_characteristic_kernel
 
@@ -138,7 +137,7 @@ class PrimitiveProgram:
         dev = np.abs(
             np.einsum("xji,xjk->xik", arr.conj(), arr) - _ID2[None, :, :]
         ).max()
-        if dev > _UNITARY_TOL:
+        if not dev <= _UNITARY_TOL:
             raise ValueError(f"link operators deviate from unitarity by {dev:g}")
         arr.flags.writeable = False
         self.unitaries = arr
@@ -174,7 +173,7 @@ def alternating_program(s: int, theta: float) -> PrimitiveProgram:
     """Oracle reflection on odd links, estimation reflection on even links."""
     a, b = oracle_reflection(), estimation_reflection(theta)
     for refl in (a, b):
-        if np.abs(refl @ refl - _ID2).max() > _UNITARY_TOL:
+        if not np.abs(refl @ refl - _ID2).max() <= _UNITARY_TOL:
             raise ValueError("reflection is not an involution")
     ops = np.empty((s - 1, 2, 2), dtype=complex)
     ops[0::2] = a
@@ -206,7 +205,7 @@ def register_state_sequence(program: PrimitiveProgram, r1) -> np.ndarray:
     """|R(x)> = U_{x-1} ... U_1 |R(1)> for x = 1..s, shape (s, 2)."""
     r1 = np.asarray(r1, dtype=complex)
     norm = np.linalg.norm(r1)
-    if abs(norm - 1.0) > NORM_DRIFT_TOL:
+    if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
         raise ValueError(f"register state must be normalized, |R1| = {norm!r}")
     return np.einsum("xij,j->xi", program.cumulative, r1)
 
@@ -230,7 +229,7 @@ class MachineState:
         if self.program.s != self.spec.s:
             raise ValueError("program length does not match the chain")
         norm2 = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
+        if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
             raise NormalizationError(f"machine norm^2 = {norm2!r} deviates from 1")
 
     @classmethod
@@ -300,7 +299,7 @@ def bloch_polar(rho: np.ndarray, prev_gamma: float = 0.0) -> BlochPolar:
     and the result is flagged.
     """
     s1, s2, s3 = bloch_vector(rho)
-    if abs(s2) > 1e-9:
+    if not abs(s2) <= 1e-9:
         raise ValueError(f"state leaves the 1-3 Bloch plane, s2 = {s2:g}")
     r = float(np.hypot(s1, s3))
     if r < _R_DEGENERATE:
@@ -464,10 +463,17 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     norm2 = np.empty(times.size)
     for window in windows:
         cross[window], s3[window], norm2[window] = _chunk_sums(machine, coeff, times[window])
+    return _checked_trajectory(times, cross, s3, norm2)
+
+
+def _checked_trajectory(times, coherence, s3, norm2) -> RegisterTrajectory:
+    """The trajectory of a register with rho[1, 0] = coherence and Bloch s3 over
+    times; NormalizationError if norm2, the machine's norm^2, drifted past
+    NORM_DRIFT_TOL at any time."""
     drift = float(np.abs(norm2 - 1.0).max(initial=0.0))
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:
         raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
-    return RegisterTrajectory.from_coherence(times, cross, s3, (1.0 + s3) / 2.0)
+    return RegisterTrajectory.from_coherence(times, coherence, s3, (1.0 + s3) / 2.0)
 
 
 def _position_average(
@@ -497,12 +503,7 @@ def _position_average(
         terms = np.empty((s, p.shape[0], 4))  # filled site-contiguously
         np.multiply(weights[:, None, :], p, out=terms.transpose(2, 1, 0))
         sums[window] = _sum_rows(terms)
-    drift = float(np.abs(sums[:, 3] - 1.0).max(initial=0.0))
-    if drift > NORM_DRIFT_TOL:
-        raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
-    s3 = sums[:, 2]
-    coherence = sums[:, 0] + 1j * sums[:, 1]
-    return RegisterTrajectory.from_coherence(times, coherence, s3, (1.0 + s3) / 2.0)
+    return _checked_trajectory(times, sums[:, 0] + 1j * sums[:, 1], sums[:, 2], sums[:, 3])
 
 
 def register_trajectory(
@@ -510,19 +511,16 @@ def register_trajectory(
 ) -> RegisterTrajectory:
     """Trajectory for the product start |R(1)> (x) psi0.
 
-    From chain._FFT_SITES sites on, on a uniform grid (chain._uniform_step),
-    when W(x) is the same at every site x0 of psi0's support, the comoving
-    start is psi0 (x) b with b = W(x0)^dagger R(1), and the register density
-    is a position average of one free column (_position_average).  Every
-    other case runs machine_trajectory.
+    Where chain._column_step allows one free column, and W(x) is the same at
+    every site x0 of psi0's support, the comoving start is psi0 (x) b with
+    b = W(x0)^dagger R(1), and the register density is a position average of
+    that column (_position_average).  Every other case runs machine_trajectory.
     """
     machine = MachineState.from_product(program, r1, psi0)
     times = np.asarray(times, dtype=float)
-    if psi0.spec.s < _FFT_SITES:
-        return machine_trajectory(machine, times)
+    step = _column_step(psi0.spec, times)
     W = program.cumulative
     support = np.flatnonzero(psi0.amplitudes)
-    step = _uniform_step(times)
     if step is None or not (W[support] == W[support[0]]).all():
         return machine_trajectory(machine, times)
     b = W[support[0]].conj().T @ np.asarray(r1, dtype=complex)
@@ -588,7 +586,7 @@ def measure_clock(machine: MachineState, x0: int) -> MachineState:
         raise ValueError(f"x0={x0} outside 1..{machine.spec.s}")
     spinor = machine.spinors[x0 - 1]
     weight = float(np.sum(np.abs(spinor) ** 2))
-    if weight < 1e-24:
+    if not weight >= 1e-24:
         raise ValueError(f"cursor has zero probability at site {x0}")
     collapsed = np.zeros_like(machine.spinors)
     collapsed[x0 - 1] = spinor / np.sqrt(weight)
@@ -607,7 +605,7 @@ def measure_register_sigma3(
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     column = 0 if outcome == +1 else 1
     prob = float(np.sum(np.abs(machine.spinors[:, column]) ** 2))
-    if prob < 1e-24:
+    if not prob >= 1e-24:
         raise ValueError(f"outcome {outcome:+d} has zero probability")
     collapsed = np.zeros_like(machine.spinors)
     collapsed[:, column] = machine.spinors[:, column] / np.sqrt(prob)

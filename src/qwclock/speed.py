@@ -186,7 +186,7 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
     moments and CDF by quadrature.
     """
     norm2 = float(np.sum(np.abs(psi0.amplitudes) ** 2))
-    if abs(norm2 - 1.0) > NORM_DRIFT_TOL:
+    if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
         raise ValueError(f"initial state must be normalized, norm^2 = {norm2!r}")
 
     def integrand_p(p):

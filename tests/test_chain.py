@@ -336,14 +336,15 @@ def _sweep_estimate(s, T, cpus):
     """The position sweep's checked estimate, written out: the two moment
     columns (16 B per sample), each thread's one-sample temporaries (64 B per
     site), and one window per thread that evolves one (no more threads than
-    windows).  Below 640 sites V and its complex copy (24 s^2) and windows of
-    65536 B of phases, 40 B per site and sample with their arguments; from 640
-    sites on _grid_chunks' one-column windows of 384 KiB of 40 B per extended
-    site and sample (extension and phase arguments)."""
+    windows), as wide as the grid when the grid is narrower.  Below 640 sites
+    V and its complex copy (24 s^2) and windows of 65536 B of phases, 40 B per
+    site and sample with their arguments; from 640 sites on one-column
+    windows of 384 KiB of 40 B per extended site and sample (extension and
+    phase arguments)."""
     held = 16 * T + 64 * s * cpus
     if s < 640:
         width = 65536 // (16 * s)
-        return held + 24 * s * s + 40 * s * width * min(cpus, -(-T // width))
+        return held + 24 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
     width = 3 * 2**17 // (40 * (s + 1))
     return held + 40 * (s + 1) * min(width, T) * min(cpus, -(-T // width))
 
@@ -373,3 +374,37 @@ def test_position_sweep_estimate_counts_a_window_per_thread(s, monkeypatch):
             events.clear()
             chain.position_moments(psi0, np.arange(float(T)))
             assert events == [_sweep_estimate(s, T, cpus), "evolve"]
+
+
+# lam * t overflows to inf at t = 2, so the phases, and every evolved amplitude, are nan
+_NAN_CHECKS = {
+    "CursorWavefunction": lambda: qc.CursorWavefunction(qc.ChainSpec(3), [np.nan, 0.0, 0.0]),
+    "propagate": lambda: qc.propagate(qc.basis_state(qc.ChainSpec(33, 1e308), 1), 2.0),
+    "position_moments GEMM": lambda: qc.position_moments(
+        qc.basis_state(qc.ChainSpec(33, 1e308), 1), [0.0, 2.0]
+    ),
+    "position_moments FFT": lambda: qc.position_moments(
+        qc.basis_state(qc.ChainSpec(769, 1e308), 1), [0.0, 2.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NAN_CHECKS))
+def test_nan_norm_fails_the_norm_check(entry):
+    with np.errstate(all="ignore"), pytest.raises(qc.NormalizationError, match="nan"):
+        _NAN_CHECKS[entry]()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [17, 513, 639, 640, 769])
+def test_evolve_modes_sample_bits_depend_on_that_sample_alone(s, d):
+    """A grid evolved whole gives each sample the bits it gets evolved alone,
+    on both paths and for one or two columns."""
+    rng = np.random.default_rng(s + d)
+    spec = qc.ChainSpec(s)
+    amps = rng.standard_normal((s, d)) + 1j * rng.standard_normal((s, d))
+    coeff = chain._mode_coefficients(spec, amps / np.linalg.norm(amps, axis=0))
+    times = 0.37 * np.arange(40)
+    whole = chain._evolve_modes(spec, coeff, times)
+    for j, t in enumerate(times):
+        assert np.array_equal(whole[:, j], chain._evolve_modes(spec, coeff, [t])[:, 0]), j

@@ -268,6 +268,16 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
         (["speed-density", "--grid", "0"], "--grid must be at least 1, got --grid 0"),
         (["launchpad", "--variant", "telomere", "--s", "2"],
          "--num-active 25 needs links 1..25, but --s 2 has links 1..1"),
+        (["bloch", "--s", "17", "--step", "0"], "--step must be positive, got --step 0.0"),
+        (["measure", "--s", "17", "--tau", "4", "--step", "0"],
+         "--step must be positive, got --step 0.0"),
+        (["mean-q", "--s", "17", "--t-min", "5", "--t-max", "4"],
+         "--t-max must be greater than --t-min, got --t-max 4.0 and --t-min 5.0"),
+        # a coupling that overflows lam * t makes nan phases, which fail the norm checks
+        (["mean-q", "--s", "33", "--coupling", "1e308", "--t-max", "2"],
+         "norm^2 drifted to nan after propagation"),
+        (["bloch", "--mu", "4", "--s", "17", "--coupling", "1e308", "--t-max", "2"],
+         "norm^2 drifted by nan along the trajectory"),
     ]:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv

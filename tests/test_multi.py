@@ -419,3 +419,35 @@ def test_joint_law_marginal():
         for pi, wi in zip(p, w)
     )
     assert abs(total - 1.0) < 1e-6
+
+
+def _nan_sector_checks():
+    spec, huge = qc.ChainSpec(6), qc.ChainSpec(6, 1e308)  # lam * t overflows at t = 2
+    g = qc.rotation_about_2(0.3)
+    return {
+        "SectorState": (lambda: multi.SectorState(spec, 2, np.full((1, 15), np.nan)), "sector norm"),
+        "propagate_free_sector": (
+            lambda: multi.propagate_free_sector(multi.SectorState.from_product(huge, (1, 2)), 2.0),
+            "drifted to nan",
+        ),
+        "single_link_densities": (
+            lambda: multi.single_link_densities(
+                multi.SectorState.from_product(huge, (1, 2), [1.0, 0.0]), 3, g, [0.0, 2.0]
+            ),
+            "drifted to nan",
+        ),
+        "single_link_densities primitive": (
+            lambda: multi.single_link_densities(
+                multi.SectorState.from_product(spec, (1, 2), [1.0, 0.0]), 3,
+                np.full((2, 2), np.nan), [0.0],
+            ),
+            "unitary",
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_nan_sector_checks()))
+def test_nan_fails_the_sector_checks(entry):
+    call, message = _nan_sector_checks()[entry]
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        call()

@@ -213,3 +213,8 @@ def test_sector_validation():
         oracle.build(spec, bare, sector=6)
     with pytest.raises(ValueError):
         oracle.build(spec, np.ones((3, 1, 1), dtype=complex), sector=1)
+
+
+def test_nan_links_fail_the_hermiticity_check():
+    with pytest.raises(AssertionError, match="Hermitian"):
+        oracle.build(qc.ChainSpec(3), np.full((2, 1, 1), np.nan), sector=1)

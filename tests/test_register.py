@@ -746,16 +746,24 @@ def test_fft_trajectory_against_dense_oracle():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_evolve_modes_bitwise_equals_real_basis_formula(d):
-    """The cached complex V, used untransposed, gives the bits of V.T and the real V."""
+    """The cached complex V, used untransposed, gives the bits of V.T and the
+    real V; one column is evolved sample by sample, as propagate does."""
     rng = np.random.default_rng(d)
     for s in (17, 513):
         spec = qc.ChainSpec(s)
         amps = rng.standard_normal((s, d)) + 1j * rng.standard_normal((s, d))
         times = np.array([0.0, 0.7, 13.0, 250.5])
         e, V = chain.eigenbasis(spec)
-        for grid in (times, *([t] for t in times)):  # one time per call, as in propagate
+
+        def formula(grid):
             phases = np.exp(-1j * np.outer(e, grid))
-            expected = np.tensordot(V, phases[:, :, None] * (V.T @ amps)[:, None, :], axes=(1, 0))
+            return np.tensordot(V, phases[:, :, None] * (V.T @ amps)[:, None, :], axes=(1, 0))
+
+        for grid in (times, *([t] for t in times)):  # one time per call, as in propagate
+            if d == 1:
+                expected = np.concatenate([formula([t]) for t in grid], axis=1)
+            else:
+                expected = formula(grid)
             coeff = chain._complex_modes(spec) @ amps
             assert np.array_equal(chain._evolve_modes(spec, coeff, grid), expected)
 
@@ -814,3 +822,62 @@ def test_local_extrema_helpers():
     y = np.array([0.0, 1.0, 0.5, 2.0, 1.5, 1.5])
     assert list(qc.local_maxima(y)) == [1, 3]
     assert list(qc.local_minima(y)) == [2]
+
+
+def _nan_spinors(machine):
+    """The machine with nan spinors, past MachineState's own check."""
+    object.__setattr__(machine, "spinors", np.full_like(machine.spinors, np.nan))
+    return machine
+
+
+def _nan_trajectory(s):
+    """A toy trajectory whose phases overflow to nan at t = 2."""
+    program, r1 = qc.toy_program(s, 0.3), np.array([1.0, 0.0])
+    return qc.register_trajectory(program, r1, qc.basis_state(qc.ChainSpec(s, 1e308), 1), [0.0, 2.0])
+
+
+_NAN_CHECKS = {
+    "PrimitiveProgram": (lambda: qc.PrimitiveProgram(np.full((2, 2, 2), np.nan)), "unitarity"),
+    "alternating_program": (lambda: qc.alternating_program(5, np.nan), "involution"),
+    "register_state_sequence": (
+        lambda: qc.register_state_sequence(qc.identity_program(3), [np.nan, 0.0]), "normalized"
+    ),
+    "MachineState": (
+        lambda: qc.MachineState(qc.ChainSpec(3), qc.identity_program(3), np.full((3, 2), np.nan)),
+        "machine norm",
+    ),
+    "bloch_polar": (lambda: qc.bloch_polar(np.full((2, 2), complex(np.nan, np.nan))), "1-3 Bloch plane"),
+    "register_trajectory two columns": (lambda: _nan_trajectory(17), "drifted by nan"),
+    "register_trajectory one column": (lambda: _nan_trajectory(chain._FFT_SITES), "drifted by nan"),
+    "measure_clock": (
+        lambda: qc.measure_clock(_nan_spinors(_random_machine(9)), 1), "zero probability"
+    ),
+    "measure_register_sigma3": (
+        lambda: qc.measure_register_sigma3(_nan_spinors(_random_machine(9)), 1), "zero probability"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NAN_CHECKS))
+def test_nan_fails_the_invariant_check(entry):
+    """nan fails each check that a value past its tolerance fails, with its message."""
+    call, message = _NAN_CHECKS[entry]
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_register_imports_no_kernel_constant():
+    """chain alone picks the kernel path and the windows: register imports no
+    crossover, grid test, budget check or window size from it."""
+    import ast
+
+    tree = ast.parse(open(register.__file__).read())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "chain"
+        for alias in node.names
+    }
+    assert "_evolve_modes" in names  # the scan sees the chain import
+    assert not names & {"_FFT_SITES", "_uniform_step", "_check_memory"}
+    assert not [name for name in names if name.endswith("_BYTES")]

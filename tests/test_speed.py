@@ -290,3 +290,11 @@ def test_convergence_in_law():
     assert abs(distances[0] - 0.1148) < 5e-3
     assert distances[0] > distances[1] > distances[2]
     assert distances[2] < 0.07
+
+
+def test_law_general_refuses_nan_amplitudes():
+    """A nan norm fails the normalization check (set past the state's own check)."""
+    psi = qc.basis_state(qc.ChainSpec(5), 1)
+    object.__setattr__(psi, "amplitudes", np.full(5, np.nan + 0j))
+    with pytest.raises(ValueError, match="normalized"):
+        qc.law_general(psi)
