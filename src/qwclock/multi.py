@@ -16,10 +16,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .chain import NORM_DRIFT_TOL, ChainSpec, NormalizationError, eigenvalue, propagator
-from .chain import _check_memory
+from .chain import ChainSpec, eigenvalue, propagator
+from .chain import _check_memory, _check_norm
 from .oracle import sector_occupations
 from .quadrature import composite_gauss_legendre
+from .register import _check_unitary
 
 __all__ = [
     "OccupationSet",
@@ -126,9 +127,7 @@ class SectorState:
         m = len(sector_occupations(self.spec.s, self.n))
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
-        norm2 = float(np.sum(np.abs(arr) ** 2))
-        if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
-            raise NormalizationError(f"sector norm^2 = {norm2!r} deviates from 1")
+        _check_norm(np.sum(np.abs(arr) ** 2), "sector")
 
     @property
     def d(self) -> int:
@@ -192,6 +191,7 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     Leg by leg as np.tensordot did, with each leg's operand copied to the same
     C-ordered layout, but into the work buffers out and spare.  (For n = 2,
     d = 1 np.tensordot passed a transposed view; OpenBLAS gives the same bits.)
+    Unchecked: the caller's SectorState, or the trace of its density, checks the norm.
     """
     s = u.shape[0]
     np.dot(u, start.reshape(s, -1), out=out.reshape(s, -1))
@@ -200,12 +200,7 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
         np.copyto(spare, np.moveaxis(full, axis, 0))
         np.dot(u, spare.reshape(s, -1), out=out.reshape(s, -1))
         full = np.moveaxis(out, 0, axis)
-    ordered = _extract_ordered(full, s, n)
-    # each ordered amplitude appears n! times in the tensor, carrying its sign
-    norm2 = float(np.sum(np.abs(ordered) ** 2))
-    if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
-        raise NormalizationError(f"sector norm^2 drifted to {norm2!r}")
-    return ordered
+    return _extract_ordered(full, s, n)
 
 
 def _free_sector_samples(spec: ChainSpec, n: int, amps: np.ndarray, times):
@@ -249,8 +244,7 @@ def _single_link_samples(state: SectorState, x0: int, g: np.ndarray, times):
     g = np.asarray(g, dtype=complex)
     if g.shape != (state.d, state.d):
         raise ValueError(f"primitive has shape {g.shape}, expected {(state.d,) * 2}")
-    if not np.abs(g.conj().T @ g - np.eye(state.d)).max() <= 1e-12:
-        raise ValueError("primitive must be unitary")
+    _check_unitary(g)
 
     counts = _counts_past(state.spec.s, state.n, x0)
     powers = [np.linalg.matrix_power(g, m) for m in range(state.n + 1)]
@@ -287,8 +281,8 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
 
     One start evolved over a time grid: it is checked, undressed and embedded
     once, and each time costs n leg products of the d * s^n tensor.  Raises
-    ValueError before the first sample, and NormalizationError if the norm
-    drifts beyond NORM_DRIFT_TOL at any time.
+    ValueError before the first sample, and NormalizationError, after the
+    sweep, if the trace of any density (the sector's norm^2) drifted.
     """
     times = np.asarray(times, dtype=float)
     _check_memory(16 * state.d**2 * times.size, f"register densities at {times.size} times")
@@ -296,6 +290,7 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
     densities = map(lambda amps: amps @ amps.conj().T, _single_link_samples(state, x0, g, times))
     for i, rho_t in enumerate(densities):  # no sample's amplitudes outlive it
         rho[i] = rho_t
+    _check_norm(np.trace(rho, axis1=1, axis2=2).real, "sector")
     return rho
 
 

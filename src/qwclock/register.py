@@ -17,11 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import (
-    NORM_DRIFT_TOL,
     ChainSpec,
     CursorWavefunction,
-    NormalizationError,
     PositionStatistics,
+    _check_norm,
     _column_step,
     _evolve_column,
     _evolve_modes,
@@ -127,6 +126,16 @@ def grover_initial_state(params: GroverParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # link programs
 
+def _check_unitary(ops: np.ndarray) -> None:
+    """The one unitarity check, of a (..., d, d) stack of link operators (a
+    program's, or multi's single-link primitive): ValueError unless each is
+    unitary to _UNITARY_TOL; nan fails."""
+    eye = np.eye(ops.shape[-1])
+    dev = np.abs(ops.conj().swapaxes(-1, -2) @ ops - eye).max()
+    if not dev <= _UNITARY_TOL:
+        raise ValueError(f"link operators deviate from unitarity by {dev:g}")
+
+
 class PrimitiveProgram:
     """The 2x2 unitaries U_1 .. U_{s-1} applied on the chain links."""
 
@@ -134,11 +143,7 @@ class PrimitiveProgram:
         arr = np.asarray(unitaries, dtype=complex)
         if arr.ndim != 3 or arr.shape[1:] != (2, 2) or arr.shape[0] < 1:
             raise ValueError(f"expected (s-1, 2, 2) unitaries, got shape {arr.shape}")
-        dev = np.abs(
-            np.einsum("xji,xjk->xik", arr.conj(), arr) - _ID2[None, :, :]
-        ).max()
-        if not dev <= _UNITARY_TOL:
-            raise ValueError(f"link operators deviate from unitarity by {dev:g}")
+        _check_unitary(arr)
         arr.flags.writeable = False
         self.unitaries = arr
         self.s = arr.shape[0] + 1
@@ -204,9 +209,7 @@ def single_link_program(s: int, x0: int, g: np.ndarray) -> PrimitiveProgram:
 def register_state_sequence(program: PrimitiveProgram, r1) -> np.ndarray:
     """|R(x)> = U_{x-1} ... U_1 |R(1)> for x = 1..s, shape (s, 2)."""
     r1 = np.asarray(r1, dtype=complex)
-    norm = np.linalg.norm(r1)
-    if not abs(norm - 1.0) <= NORM_DRIFT_TOL:
-        raise ValueError(f"register state must be normalized, |R1| = {norm!r}")
+    _check_norm(np.sum(np.abs(r1) ** 2), "register state")
     return np.einsum("xij,j->xi", program.cumulative, r1)
 
 
@@ -228,9 +231,7 @@ class MachineState:
             raise ValueError(f"spinors have shape {arr.shape}, expected ({self.spec.s}, 2)")
         if self.program.s != self.spec.s:
             raise ValueError("program length does not match the chain")
-        norm2 = float(np.sum(np.abs(arr) ** 2))
-        if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
-            raise NormalizationError(f"machine norm^2 = {norm2!r} deviates from 1")
+        _check_norm(np.sum(np.abs(arr) ** 2), "machine")
 
     @classmethod
     def from_product(
@@ -448,8 +449,7 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     Times are offsets from the machine's current state.  The grid is evolved
     in the chunks chain._grid_chunks picks, each reduced to the Bloch vector
     and norm before the next, so temporaries are O(s * chunk), not O(s * T).
-    Raises NormalizationError if the norm drifts beyond NORM_DRIFT_TOL at
-    any time.
+    Raises NormalizationError if the norm drifts at any time.
     """
     times = np.asarray(times, dtype=float)
     # held: the O(T) results (three sums here, about ten series in the
@@ -468,11 +468,8 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
 
 def _checked_trajectory(times, coherence, s3, norm2) -> RegisterTrajectory:
     """The trajectory of a register with rho[1, 0] = coherence and Bloch s3 over
-    times; NormalizationError if norm2, the machine's norm^2, drifted past
-    NORM_DRIFT_TOL at any time."""
-    drift = float(np.abs(norm2 - 1.0).max(initial=0.0))
-    if not drift <= NORM_DRIFT_TOL:
-        raise NormalizationError(f"norm^2 drifted by {drift!r} along the trajectory")
+    times; NormalizationError if norm2, the machine's norm^2, drifted at any time."""
+    _check_norm(norm2, "machine")
     return RegisterTrajectory.from_coherence(times, coherence, s3, (1.0 + s3) / 2.0)
 
 

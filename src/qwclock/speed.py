@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import NORM_DRIFT_TOL, ChainSpec, CursorWavefunction, _each, propagate
+from .chain import ChainSpec, CursorWavefunction, _check_norm, _each, propagate
 from .quadrature import composite_gauss_legendre, integrate
 
 __all__ = [
@@ -185,9 +185,7 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
     (|Psi(arcsin v)|^2 + |Psi(pi - arcsin v)|^2) / sqrt(1 - v^2);
     moments and CDF by quadrature.
     """
-    norm2 = float(np.sum(np.abs(psi0.amplitudes) ** 2))
-    if not abs(norm2 - 1.0) <= NORM_DRIFT_TOL:
-        raise ValueError(f"initial state must be normalized, norm^2 = {norm2!r}")
+    _check_norm(np.sum(np.abs(psi0.amplitudes) ** 2), "initial state")
 
     def integrand_p(p):
         return (

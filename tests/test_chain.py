@@ -334,14 +334,14 @@ def test_position_moments_bitwise_equal_propagate(s, cpus, monkeypatch):
 
 def _sweep_estimate(s, T, cpus):
     """The position sweep's checked estimate, written out: the two moment
-    columns (16 B per sample), each thread's one-sample temporaries (64 B per
-    site), and one window per thread that evolves one (no more threads than
-    windows), as wide as the grid when the grid is narrower.  Below 640 sites
-    V and its complex copy (24 s^2) and windows of 65536 B of phases, 40 B per
+    columns and the norm^2 column (24 B per sample), each thread's one-sample
+    temporaries (64 B per site), and one window per thread that evolves one
+    (no more threads than windows), as wide as the grid when the grid is
+    narrower.  Below 640 sites V and its complex copy (24 s^2) and windows of 65536 B of phases, 40 B per
     site and sample with their arguments; from 640 sites on one-column
     windows of 384 KiB of 40 B per extended site and sample (extension and
     phase arguments)."""
-    held = 16 * T + 64 * s * cpus
+    held = 24 * T + 64 * s * cpus
     if s < 640:
         width = 65536 // (16 * s)
         return held + 24 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
@@ -374,6 +374,17 @@ def test_position_sweep_estimate_counts_a_window_per_thread(s, monkeypatch):
             events.clear()
             chain.position_moments(psi0, np.arange(float(T)))
             assert events == [_sweep_estimate(s, T, cpus), "evolve"]
+
+
+def test_site_statistics_clip_the_mean_to_the_sites():
+    """The mean lies in [1, s] and nan stays nan; the variance keeps the
+    unclipped mean's bits."""
+    for p, mean in (([1.0 - 1e-15, 0.0, 0.0], 1.0), ([0.0, 0.0, 1.0 + 1e-15], 3.0)):
+        stats = chain._site_statistics(np.array(p))
+        raw = float(np.dot(np.arange(1, 4), p))
+        assert stats.mean == mean != raw
+        assert stats.variance == float(np.dot(np.arange(1, 4) ** 2, p) - raw**2)
+    assert np.isnan(chain._site_statistics(np.array([np.nan, 0.0, 0.0])).mean)
 
 
 # lam * t overflows to inf at t = 2, so the phases, and every evolved amplitude, are nan

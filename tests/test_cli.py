@@ -275,9 +275,12 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
          "--t-max must be greater than --t-min, got --t-max 4.0 and --t-min 5.0"),
         # a coupling that overflows lam * t makes nan phases, which fail the norm checks
         (["mean-q", "--s", "33", "--coupling", "1e308", "--t-max", "2"],
-         "norm^2 drifted to nan after propagation"),
+         "state norm^2 = nan deviates from 1"),
         (["bloch", "--mu", "4", "--s", "17", "--coupling", "1e308", "--t-max", "2"],
-         "norm^2 drifted by nan along the trajectory"),
+         "machine norm^2 = nan deviates from 1"),
+        # and from 640 sites, where the one-column route's anchored phases stay finite
+        (["bloch", "--mu", "4", "--s", "700", "--coupling", "1e308", "--t-max", "2"],
+         "machine norm^2 = nan deviates from 1"),
     ]:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {line}\n", argv
@@ -288,6 +291,15 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
             f"error: --mu {argv[1]} overflows the --num-active default "
             "floor(pi/4 2^(mu/2)); give --num-active\n"
         )
+
+
+def test_mean_q_lies_on_the_sites(capsys):
+    """A mean over sites 1..s lies in [1, s]; summed rounding once printed
+    0.999999999999999 for the cursor at site 1."""
+    assert main(["mean-q", "--s", "513", "--n", "1", "--step", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    means = np.array([float(row.split(",")[1]) for row in rows])
+    assert means.size == 514 and ((means >= 1.0) & (means <= 513.0)).all()
 
 
 def test_emit_normalizes_negative_zero_and_refuses_non_finite(tmp_path, capsys):

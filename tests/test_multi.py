@@ -428,20 +428,20 @@ def _nan_sector_checks():
         "SectorState": (lambda: multi.SectorState(spec, 2, np.full((1, 15), np.nan)), "sector norm"),
         "propagate_free_sector": (
             lambda: multi.propagate_free_sector(multi.SectorState.from_product(huge, (1, 2)), 2.0),
-            "drifted to nan",
+            r"sector norm\^2 = nan",
         ),
         "single_link_densities": (
             lambda: multi.single_link_densities(
                 multi.SectorState.from_product(huge, (1, 2), [1.0, 0.0]), 3, g, [0.0, 2.0]
             ),
-            "drifted to nan",
+            r"sector norm\^2 = nan",
         ),
         "single_link_densities primitive": (
             lambda: multi.single_link_densities(
                 multi.SectorState.from_product(spec, (1, 2), [1.0, 0.0]), 3,
                 np.full((2, 2), np.nan), [0.0],
             ),
-            "unitary",
+            "unitarity",
         ),
     }
 

@@ -830,25 +830,32 @@ def _nan_spinors(machine):
     return machine
 
 
-def _nan_trajectory(s):
+def _nan_trajectory(s, times=(0.0, 2.0)):
     """A toy trajectory whose phases overflow to nan at t = 2."""
     program, r1 = qc.toy_program(s, 0.3), np.array([1.0, 0.0])
-    return qc.register_trajectory(program, r1, qc.basis_state(qc.ChainSpec(s, 1e308), 1), [0.0, 2.0])
+    return qc.register_trajectory(program, r1, qc.basis_state(qc.ChainSpec(s, 1e308), 1), times)
 
 
 _NAN_CHECKS = {
     "PrimitiveProgram": (lambda: qc.PrimitiveProgram(np.full((2, 2, 2), np.nan)), "unitarity"),
     "alternating_program": (lambda: qc.alternating_program(5, np.nan), "involution"),
     "register_state_sequence": (
-        lambda: qc.register_state_sequence(qc.identity_program(3), [np.nan, 0.0]), "normalized"
+        lambda: qc.register_state_sequence(qc.identity_program(3), [np.nan, 0.0]),
+        r"register state norm\^2 = nan",
     ),
     "MachineState": (
         lambda: qc.MachineState(qc.ChainSpec(3), qc.identity_program(3), np.full((3, 2), np.nan)),
         "machine norm",
     ),
     "bloch_polar": (lambda: qc.bloch_polar(np.full((2, 2), complex(np.nan, np.nan))), "1-3 Bloch plane"),
-    "register_trajectory two columns": (lambda: _nan_trajectory(17), "drifted by nan"),
-    "register_trajectory one column": (lambda: _nan_trajectory(chain._FFT_SITES), "drifted by nan"),
+    "register_trajectory two columns": (lambda: _nan_trajectory(17), r"machine norm\^2 = nan"),
+    "register_trajectory one column": (
+        lambda: _nan_trajectory(chain._FFT_SITES), r"machine norm\^2 = nan"
+    ),
+    # the anchors at t = 0, 0.8 and 1.6 and the offsets up to 0.7 stay finite
+    "register_trajectory one column, overflow between anchors": (
+        lambda: _nan_trajectory(700, np.linspace(0.0, 2.0, 21)), r"machine norm\^2 = nan"
+    ),
     "measure_clock": (
         lambda: qc.measure_clock(_nan_spinors(_random_machine(9)), 1), "zero probability"
     ),

@@ -296,5 +296,5 @@ def test_law_general_refuses_nan_amplitudes():
     """A nan norm fails the normalization check (set past the state's own check)."""
     psi = qc.basis_state(qc.ChainSpec(5), 1)
     object.__setattr__(psi, "amplitudes", np.full(5, np.nan + 0j))
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError, match=r"initial state norm\^2 = nan"):
         qc.law_general(psi)
