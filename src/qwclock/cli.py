@@ -292,8 +292,9 @@ def _speed_law_from(v) -> speed.SpeedLaw:
         _pad_size(v["n"])
         return speed.law_pad_cn(v["n"])
     if family == "gamma":
-        spec = chain.ChainSpec(max(2, _pad_size(v["n"])))
-        return speed.law_general(chain.gamma_state(spec, v["n"]))
+        s = max(2, _pad_size(v["n"]))
+        speed._check_law_memory(s, f"--n {v['n']} with a chain of {s} sites")
+        return speed.law_general(chain.gamma_state(chain.ChainSpec(s), v["n"]))
     raise ValueError(f"unknown speed family {family!r}")
 
 

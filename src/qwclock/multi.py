@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .chain import ChainSpec, eigenvalue, propagator
-from .chain import _check_memory, _check_norm
+from . import chain
+from .chain import ChainSpec, eigenbasis, eigenvalue, propagator
+from .chain import _check_memory, _check_norm, _each
 from .oracle import sector_occupations
 from .quadrature import composite_gauss_legendre
 from .register import _check_unitary
@@ -36,11 +38,19 @@ __all__ = [
 ]
 
 
-def _check_sector_memory(s: int, n: int, d: int) -> None:
-    """Budget the C(s, n) labels, the s x s propagator and about four d*s^n tensors;
-    every SectorState passes this, so propagate_free_sector is budgeted too."""
-    labels = math.comb(s, n) * (64 + 16 * n)
-    _check_memory(labels + 64 * s * s + 64 * d * s**n, f"sector s={s}, n={n}, d={d}")
+# a start of at most this many bytes (d*s^n complex) is evolved whole, a larger one label
+# by label, which holds less: on two Xeon vCPUs whole was faster at 442 kB, not at 702 kB
+_WHOLE_START_BYTES = 2**19
+
+
+def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None) -> None:
+    """Budget the C(s, n) labels, the d*s^n start and, per thread, the s x s propagator,
+    two width*s^n work tensors (width d by default) and four (d, C(s, n)) temporaries;
+    every SectorState passes this at one thread, so propagate_free_sector is too."""
+    c, width = math.comb(s, n), d if width is None else width
+    per_thread = 64 * s * s + 32 * width * s**n + 64 * d * c
+    nbytes = c * (64 + 16 * n) + 16 * d * s**n + workers * per_thread
+    _check_memory(nbytes, f"sector s={s}, n={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,7 @@ def _extract_ordered(full: np.ndarray, s: int, n: int) -> np.ndarray:
 
 
 def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, n: int):
-    """Free-sector amplitudes (d, C(s, n)) of the embedded start after the propagator u.
+    """Free-sector amplitudes (labels, C(s, n)) of the embedded start after the propagator u.
 
     Leg by leg as np.tensordot did, with each leg's operand copied to the same
     C-ordered layout, but into the work buffers out and spare.  (For n = 2,
@@ -203,19 +213,32 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     return _extract_ordered(full, s, n)
 
 
-def _free_sector_samples(spec: ChainSpec, n: int, amps: np.ndarray, times):
-    """Yield the free-sector amplitudes of a start at each time: the start is
-    embedded once, so a run holds three d * s^n tensors and allocates none per sample."""
-    start = _embed_antisymmetric(amps, spec.s, n)
-    out, spare = np.empty_like(start), np.empty_like(start)  # both (s, d, s, ..., s)
-    for t in times:
-        yield _free_sample(propagator(spec, t), start, out, spare, n)
+def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -> None:
+    """Call emit(i, free) with the free-sector amplitudes (d, C(s, n)) at each times[i],
+    the samples spread over the CPUs by _each.  The start is embedded once, whole up to
+    _WHOLE_START_BYTES and else label by label, and shared; each thread evolves whole
+    samples in a work pair of its own, of one embedded tensor's size.  Budgeted first."""
+    d, s = amps.shape[0], spec.s
+    width = d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
+    _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width)
+    starts = [_embed_antisymmetric(amps[z : z + width], s, n) for z in range(0, d, width)]
+    local = threading.local()
+
+    def sample(i):
+        if not hasattr(local, "pair"):
+            local.pair = np.empty_like(starts[0]), np.empty_like(starts[0])
+        u = propagator(spec, times[i])
+        emit(i, np.concatenate([_free_sample(u, start, *local.pair, n) for start in starts]))
+
+    eigenbasis(spec)  # cached before the threads share it
+    _each(sample, len(times))
 
 
 def propagate_free_sector(state: SectorState, t: float) -> SectorState:
     """Evolve under the bare chain: one single-particle propagator per leg."""
-    amps = next(_free_sector_samples(state.spec, state.n, state.amplitudes, [t]))
-    return SectorState(state.spec, state.n, amps)
+    amps = [None]
+    _free_sector_sweep(state.spec, state.n, state.amplitudes, [t], amps.__setitem__)
+    return SectorState(state.spec, state.n, amps[0])
 
 
 def _counts_past(s: int, n: int, x0: int) -> np.ndarray:
@@ -234,9 +257,9 @@ def count_past_link_distribution(state: SectorState, x0: int) -> np.ndarray:
     return probs
 
 
-def _single_link_samples(state: SectorState, x0: int, g: np.ndarray, times):
-    """Yield the amplitudes (d, C(s, n)) at each time with primitive g on link x0;
-    the start is checked and undressed once, before the first sample."""
+def _single_link_sweep(state: SectorState, x0: int, g: np.ndarray, times, emit) -> None:
+    """Call emit(i, amps) with the amplitudes (d, C(s, n)) at each times[i], primitive g
+    on link x0; the start is checked and undressed once, before the first sample."""
     if x0 < state.n:
         raise ValueError(f"active link x0={x0} must be >= n={state.n}")
     if x0 > state.spec.s - 1:
@@ -254,14 +277,12 @@ def _single_link_samples(state: SectorState, x0: int, g: np.ndarray, times):
     for m, mask in masks:
         undressed[:, mask] = powers[m].conj().T @ state.amplitudes[:, mask]
 
-    def redress(free):
-        dressed = np.empty_like(free)
+    def redress(free):  # in place: the masks are disjoint
         for m, mask in masks:
-            dressed[:, mask] = powers[m] @ free[:, mask]
-        return dressed
+            free[:, mask] = powers[m] @ free[:, mask]
+        return free
 
-    # map, unlike a for-loop variable, keeps no sample alive while the next is evolved
-    yield from map(redress, _free_sector_samples(state.spec, state.n, undressed, times))
+    _free_sector_sweep(state.spec, state.n, undressed, times, lambda i, a: emit(i, redress(a)))
 
 
 def propagate_single_link(
@@ -273,23 +294,26 @@ def propagate_single_link(
     past x0); undressing by those powers reduces the dynamics to the free
     sector, which is propagated and then re-dressed.
     """
-    return SectorState(state.spec, state.n, next(_single_link_samples(state, x0, g, [t])))
+    amps = [None]
+    _single_link_sweep(state, x0, g, [t], amps.__setitem__)
+    return SectorState(state.spec, state.n, amps[0])
 
 
 def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> np.ndarray:
     """Register density matrices, shape (T, d, d), with primitive g on link x0 only.
 
     One start evolved over a time grid: it is checked, undressed and embedded
-    once, and each time costs n leg products of the d * s^n tensor.  Raises
-    ValueError before the first sample, and NormalizationError, after the
-    sweep, if the trace of any density (the sector's norm^2) drifted.
+    once, and each time costs n leg products of the d * s^n tensor (label by
+    label above _WHOLE_START_BYTES).  _each spreads the samples over the CPUs;
+    each gets the bits it gets alone, so rho does not depend on the CPU count.
+    Raises ValueError before the first sample, the lowest failing sample's
+    error, and NormalizationError, after the sweep, if the trace of any
+    density (the sector's norm^2) drifted.
     """
     times = np.asarray(times, dtype=float)
     _check_memory(16 * state.d**2 * times.size, f"register densities at {times.size} times")
     rho = np.empty((times.size, state.d, state.d), dtype=complex)
-    densities = map(lambda amps: amps @ amps.conj().T, _single_link_samples(state, x0, g, times))
-    for i, rho_t in enumerate(densities):  # no sample's amplitudes outlive it
-        rho[i] = rho_t
+    _single_link_sweep(state, x0, g, times, lambda i, a: np.matmul(a, a.conj().T, out=rho[i]))
     _check_norm(np.trace(rho, axis1=1, axis2=2).real, "sector")
     return rho
 

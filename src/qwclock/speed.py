@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainSpec, CursorWavefunction, _check_norm, _each, propagate
+from . import chain
+from .chain import ChainSpec, CursorWavefunction, _check_memory, _check_norm, _each, propagate
 from .quadrature import composite_gauss_legendre, integrate
 
 __all__ = [
@@ -37,6 +38,10 @@ __all__ = [
 
 # sideways nudge in p applied at the removable 0/0 points of the pad-ck law
 _SINGULAR_OFFSET = 1e-9
+# bytes per site of law_general: the state's amplitudes, and per thread one
+# quadrature point's site indices and (512, s) scaled sine matrix with its complex
+# cast, 24 B per node (traced slope on two threads: 24,583 to 24,592 B per site)
+_LAW_SITE_BYTES, _POINT_SITE_BYTES = 16, 8 + 24 * 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +191,7 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
     moments and CDF by quadrature.
     """
     _check_norm(np.sum(np.abs(psi0.amplitudes) ** 2), "initial state")
+    _check_law_memory(psi0.spec.s, f"speed law of a state on {psi0.spec.s} sites")
 
     def integrand_p(p):
         return (
@@ -194,6 +200,12 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
         )
 
     return _law("general", integrand_p)
+
+
+def _check_law_memory(s: int, what: str) -> None:
+    """Budget law_general on s sites before its first integrand call: its moments
+    run on the calling thread, its CDF points on chain._cpus() threads."""
+    _check_memory((_LAW_SITE_BYTES + _POINT_SITE_BYTES * chain._cpus()) * s, what)
 
 
 def law_pad_ck(epsilon: int, k: int) -> SpeedLaw:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -389,6 +390,17 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     monkeypatch.setattr("qwclock.cli._run_speed_density", out_of_memory)
     assert main(["speed-density"]) == 3
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_gamma_speed_law_refused_before_its_chain_exists(capsys, monkeypatch):
+    """speed-density --family gamma budgets its chain's sites and each thread's
+    quadrature temporaries: --n 200000 (399,999 sites) exits 3 within a second,
+    naming --n, before the state is built."""
+    monkeypatch.setattr("qwclock.chain.gamma_state", _must_not_run)
+    start = time.perf_counter()
+    assert main(["speed-density", "--family", "gamma", "--n", "200000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    _one_line_naming(capsys, "--n 200000")
 
 
 def test_scenario_file_with_override(tmp_path, capsys):

@@ -1,4 +1,8 @@
 import dataclasses
+import math
+import sys
+import threading
+import time
 import weakref
 from itertools import combinations, permutations
 
@@ -6,7 +10,7 @@ import numpy as np
 import pytest
 
 import qwclock as qc
-from qwclock import cli, multi, oracle
+from qwclock import chain, cli, multi, oracle
 
 
 def test_occupation_set_validation():
@@ -200,27 +204,143 @@ def test_single_link_validation(monkeypatch):
 
 
 def test_single_link_densities_keep_no_sample_alive(monkeypatch):
-    """When a sample starts, the previous propagator and amplitudes are freed
-    (at n = 1, s = 3000 a kept propagator alone adds 144 MB)."""
-    refs = []
+    """When a thread starts a sample, its previous samples' propagators and
+    amplitudes are freed: at most one sample per thread is alive (at n = 1,
+    s = 3000 a kept propagator alone adds 144 MB).  On one thread no previous
+    sample is alive at all.  A whole start, and a start label by label."""
+    refs = []  # (thread, weak reference)
     unitary, extract = multi.propagator, multi._extract_ordered
 
     def propagator(spec, t):
-        assert all(ref() is None for ref in refs), "a previous sample is still referenced"
+        me = threading.get_ident()
+        assert all(ref() is None for owner, ref in refs if owner == me), "a sample is still alive"
         u = unitary(spec, t)
-        refs.append(weakref.ref(u))
+        refs.append((me, weakref.ref(u)))
         return u
 
     def extract_ordered(full, s, n):
         amps = extract(full, s, n)
-        refs.append(weakref.ref(amps))
+        refs.append((threading.get_ident(), weakref.ref(amps)))
         return amps
 
     monkeypatch.setattr(multi, "propagator", propagator)
     monkeypatch.setattr(multi, "_extract_ordered", extract_ordered)
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
-    qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), [0.5, 1.0, 1.5])
-    assert len(refs) == 6
+    for cpus in (1, 3):
+        for whole in (True, False):
+            monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+            monkeypatch.setattr(multi, "_WHOLE_START_BYTES", float("inf") if whole else 0)
+            refs.clear()
+            qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), 0.5 * np.arange(1.0, 13.0))
+            assert len(refs) == 12 * (2 if whole else 3)  # a propagator and one or d extracts
+
+
+# (mu, g, s, x0, t_max) of multi_small.csv's argv and of the multi-sector
+# benchmark workload's argv at seeds 1, 2 and 3 (its t_max is 4 s, step 1)
+_MULTI_RUNS = [(4, 2, 10, 4, 10.0), (4, 4, 16, 13, 64.0), (2, 4, 16, 5, 64.0), (5, 4, 16, 13, 64.0)]
+
+
+@pytest.mark.parametrize("mu,n,s,x0,t_max", _MULTI_RUNS)
+def test_single_link_densities_bits_do_not_depend_on_the_thread_count(
+    mu, n, s, x0, t_max, monkeypatch
+):
+    """Bitwise the same densities on 1, 2 and 3 threads (more threads than most
+    hosts' CPUs, switching often): threads share only the read-only start."""
+    values = {"mu": mu, "g": n, "s": s, "x0": x0, "coupling": 1.0}
+    state, x0, g = cli._multi_start(values)
+    times = cli._time_grid(0.0, t_max, 1.0)
+    rho, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+            rho.append(qc.single_link_densities(state, x0, g, times))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(rho[0], rho[1]) and np.array_equal(rho[0], rho[2])
+
+
+def _failing_at(fails, delays=None):
+    """multi.propagator, raising ValueError('sample <t>') at the times in fails,
+    each after its delay in seconds."""
+    unitary = multi.propagator
+
+    def propagator(spec, t):
+        time.sleep((delays or {}).get(t, 0.0))
+        if t in fails:
+            raise ValueError(f"sample {t:g}")
+        return unitary(spec, t)
+
+    return propagator
+
+
+def test_single_link_densities_raise_the_lowest_failing_sample(monkeypatch):
+    """Samples 2 and 5 fail, sample 5 first in time when threads run: the error
+    of sample 2, which a serial loop meets first, is raised on any thread count."""
+    state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
+    monkeypatch.setattr(multi, "propagator", _failing_at({2.0, 5.0}, {2.0: 0.1}))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="^sample 2$"):
+            qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), np.arange(8.0))
+
+
+def test_single_link_densities_leave_no_thread_behind(monkeypatch):
+    """Samples run on several threads, and no helper thread outlives the call,
+    whether it returns or raises."""
+    state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
+    ran_on = set()
+    failing = _failing_at({9.0}, dict.fromkeys(np.arange(12.0), 0.01))
+
+    def propagator(spec, t):
+        ran_on.add(threading.get_ident())
+        return failing(spec, t)
+
+    monkeypatch.setattr(multi, "propagator", propagator)
+    monkeypatch.setattr(chain, "_cpus", lambda: 3)
+    before = set(threading.enumerate())
+    qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), np.arange(9.0))
+    assert len(ran_on) > 1 and set(threading.enumerate()) == before
+    with pytest.raises(ValueError, match="sample 9"):
+        qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), np.arange(12.0))
+    assert set(threading.enumerate()) == before
+
+
+def _sector_sweep_estimate(s, n, d, T, cpus, width):
+    """The sector sweep's estimate, written out: the C(s, n) labels at 64 + 16 n B
+    each and the d s^n embedded start (16 B each), and per thread (no more threads
+    than samples) the s x s propagator (64 B per entry), a work pair of two
+    width s^n tensors and four (d, C(s, n)) sample temporaries."""
+    c = math.comb(s, n)
+    per_thread = 64 * s * s + 32 * width * s**n + 64 * d * c
+    return c * (64 + 16 * n) + 16 * d * s**n + min(cpus, T) * per_thread
+
+
+@pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
+def test_sector_sweep_estimate_counts_a_work_pair_per_thread(s, n, width, monkeypatch):
+    """The estimate is checked once, to the byte, before any sample is evolved:
+    a whole start (9 sites, 2.6 kB) and a start label by label (16 sites, 2 MiB)."""
+    events = []
+    check_memory, each = multi._check_memory, multi._each
+
+    def recording_check(nbytes, what):
+        if what.startswith("sector"):
+            events.append(nbytes)
+        check_memory(nbytes, what)
+
+    def recording_each(fn, count):
+        events.append("evolve")
+        each(fn, count)
+
+    state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), [0.6, 0.8])
+    monkeypatch.setattr(multi, "_check_memory", recording_check)
+    monkeypatch.setattr(multi, "_each", recording_each)
+    for T in (1, 4):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+            events.clear()
+            qc.single_link_densities(state, n + 1, qc.rotation_about_2(0.3), np.arange(float(T)))
+            assert events == [_sector_sweep_estimate(s, n, 2, T, cpus, width), "evolve"]
 
 
 def _per_sample_free(spec, n, amps, t):

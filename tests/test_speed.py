@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import qwclock as qc
+from qwclock import chain, speed
 from qwclock.quadrature import composite_gauss_legendre
 
 MEAN_LOCALIZED = 8.0 / (3.0 * np.pi)
@@ -298,3 +301,50 @@ def test_law_general_refuses_nan_amplitudes():
     object.__setattr__(psi, "amplitudes", np.full(5, np.nan + 0j))
     with pytest.raises(ValueError, match=r"initial state norm\^2 = nan"):
         qc.law_general(psi)
+
+
+def test_law_general_estimate_bounds_its_traced_slope(monkeypatch):
+    """On one thread, from 1,999 to 3,999 sites, the checked estimate grows at
+    least as fast as the peak tracemalloc sees over the law, its density and its
+    CDF, and less than twice as fast; each further thread adds one thread's part.
+    (On two threads the traced peak depends on how the threads overlap.)"""
+    estimates, peaks = [], []
+    check_memory = speed._check_memory
+
+    def recording_check(nbytes, what):
+        estimates.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(speed, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    v = np.arange(1, 9) / 9.0
+    for n in (1000, 2000):
+        psi0 = qc.gamma_state(qc.ChainSpec(2 * n - 1), n)
+        tracemalloc.start()
+        try:
+            law = qc.law_general(psi0)
+            law.density(v)
+            law.cdf(v)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    traced, estimated = peaks[1] - peaks[0], estimates[1] - estimates[0]
+    assert traced <= estimated < 2 * traced
+    for cpus in (2, 3):
+        monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+        speed._check_law_memory(3999, "law")
+    thread = estimates[2] - estimates[1]
+    assert thread == estimates[3] - estimates[2] and estimates[1] - thread == 16 * 3999
+
+
+def test_law_general_refuses_before_its_first_integrand_call(monkeypatch):
+    """A state on 399,999 sites (about 4.9 GB of quadrature temporaries per
+    thread) is refused before any momentum amplitude is computed."""
+
+    def must_not_run(*args):
+        raise AssertionError("computed an integrand past the budget")
+
+    psi0 = qc.gamma_state(qc.ChainSpec(399_999), 5)
+    monkeypatch.setattr(speed, "momentum_amplitude", must_not_run)
+    with pytest.raises(qc.ResourceLimitError, match="399999 sites"):
+        qc.law_general(psi0)
