@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 
-# a start of at most this many bytes (d*s^n complex) is evolved whole, a larger one label
-# by label, which holds less: on two Xeon vCPUs whole was faster at 442 kB, not at 702 kB
+# a start of at most this many bytes (d*s^n complex) is evolved whole, which keeps OpenBLAS's
+# bits and was the faster at 442 kB; a larger one label by label, which holds less
 _WHOLE_START_BYTES = 2**19
 
 
@@ -205,11 +205,11 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     """
     s = u.shape[0]
     np.dot(u, start.reshape(s, -1), out=out.reshape(s, -1))
-    full = np.moveaxis(out, 0, 1)  # (d, l1, ..., ln), leg 1 updated
-    for axis in range(2, n + 1):
-        np.copyto(spare, np.moveaxis(full, axis, 0))
+    full = out.swapaxes(0, 1)  # (d, l1, ..., ln), leg 1 updated
+    for axis in range(2, n + 1):  # the views of np.moveaxis(full, axis, 0) and back, cheaper
+        np.copyto(spare, full.transpose(axis, *range(axis), *range(axis + 1, n + 1)))
         np.dot(u, spare.reshape(s, -1), out=out.reshape(s, -1))
-        full = np.moveaxis(out, 0, axis)
+        full = out.transpose(*range(1, axis + 1), 0, *range(axis + 1, n + 1))
     return _extract_ordered(full, s, n)
 
 
