@@ -328,16 +328,14 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
     per start and check the norm.  Below _FFT_SITES sites it is a GEMM over
     the cached complex V, one product per sample for d = 1; from there on
     the FFT sine transform, which returns a strided view.  Times do not mix,
-    so a grid may be evolved in chunks (_grid_chunks), and a sample's bits
-    depend on that sample alone on every path.  On the GEMM path this holds
-    with one BLAS thread: a threaded GEMM splits its columns by their count,
-    so its bits may follow the width.
+    so callers evolve a grid in the windows _grid_chunks picks and budgets,
+    and a sample's bits depend on that sample alone on every path.  On the
+    GEMM path this holds with one BLAS thread: a threaded GEMM splits its
+    columns by their count, so its bits may follow the width.
     """
     s, T, d = spec.s, len(times), coeff.shape[1]
     e = _energies(spec)
     if s >= _FFT_SITES:
-        # the (T, d, 2(s+1)) extension and the (T, s) phase arguments, no V
-        _check_memory(32 * (s + 1) * T * d + 8 * s * T, f"evolving s={s} sites over {T} times")
         ext = np.empty((T, d, 2 * (s + 1)), dtype=complex)
         body = ext[:, :, 1 : s + 1]
         # the phases exp(-i e_k t) go straight into the first column, which
@@ -347,9 +345,6 @@ def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
         np.multiply(body[:, :1], scaled[1:], out=body[:, 1:])
         body[:, 0] *= scaled[0]
         return _sine_transform(ext).transpose(2, 0, 1)
-    # V, its complex copy and about three (s, T, d) complex temporaries; in a
-    # trajectory T is one chunk's width, so this is checked chunk by chunk
-    _check_memory(24 * s * s + 48 * s * T * d, f"evolving s={s} sites over {T} times")
     Vc = _complex_modes(spec)
     if d > 1:
         phases = np.exp(-1j * np.outer(e, times))  # (s, T)
@@ -446,8 +441,9 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, wor
     and sample on the GEMM path (plus V and its complex copy) and 32 d B per
     site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
     with the widest chunk once per worker evolving one at a time (up to
-    `workers`, no more than there are chunks), is checked once here, before
-    any window is evolved.  A chunk of one column holds
+    `workers`, no more than there are chunks), is checked once here, on the
+    calling thread, before any window is evolved; no evolution is budgeted
+    elsewhere, a one-sample one included.  A chunk of one column holds
     _MOMENT_WINDOW_BYTES of phases on the GEMM path and _COLUMN_CHUNK_BYTES
     on the FFT path; of more columns, _CHUNK_BYTES of output on the GEMM path
     and _FFT_CHUNK_BYTES on the FFT path.
@@ -471,6 +467,7 @@ def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:
     reused by later ones.  The evolved state checks its own norm.
     """
     spec = psi0.spec
+    _grid_chunks(spec, [t], 1, 0, 32)  # one sample: the evolved column and the state's copy
     return CursorWavefunction(spec, _evolve_modes(spec, psi0._coefficients, [t])[:, 0, 0])
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import chain
 from .chain import ChainSpec, eigenbasis, eigenvalue, propagator
-from .chain import _check_memory, _check_norm, _each
+from .chain import _check_memory, _check_norm, _check_site, _each
 from .oracle import sector_occupations
 from .quadrature import composite_gauss_legendre
 from .register import _check_unitary
@@ -247,8 +247,7 @@ def _counts_past(s: int, n: int, x0: int) -> np.ndarray:
 
 def count_past_link_distribution(state: SectorState, x0: int) -> np.ndarray:
     """Probability that exactly m of the n excitations sit past site x0."""
-    if not 1 <= x0 <= state.spec.s:
-        raise ValueError(f"x0={x0} outside 1..{state.spec.s}")
+    _check_site(state.spec, x0, "x0")
     counts = _counts_past(state.spec.s, state.n, x0)
     weights = state.occupation_probabilities()
     probs = np.zeros(state.n + 1)

@@ -21,6 +21,7 @@ from .chain import (
     CursorWavefunction,
     PositionStatistics,
     _check_norm,
+    _check_site,
     _column_step,
     _evolve_column,
     _evolve_modes,
@@ -247,6 +248,7 @@ class MachineState:
 
     def evolve(self, t: float) -> "MachineState":
         """Exact evolution for time t (each comoving component walks freely)."""
+        _grid_chunks(self.spec, [t], 2, 0, 64)  # one sample: the components and the spinors
         coeff = _mode_coefficients(self.spec, self.comoving_components())
         phi_t = _evolve_modes(self.spec, coeff, [t])[:, 0, :]
         spinors = np.einsum("xij,xj->xi", self.program.cumulative, phi_t)
@@ -579,8 +581,7 @@ def lindblad_coefficients(traj: RegisterTrajectory, t: float) -> LindbladFit:
 
 def measure_clock(machine: MachineState, x0: int) -> MachineState:
     """Collapse after the cursor has been observed at site x0."""
-    if not 1 <= x0 <= machine.spec.s:
-        raise ValueError(f"x0={x0} outside 1..{machine.spec.s}")
+    _check_site(machine.spec, x0, "x0")
     spinor = machine.spinors[x0 - 1]
     weight = float(np.sum(np.abs(spinor) ** 2))
     if not weight >= 1e-24:
@@ -629,8 +630,7 @@ def asymptotic_speed_cdf(machine: MachineState):
         parts.append((weight, law_general(component).cdf))
 
     def cdf(v):
-        total = sum(w * np.asarray(f(v), dtype=float) for w, f in parts)
-        return total
+        return sum(w * np.asarray(f(v), dtype=float) for w, f in parts)
 
     return cdf
 

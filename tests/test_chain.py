@@ -1,6 +1,5 @@
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -286,10 +285,14 @@ def test_each_raises_the_lowest_index_exception(monkeypatch):
 def test_each_leaves_no_helper_thread_alive(fails, monkeypatch):
     monkeypatch.setattr(chain, "_cpus", lambda: 4)
     threads, before = set(), threading.active_count()
+    second = threading.Event()
 
     def work(i):
         threads.add(threading.current_thread())
-        time.sleep(0.002)
+        if len(threads) > 1:
+            second.set()
+        if i == 0:  # the first claimed call waits until a second thread has entered
+            second.wait(timeout=10)
         if fails and i == 5:
             raise RuntimeError("index 5")
 
@@ -306,10 +309,14 @@ def test_each_leaves_no_helper_thread_alive(fails, monkeypatch):
 def test_each_keeps_the_callers_numpy_error_state(monkeypatch):
     monkeypatch.setattr(chain, "_cpus", lambda: 3)
     states = {}
+    second = threading.Event()
 
     def record(i):
-        time.sleep(0.002)
         states[threading.current_thread()] = np.geterr()
+        if len(states) > 1:
+            second.set()
+        if i == 0:  # the first claimed call waits until a second thread has entered
+            second.wait(timeout=10)
 
     with np.errstate(all="ignore"):
         chain._each(record, 9)
@@ -356,8 +363,7 @@ def test_position_sweep_estimate_counts_a_window_per_thread(s, monkeypatch):
     check_memory, each = chain._check_memory, chain._each
 
     def recording_check(nbytes, what):
-        if not what.startswith("evolving"):  # the kernel's own check, window by window
-            events.append(nbytes)
+        events.append(nbytes)
         check_memory(nbytes, what)
 
     def recording_each(fn, count):

@@ -207,6 +207,33 @@ def test_oracle_check_passes(capsys, monkeypatch):
     assert captured.err == "error: oracle-check deviation >= 0\n"
 
 
+# each oracle-check comparison group: its dense Hamiltonian's (sector, register
+# dimension), and the index of one of its samples
+@pytest.mark.parametrize("group,sample", [
+    ((1, 2), 0), ((1, 2), 11),  # machine state, register density and entropy symmetry
+    ((2, 1), 0), ((2, 1), 1),  # the free sector
+    ((2, 2), 0), ((2, 2), 1),  # the single-link sector
+], ids=["machine-first", "machine-last", "free-first", "free-last", "link-first", "link-last"])
+def test_oracle_check_refuses_a_nan_deviation(group, sample, capsys, monkeypatch):
+    """A nan dense sample never passes: exit 2 with one error line, no table and no traceback."""
+    evolve, seen = qc.oracle.evolve, []
+
+    def nan_at_sample(ham, state, t):
+        out = evolve(ham, state, t)
+        if (ham.sector, ham.d) == group:
+            seen.append(t)
+            if len(seen) == sample + 1:
+                out[0] = np.nan
+        return out
+
+    monkeypatch.setattr("qwclock.oracle.evolve", nan_at_sample)
+    code = main(["oracle-check"])
+    captured = capsys.readouterr()
+    assert len(seen) > sample
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert run_cli(["bloch", "--mu", "0"], capsys)[0] == 2
     assert run_cli(["bloch", "--s", "17", "--step", "-1"], capsys)[0] == 2
@@ -216,6 +243,10 @@ def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["measure", "--s", "17", "--tau", "4", "--outcome", "nope"]) == 2
     err = capsys.readouterr().err
     assert err == "error: --outcome must be plus or minus, got 'nope'\n"
+    # 4 tau, the --t-max default, overflows: refused naming --tau, not a --t-max never given
+    assert main(["measure", "--s", "17", "--tau", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --tau 1e+308 overflows the --t-max default 4 tau; give --t-max\n"
     nonfinite = [("bloch", flag, value)
                  for flag in ("t-min", "t-max", "step", "coupling")
                  for value in ("inf", "-inf", "nan")]

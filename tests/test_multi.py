@@ -290,10 +290,15 @@ def test_single_link_densities_leave_no_thread_behind(monkeypatch):
     whether it returns or raises."""
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
     ran_on = set()
-    failing = _failing_at({9.0}, dict.fromkeys(np.arange(12.0), 0.01))
+    second = threading.Event()
+    failing = _failing_at({9.0})
 
     def propagator(spec, t):
         ran_on.add(threading.get_ident())
+        if len(ran_on) > 1:
+            second.set()
+        if t == 0.0:  # the first claimed sample waits until a second thread has entered
+            second.wait(timeout=10)
         return failing(spec, t)
 
     monkeypatch.setattr(multi, "propagator", propagator)

@@ -1,4 +1,5 @@
 import functools
+import threading
 
 import numpy as np
 import pytest
@@ -473,6 +474,51 @@ def test_position_average_windows_and_estimate_pinned(s, width, monkeypatch):
         assert _route_chunks(s, T)[0] == width
         assert checked == [_route_chunks(s, T)[1]]
         assert evolved == [width] * (T // width) + ([T % width] if T % width else [])
+
+
+@pytest.mark.parametrize("s", [513, 769])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_every_evolution_is_budgeted_once_on_the_calling_thread(s, cpus, monkeypatch):
+    """_grid_chunks is the one budget of every evolution: each _evolve_modes
+    call, through either module's binding, follows a `trajectory of` check
+    made on the calling thread, and no memory check runs on a helper thread."""
+    events, caller = [], threading.get_ident()
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        events.append((threading.get_ident(), what))
+        check_memory(nbytes, what)
+
+    def recording(evolve_modes):
+        def evolve(spec, coeff, times):
+            events.append((threading.get_ident(), "evolve"))
+            return evolve_modes(spec, coeff, times)
+
+        return evolve
+
+    machine = _random_machine(s)
+    psi0 = qc.launchpad_state(qc.ChainSpec(s), 5, 3)
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_evolve_modes", recording(chain._evolve_modes))
+    monkeypatch.setattr(register, "_evolve_modes", recording(register._evolve_modes))
+    monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+    times = 0.5 * np.arange(40)
+    for run in (
+        lambda: qc.propagate(psi0, 2.0),
+        lambda: machine.evolve(2.0),
+        lambda: chain.position_moments(psi0, times),
+        lambda: machine_trajectory(machine, times),
+    ):
+        events.clear()
+        run()
+        assert any(what == "evolve" for _, what in events)
+        budgeted = False
+        for thread, what in events:
+            if what == "evolve":
+                assert budgeted, events
+            else:
+                assert thread == caller, what
+                budgeted = budgeted or what.startswith("trajectory of")
 
 
 def _must_not_run(*args, **kwargs):
