@@ -217,30 +217,29 @@ def _energies(spec: ChainSpec) -> np.ndarray:
     return e
 
 
-@functools.lru_cache(maxsize=32)
 def eigenbasis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """All energies and modes at once.
 
-    Returns (e, V) with e[k-1] the energies and V[x-1, k-1] = v_k(x);
-    V is real, symmetric and orthogonal.  Arrays are cached read-only.
+    Returns (e, V) with e[k-1] the energies and V[x-1, k-1] = v_k(x); V is
+    real, symmetric and orthogonal, the read-only real part of _complex_modes.
     """
-    s = spec.s
-    # V, two temporaries and the complex copy _complex_modes keeps beside it
-    _check_memory(40 * s * s, f"eigenbasis of s={s} sites")
-    k = np.arange(1, s + 1)
-    V = np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * np.outer(k, k) / (s + 1))
-    V.flags.writeable = False
-    return _energies(spec), V
+    return _energies(spec), _complex_modes(spec).real
 
 
 @functools.lru_cache(maxsize=32)
 def _complex_modes(spec: ChainSpec) -> np.ndarray:
-    """V cast to complex once, cached read-only (budgeted by eigenbasis).
+    """The sine basis V as complex, the one cached copy of it (read-only).
 
-    V is exactly symmetric, so the kernel uses this copy untransposed for
-    both of its products; V.T would pick another BLAS flag and other bits.
+    Built row by row, so no real s x s array exists beside it.  V is exactly
+    symmetric, so the kernel uses it untransposed for both of its products;
+    V.T would pick another BLAS flag and other bits.
     """
-    Vc = eigenbasis(spec)[1].astype(complex)
+    s = spec.s
+    _check_memory(16 * s * s + 32 * s, f"eigenbasis of s={s} sites")  # V, one row's temporaries
+    k = np.arange(1, s + 1)
+    Vc = np.empty((s, s), dtype=complex)
+    for row, x in zip(Vc, k):
+        row[:] = np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * (x * k) / (s + 1))
     Vc.flags.writeable = False
     return Vc
 
@@ -306,8 +305,8 @@ def amplitude_kernel(spec: ChainSpec, t: float, x: int) -> complex:
 
 def propagator(spec: ChainSpec, t: float) -> np.ndarray:
     """Unitary s x s matrix exp(-i*H*t) of the one-excitation chain."""
-    e, V = eigenbasis(spec)
-    return (V * np.exp(-1j * e * t)) @ V.T
+    Vc = _complex_modes(spec)
+    return (Vc * np.exp(-1j * _energies(spec) * t)) @ Vc.T
 
 
 def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:
@@ -438,7 +437,7 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, wor
 
     The caller holds `held` bytes for the whole run and `site_bytes` per site
     and sample beside the kernel's own temporaries, which are 16 d B per site
-    and sample on the GEMM path (plus V and its complex copy) and 32 d B per
+    and sample on the GEMM path (plus the cached complex V) and 32 d B per
     site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
     with the widest chunk once per worker evolving one at a time (up to
     `workers`, no more than there are chunks), is checked once here, on the
@@ -453,7 +452,7 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, wor
         basis, per_sample = 0, (32 * d + site_bytes) * (s + 1)
         width = max(1, (_FFT_CHUNK_BYTES if d > 1 else _COLUMN_CHUNK_BYTES) // per_sample)
     else:
-        basis, per_sample = 24 * s * s, (16 * d + site_bytes) * s
+        basis, per_sample = 16 * s * s, (16 * d + site_bytes) * s
         width = max(1, (_CHUNK_BYTES if d > 1 else _MOMENT_WINDOW_BYTES) // (16 * d * s))
     nbytes = held + basis + per_sample * min(width, T) * min(workers, -(-T // width))
     _check_memory(nbytes, f"trajectory of s={s} sites over {T} times")

@@ -29,7 +29,8 @@ _ROW_BYTES = 400  # memory per emitted CSV row, measured
 _EMIT_ROWS = 256  # rows per block of CSV text, a few dozen kB
 # memory per chain site of a whole run on a short grid: the program's
 # unitaries and their unitarity check, cumulative products, start state,
-# spinors and a one-sample chunk (measured peak: 434 B per site, measure)
+# spinors and a one-sample chunk (measured peak: 434 B per site, measure);
+# chain._complex_modes checks the s x s basis itself
 _SITE_BYTES = 512
 
 
@@ -128,18 +129,13 @@ def _grid_options(t_max_default):
     ]
 
 
-def _check_sites(s: int, what: str) -> None:
-    """Refuse s sites whose O(s) arrays exceed the budget (eigenbasis checks V itself)."""
-    _check_memory(_SITE_BYTES * s, what)
-
-
 def _chain_spec(s: int, coupling: float) -> chain.ChainSpec:
     """The chain of --s sites and --coupling, checked (against the budget too)
     before any array exists."""
     _at_least("s", s, 2)
     if not coupling > 0:
         raise ValueError(f"--coupling must be positive, got --coupling {coupling!r}")
-    _check_sites(s, f"--s {s} sites")
+    _check_memory(_SITE_BYTES * s, f"--s {s} sites")
     return chain.ChainSpec(s, coupling)
 
 
@@ -149,10 +145,10 @@ def _grover(mu: int) -> register.GroverParams:
     return register.grover_params(mu)
 
 
-def _toy_setup(mu: int, s: int, coupling: float):
-    params = _grover(mu)
-    spec = _chain_spec(s, coupling)
-    program = register.toy_program(s, params.alpha)
+def _toy_setup(v):
+    params = _grover(v["mu"])
+    spec = _chain_spec(v["s"], v["coupling"])
+    program = register.toy_program(spec.s, params.alpha)
     r1 = register.grover_initial_state(params)
     psi0 = chain.basis_state(spec, 1)
     return params, spec, program, r1, psi0
@@ -174,7 +170,7 @@ def _pad_size(n: int, s=None) -> int:
 
 def _default_sites(values) -> int:
     s = 2 ** values["mu"] + 1
-    _check_sites(s, f"--mu {values['mu']} with 2**mu + 1 sites")
+    _check_memory(_SITE_BYTES * s, f"--mu {values['mu']} with 2**mu + 1 sites")
     return s
 
 
@@ -214,8 +210,7 @@ def _trajectory_runner(start, columns, trajectory=None):
 
 
 def _toy_start(v):
-    _, _, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
-    return program, r1, psi0
+    return _toy_setup(v)[2:]  # program, r1, psi0
 
 
 def _launchpad_start(v):
@@ -290,6 +285,7 @@ def _speed_law_from(v) -> speed.SpeedLaw:
         return speed.law_pad_ck(epsilon, k)
     if family == "pad-cn":
         _pad_size(v["n"])
+        speed._check_pad_cn_memory(v["n"], f"--n {v['n']}")
         return speed.law_pad_cn(v["n"])
     if family == "gamma":
         s = max(2, _pad_size(v["n"]))
@@ -330,26 +326,26 @@ def _multi_trajectory(state0, x0, g, times) -> register.RegisterTrajectory:
 
 
 def _run_measure(v):
-    _, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
+    _, spec, program, r1, psi0 = _toy_setup(v)
     tau = v["tau"]
     if tau <= 0:
         raise ValueError("measurement time --tau must be positive")
     signs = {"plus": +1, "minus": -1}
     if v["outcome"] not in signs:
         raise ValueError(f"--outcome must be plus or minus, got {v['outcome']!r}")
-    step = v["step"]
-    t_max = v["t-max"] if v["t-max"] is not None else 4.0 * tau
-    if not math.isfinite(t_max):  # a given --t-max is finite (_resolve)
-        raise ValueError(f"--tau {tau!r} overflows the --t-max default 4 tau; give --t-max")
+    step, t_max, end = v["step"], v["t-max"], f"--t-max {v['t-max']!r}"
+    if t_max is None:
+        t_max, end = 4.0 * tau, "the --t-max default 4 tau"
+        if not math.isfinite(t_max):  # a given --t-max is finite (_resolve)
+            raise ValueError(f"--tau {tau!r} overflows {end}; give --t-max")
     if t_max - tau <= step:
         raise ValueError(
-            f"--t-max must exceed --tau plus --step, got --t-max {t_max!r}, "
+            f"--t-max must exceed --tau plus --step, got {end}, "
             f"--tau {tau!r}, --step {step!r}"
         )
     machine = register.MachineState.from_product(program, r1, psi0).evolve(tau)
     collapsed, probability = register.measure_register_sigma3(machine, signs[v["outcome"]])
-    flags = f"--tau {tau!r} to --t-max {t_max!r} by --step {step!r}"
-    offsets = _time_grid(step, t_max - tau, step, flags)
+    offsets = _time_grid(step, t_max - tau, step, f"--tau {tau!r} to {end} by --step {step!r}")
     traj = register.machine_trajectory(collapsed, offsets)
     columns = [tau + offsets, traj.s1, traj.s3, traj.r, traj.gamma, [probability] * offsets.size]
     return ["t", "s1", "s3", "r", "gamma", "p_outcome"], columns
@@ -358,7 +354,7 @@ def _run_measure(v):
 def _run_oracle_check(v):
     if v["s"] < 3:
         raise ValueError(f"oracle-check needs --s >= 3, got --s {v['s']}")
-    params, spec, program, r1, psi0 = _toy_setup(v["mu"], v["s"], v["coupling"])
+    params, spec, program, r1, psi0 = _toy_setup(v)
     # every budget is checked before the first dense matrix: states, then the largest build
     free0 = multi.SectorState.from_product(spec, (1, 2))
     link0 = multi.SectorState.from_product(spec, (1, 2), r1)

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import chain
-from .chain import ChainSpec, eigenbasis, eigenvalue, propagator
+from .chain import ChainSpec, eigenvalue, propagator
 from .chain import _check_memory, _check_norm, _check_site, _each
 from .oracle import sector_occupations
 from .quadrature import composite_gauss_legendre
@@ -44,12 +44,13 @@ _WHOLE_START_BYTES = 2**19
 
 
 def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None) -> None:
-    """Budget the C(s, n) labels, the d*s^n start and, per thread, the s x s propagator,
-    two width*s^n work tensors (width d by default) and four (d, C(s, n)) temporaries;
+    """Budget the C(s, n) labels with their link counts and masks, the state's (d, C(s, n))
+    amplitudes and undressed copy, the d*s^n start and, per thread, the s x s propagator, two
+    width*s^n work tensors (width d by default) and three (d, C(s, n)) sample temporaries;
     every SectorState passes this at one thread, so propagate_free_sector is too."""
     c, width = math.comb(s, n), d if width is None else width
-    per_thread = 64 * s * s + 32 * width * s**n + 64 * d * c
-    nbytes = c * (64 + 16 * n) + 16 * d * s**n + workers * per_thread
+    per_thread = 64 * s * s + 32 * width * s**n + 48 * d * c
+    nbytes = 9 * c * (n + 1) + 32 * d * c + 16 * d * s**n + workers * per_thread
     _check_memory(nbytes, f"sector s={s}, n={n}, d={d}")
 
 
@@ -110,8 +111,8 @@ def sector_energy(spec: ChainSpec, momenta) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _occupation_array(s: int, n: int) -> np.ndarray:
-    """The (C(s, n), n) occupation labels as one cached, read-only array."""
-    arr = np.array(sector_occupations(s, n), dtype=int)
+    """The (C(s, n), n) occupation labels, 0-based, listed once into one cached read-only array."""
+    arr = np.fromiter(combinations(range(s), n), dtype=(int, n), count=math.comb(s, n))
     arr.flags.writeable = False
     return arr
 
@@ -134,7 +135,7 @@ class SectorState:
         arr = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", arr)
         _check_sector_memory(self.spec.s, self.n, arr.shape[0] if arr.ndim == 2 else 1)
-        m = len(sector_occupations(self.spec.s, self.n))
+        m = math.comb(self.spec.s, self.n)
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
         _check_norm(np.sum(np.abs(arr) ** 2), "sector")
@@ -158,9 +159,9 @@ class SectorState:
         n = len(occupied)
         reg = np.asarray([1.0] if register_state is None else register_state, dtype=complex)
         _check_sector_memory(spec.s, n, reg.size)  # before the labels are listed
-        labels = sector_occupations(spec.s, n)
-        amps = np.zeros((reg.size, len(labels)), dtype=complex)
-        amps[:, labels.index(occupied)] = reg
+        start = np.argmax((_occupation_array(spec.s, n) == np.subtract(occupied, 1)).all(axis=1))
+        amps = np.zeros((reg.size, math.comb(spec.s, n)), dtype=complex)
+        amps[:, start] = reg
         return cls(spec, n, amps)
 
     def to_vector(self) -> np.ndarray:
@@ -180,7 +181,7 @@ def _embed_antisymmetric(amps: np.ndarray, s: int, n: int) -> np.ndarray:
     The tensor is stored leg-1-major, (l1, d, l2, ..., ln): the layout in which
     np.tensordot hands the first leg to its product.
     """
-    subs = _occupation_array(s, n) - 1
+    subs = _occupation_array(s, n)
     full = np.zeros((s, amps.shape[0]) + (s,) * (n - 1), dtype=complex)
     for perm in permutations(range(n)):
         sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))  # inversion parity
@@ -190,7 +191,7 @@ def _embed_antisymmetric(amps: np.ndarray, s: int, n: int) -> np.ndarray:
 
 
 def _extract_ordered(full: np.ndarray, s: int, n: int) -> np.ndarray:
-    subs = _occupation_array(s, n) - 1
+    subs = _occupation_array(s, n)
     idx = tuple(subs[:, j] for j in range(n))
     return full[(slice(None),) + idx]
 
@@ -230,7 +231,7 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
         u = propagator(spec, times[i])
         emit(i, np.concatenate([_free_sample(u, start, *local.pair, n) for start in starts]))
 
-    eigenbasis(spec)  # cached before the threads share it
+    chain._complex_modes(spec)  # cached before the threads share it
     _each(sample, len(times))
 
 
@@ -242,7 +243,7 @@ def propagate_free_sector(state: SectorState, t: float) -> SectorState:
 
 
 def _counts_past(s: int, n: int, x0: int) -> np.ndarray:
-    return np.sum(_occupation_array(s, n) > x0, axis=1)
+    return np.sum(_occupation_array(s, n) >= x0, axis=1)  # 0-based: past site x0
 
 
 def count_past_link_distribution(state: SectorState, x0: int) -> np.ndarray:

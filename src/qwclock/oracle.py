@@ -169,8 +169,11 @@ def partial_trace(state: np.ndarray, d: int, keep: str) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr(rho ln rho) from the eigenvalues, in nats."""
-    vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    """-Tr(rho ln rho) from the eigenvalues, in nats; nan for a non-finite rho."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        return float("nan")
+    vals = np.linalg.eigvalsh(rho)
     vals = vals[vals > 1e-15]
     return float(-np.sum(vals * np.log(vals)))
 

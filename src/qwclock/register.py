@@ -119,9 +119,7 @@ def estimation_reflection(theta: float) -> np.ndarray:
 
 def grover_initial_state(params: GroverParams) -> np.ndarray:
     """(cos(theta/2), sin(theta/2)): the flat superposition of the search."""
-    return np.array(
-        [np.cos(params.theta / 2.0), np.sin(params.theta / 2.0)], dtype=complex
-    )
+    return np.array([np.cos(params.theta / 2.0), np.sin(params.theta / 2.0)], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +277,7 @@ def register_density(
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """(s1, s2, s3) = Tr(rho sigma_j)."""
     rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [
-            2.0 * rho[1, 0].real,
-            2.0 * rho[1, 0].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
-    )
+    return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
 
 
 class BlochPolar(NamedTuple):
@@ -542,18 +534,19 @@ def lindblad_coefficients(traj: RegisterTrajectory, t: float) -> LindbladFit:
 
     Returns (dgamma/dt, d ln r/dt) at the grid point nearest t and the max
     entry norm of d rho/dt - [rotation term + double-commutator term].
-    Flagged (d ln r/dt = nan) when r is degenerate near t.
+    Flagged (d ln r/dt = nan) when r is degenerate near t.  The difference's
+    three samples alone must be evenly spaced, to 4 ulp of their largest |t|.
     """
     times = traj.times
     if times.size < 3:
         raise ValueError("trajectory needs at least 3 samples")
-    steps = np.diff(times)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=0.0, atol=1e-12 * max(1.0, abs(h))):
-        raise ValueError("trajectory grid must be uniform")
     i = int(np.argmin(np.abs(times - t)))
     if i == 0 or i == times.size - 1:
         raise ValueError(f"t={t} has no interior grid point for central differences")
+    local = times[i - 1 : i + 2]
+    if not abs(np.diff(local, 2)[0]) <= 4 * np.spacing(np.abs(local).max()):
+        raise ValueError(f"trajectory grid must be uniform around t={t}")
+    h = float(local[2] - local[0]) / 2.0
 
     dgamma = (traj.gamma[i + 1] - traj.gamma[i - 1]) / (2.0 * h)
     flagged = bool(np.min(traj.r[i - 1 : i + 2]) < _R_DEGENERATE)

@@ -234,8 +234,14 @@ def law_pad_ck(epsilon: int, k: int) -> SpeedLaw:
 
 def pad_cn_mean_exact(n: int) -> float:
     """Exact mean speed of the flat pad state: (4/pi) sum_h (1/(4h-3) - 1/(4h-1))."""
+    _check_pad_cn_memory(n, f"exact pad-cn mean over n={n} terms")
     h = np.arange(1, n + 1)
     return float(4.0 / np.pi * np.sum(1.0 / (4 * h - 3) - 1.0 / (4 * h - 1)))
+
+
+def _check_pad_cn_memory(n: int, what: str) -> None:
+    """Budget pad_cn_mean_exact's n terms, 32 B each at their peak (traced)."""
+    _check_memory(32 * int(n), what)
 
 
 def pad_cn_variance_large_n(n: int) -> float:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,84 @@ def test_spectral_correctness(s):
     h = qc.chain_hamiltonian(spec)
     e, v = qc.eigenbasis(spec)
     assert np.abs(h @ v - v * e).max() < 1e-12
+
+
+def _real_modes(s):
+    """The real sine basis by the formula eigenbasis once cached beside its complex cast."""
+    k = np.arange(1, s + 1)
+    return np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * np.outer(k, k) / (s + 1))
+
+
+def test_complex_modes_bitwise_equal_the_real_formula_cast():
+    """The one cached basis has, at every size below the FFT path, the bits of
+    the real formula cast to complex."""
+    build = chain._complex_modes.__wrapped__  # uncached: 638 bases would fill the cache
+    for s in range(2, chain._FFT_SITES):
+        Vc = build(qc.ChainSpec(s))
+        bits = Vc.view(np.int64)  # real and imaginary parts interleaved
+        assert np.array_equal(bits[:, 0::2], _real_modes(s).view(np.int64)), s
+        assert not bits[:, 1::2].any(), s  # +0.0, as the cast wrote
+
+
+def test_eigenbasis_is_a_view_of_the_one_cached_basis():
+    """eigenbasis keeps no cache and allocates no real V: its V is the read-only
+    real part of _complex_modes' array, with the formula's bits."""
+    spec = qc.ChainSpec(300)
+    assert not hasattr(chain.eigenbasis, "cache_info")
+    Vc, energies = chain._complex_modes(spec), chain._energies(spec)
+    tracemalloc.start()
+    try:
+        e, V = qc.eigenbasis(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 300  # no s x s array; a real V would take 720,000 B
+    assert V.base is Vc and not V.flags.writeable
+    assert np.array_equal(V, _real_modes(300)) and e is energies
+
+
+@pytest.mark.parametrize("s", [*range(2, 80), 129, 257, 513])
+def test_propagator_bitwise_equals_the_real_basis_formula(s):
+    """propagator multiplies with the cached complex basis, and keeps the bits of
+    (V * phases) @ V.T with the real V."""
+    spec = qc.ChainSpec(s, 1.3)
+    V = _real_modes(s)
+    for t in (0.0, 0.45, 2.7, 31.0, 1e4):
+        expected = (V * np.exp(-1j * chain._energies(spec) * t)) @ V.T
+        assert qc.propagator(spec, t).tobytes() == expected.tobytes(), t
+
+
+def test_basis_estimate_pinned_and_bounds_its_traced_slope(monkeypatch):
+    """The basis build is checked at 16 s^2 + 32 s B (the complex V and one
+    row's temporaries, with the mode numbers) before any array exists.  At 300
+    and 600 sites its traced peak is within the arrays' headers and the row
+    loop's objects (under 2 KiB) of that estimate, and from one to the other
+    it grows no faster than the estimate, nor less than half as fast; the
+    complex V alone stays."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    build = chain._complex_modes.__wrapped__
+    peaks, held = [], []
+    for s in (300, 600):
+        tracemalloc.start()
+        try:
+            Vc = build(qc.ChainSpec(s))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        held.append(current - Vc.nbytes)
+    assert checked == [16 * s * s + 32 * s for s in (300, 600)]
+    assert all(peak <= nbytes + 2048 for peak, nbytes in zip(peaks, checked))
+    traced, estimated = peaks[1] - peaks[0], checked[1] - checked[0]
+    assert traced <= estimated < 2 * traced
+    assert max(held) < 1024  # nothing of size s or s^2 stays beside the basis
 
 
 def test_kernel_initial_condition():
@@ -344,14 +423,14 @@ def _sweep_estimate(s, T, cpus):
     columns and the norm^2 column (24 B per sample), each thread's one-sample
     temporaries (64 B per site), and one window per thread that evolves one
     (no more threads than windows), as wide as the grid when the grid is
-    narrower.  Below 640 sites V and its complex copy (24 s^2) and windows of 65536 B of phases, 40 B per
+    narrower.  Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of phases, 40 B per
     site and sample with their arguments; from 640 sites on one-column
     windows of 384 KiB of 40 B per extended site and sample (extension and
     phase arguments)."""
     held = 24 * T + 64 * s * cpus
     if s < 640:
         width = 65536 // (16 * s)
-        return held + 24 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
+        return held + 16 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
     width = 3 * 2**17 // (40 * (s + 1))
     return held + 40 * (s + 1) * min(width, T) * min(cpus, -(-T // width))
 
@@ -380,6 +459,36 @@ def test_position_sweep_estimate_counts_a_window_per_thread(s, monkeypatch):
             events.clear()
             chain.position_moments(psi0, np.arange(float(T)))
             assert events == [_sweep_estimate(s, T, cpus), "evolve"]
+
+
+@pytest.mark.parametrize("s", [200, 400])
+def test_position_sweep_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """Below 640 sites, on one thread, the sweep's checked estimate (the cached
+    complex V at 16 s^2 B among it) is at or above the peak tracemalloc sees
+    over the sweep, the basis held."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    chain._complex_modes.cache_clear()
+    psi0 = qc.basis_state(qc.ChainSpec(s), 1)
+    times = 0.5 * np.arange(100.0)
+    tracemalloc.start()
+    try:
+        psi0._coefficients  # noqa: B018  (the basis, traced and held)
+        tracemalloc.reset_peak()
+        checked.clear()
+        chain.position_moments(psi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [_sweep_estimate(s, 100, 1)]
+    assert peak <= checked[0] < 2 * peak
 
 
 def test_site_statistics_clip_the_mean_to_the_sites():

@@ -185,6 +185,13 @@ def test_measure_grid_error_names_flags(capsys):
         "error: --t-max must exceed --tau plus --step, "
         "got --t-max 2.5, --tau 3.0, --step 0.1\n"
     )
+    # a defaulted --t-max is named as the default, not as a value never given
+    assert main(["measure", "--s", "17", "--tau", "4", "--step", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: --t-max must exceed --tau plus --step, "
+        "got the --t-max default 4 tau, --tau 4.0, --step 20.0\n"
+    )
 
 
 def test_oracle_check_passes(capsys, monkeypatch):
@@ -231,7 +238,7 @@ def test_oracle_check_refuses_a_nan_deviation(group, sample, capsys, monkeypatch
     captured = capsys.readouterr()
     assert len(seen) > sample
     assert code == 2 and captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.err == "error: refusing to emit non-finite value nan\n"
 
 
 def test_parameter_errors_exit_2(capsys, tmp_path, monkeypatch):
@@ -376,6 +383,7 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     # multi --s 30 --g 2 now runs (test_multi checks it against the oracle)
     with monkeypatch.context() as patch:
         patch.setattr("qwclock.multi.sector_occupations", _must_not_run)
+        patch.setattr("qwclock.multi._occupation_array", _must_not_run)
         assert main(["multi", "--s", "400", "--g", "4"]) == 3
     _one_line_naming(capsys, "s=400", "n=4")
     argv = ["multi", "--s", "30", "--g", "2", "--x0", "5", "--t-max", "1", "--step", "1"]
@@ -389,9 +397,10 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
         patch.setattr("qwclock.register.PrimitiveProgram", _must_not_run)
         assert main(["bloch", "--mu", "4", "--s", "100000000", "--t-max", "1", "--step", "1"]) == 3
     _one_line_naming(capsys, "--s 100000000")
-    # s = 100000 sites runs on the FFT kernel, which never builds the 80 GB V
+    # s = 100000 sites runs on the FFT kernel, which never builds the 160 GB complex V
     with monkeypatch.context() as patch:
         patch.setattr("qwclock.chain.eigenbasis", _must_not_run)
+        patch.setattr("qwclock.chain._complex_modes", _must_not_run)
         argv = ["bloch", "--mu", "4", "--s", "100000", "--t-max", "1", "--step", "1"]
         assert run_cli(argv, capsys)[0] == 0
     # the derived --s default 2**mu + 1, checked in integer arithmetic
@@ -402,12 +411,18 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--t-min" not in err
     assert all(flag in err for flag in ("--tau", "--t-max", "--step"))
+    # a defaulted --t-max is named as the default, not as a value never given
+    assert main(["measure", "--s", "17", "--tau", "1e307"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--t-max 4e" not in err
+    assert all(flag in err for flag in ("--tau 1e+307", "the --t-max default 4 tau", "--step"))
 
     # oracle-check refuses before any dense matrix: at s=10000 in its sector
     # states, before their labels; at s=83 in its largest build, built first
     with monkeypatch.context() as patch:
         patch.setattr("qwclock.oracle.build", _must_not_run)
         patch.setattr("qwclock.multi.sector_occupations", _must_not_run)
+        patch.setattr("qwclock.multi._occupation_array", _must_not_run)
         assert main(["oracle-check", "--s", "10000"]) == 3
     _one_line_naming(capsys, "s=10000")
     with monkeypatch.context() as patch:
@@ -432,6 +447,15 @@ def test_gamma_speed_law_refused_before_its_chain_exists(capsys, monkeypatch):
     assert main(["speed-density", "--family", "gamma", "--n", "200000"]) == 3
     assert time.perf_counter() - start < 1.0
     _one_line_naming(capsys, "--n 200000")
+
+
+def test_pad_cn_speed_law_refused_before_its_exact_mean(capsys, monkeypatch):
+    """speed-density --family pad-cn budgets the exact mean's 32 B per term:
+    --n 10^12 and --n 2^27 (4 GiB) exit 3 naming --n, before the law is built."""
+    monkeypatch.setattr("qwclock.speed.law_pad_cn", _must_not_run)
+    for n in ("1000000000000", "134217728"):
+        assert main(["speed-density", "--family", "pad-cn", "--n", n]) == 3, n
+        _one_line_naming(capsys, f"--n {n}")
 
 
 def test_scenario_file_with_override(tmp_path, capsys):

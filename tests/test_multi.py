@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from itertools import combinations, permutations
 
@@ -312,13 +313,15 @@ def test_single_link_densities_leave_no_thread_behind(monkeypatch):
 
 
 def _sector_sweep_estimate(s, n, d, T, cpus, width):
-    """The sector sweep's estimate, written out: the C(s, n) labels at 64 + 16 n B
-    each and the d s^n embedded start (16 B each), and per thread (no more threads
-    than samples) the s x s propagator (64 B per entry), a work pair of two
-    width s^n tensors and four (d, C(s, n)) sample temporaries."""
+    """The sector sweep's estimate, written out: the C(s, n) labels at 9 (n + 1) B
+    each (8 n for the array, 8 for the count past the link, n + 1 for the count
+    masks), the state's (d, C(s, n)) amplitudes and their undressed copy, the
+    d s^n embedded start (16 B each), and per thread (no more threads than
+    samples) the s x s propagator (64 B per entry), a work pair of two width s^n
+    tensors and three (d, C(s, n)) sample temporaries."""
     c = math.comb(s, n)
-    per_thread = 64 * s * s + 32 * width * s**n + 64 * d * c
-    return c * (64 + 16 * n) + 16 * d * s**n + min(cpus, T) * per_thread
+    per_thread = 64 * s * s + 32 * width * s**n + 48 * d * c
+    return 9 * c * (n + 1) + 32 * d * c + 16 * d * s**n + min(cpus, T) * per_thread
 
 
 @pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
@@ -346,6 +349,74 @@ def test_sector_sweep_estimate_counts_a_work_pair_per_thread(s, n, width, monkey
             events.clear()
             qc.single_link_densities(state, n + 1, qc.rotation_about_2(0.3), np.arange(float(T)))
             assert events == [_sector_sweep_estimate(s, n, 2, T, cpus, width), "evolve"]
+
+
+@pytest.mark.parametrize("s,n", [(16, 3), (16, 4)])
+def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
+    """On one thread the sweep's checked estimate is at or above the peak that
+    tracemalloc sees over building the state and its densities, labels and
+    basis included: a whole start (16 sites, n = 3, 131 kB) and a start label
+    by label (n = 4, 2 MiB)."""
+    checked = []
+    check_memory = multi._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(multi, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    multi._occupation_array.cache_clear()
+    chain._complex_modes.cache_clear()
+    tracemalloc.start()
+    try:
+        state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), [0.6, 0.8])
+        qc.single_link_densities(state, n + 1, qc.rotation_about_2(0.3), np.arange(4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked[-1] == _sector_sweep_estimate(s, n, 2, 4, 1, 2 if n == 3 else 1)
+    assert peak <= checked[-1] < 2 * peak
+
+
+@pytest.mark.parametrize("s,n", [(5, 1), (6, 3), (9, 4), (7, 7)])
+def test_occupation_array_lists_the_labels_once_zero_based(s, n):
+    labels = multi._occupation_array(s, n)
+    assert labels.shape == (math.comb(s, n), n) and labels.dtype == int
+    assert np.array_equal(labels, np.array(oracle.sector_occupations(s, n)) - 1)
+
+
+def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
+    """No multi computation calls sector_occupations, and the label table takes
+    part in no arithmetic per sample: the ufuncs on it are the same for one
+    sample as for five."""
+    calls = []
+
+    class RecordingLabels(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            plain = [x.view(np.ndarray) if isinstance(x, RecordingLabels) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    def no_tuples(s, n):
+        raise AssertionError(f"listed C({s}, {n}) label tuples")
+
+    labels = multi._occupation_array
+    monkeypatch.setattr(multi, "sector_occupations", no_tuples)
+    monkeypatch.setattr(multi, "_occupation_array", lambda s, n: labels(s, n).view(RecordingLabels))
+    spec, g = qc.ChainSpec(9), qc.rotation_about_2(0.3)
+    seen = []
+    for T in (1, 5):
+        calls.clear()
+        state = qc.SectorState.from_product(spec, (2, 3, 5), [0.6, 0.8])
+        qc.count_past_link_distribution(state, 4)
+        qc.single_link_densities(state, 4, g, np.arange(float(T)))
+        for t in range(T):
+            qc.propagate_free_sector(state, float(t))
+        seen.append(list(calls))
+    assert seen[0] == ["equal", "greater_equal", "greater_equal"]
+    # propagate_free_sector counts nothing, and each further sample adds nothing
+    assert seen[1] == seen[0]
 
 
 def _per_sample_free(spec, n, amps, t):
@@ -478,6 +549,7 @@ def test_sector_state_desk_cap(monkeypatch):
         raise AssertionError(f"listed C({s}, {n}) labels past the budget")
 
     monkeypatch.setattr("qwclock.multi.sector_occupations", no_labels)
+    monkeypatch.setattr(multi, "_occupation_array", no_labels)
     with pytest.raises(qc.ResourceLimitError):
         qc.SectorState.from_product(qc.ChainSpec(400), (1, 2, 3, 4))
     with pytest.raises(qc.ResourceLimitError):

@@ -1,5 +1,6 @@
 import functools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,34 @@ def test_lindblad_grid_validation():
         qc.lindblad_coefficients(traj, 0.0)
 
 
+def test_from_coherence_carries_the_last_defined_angle():
+    """Undefined samples (r < 1e-12) at the start and in the middle: each carries
+    the last defined angle, the leading ones the first defined angle, and
+    gamma_defined marks them all."""
+    angle = np.array([0.0, 0.0, 0.3, 0.5, 0.0, -0.2, 0.1])
+    radius = np.array([0.0, 1e-13, 0.8, 0.6, 0.0, 0.9, 0.7])
+    s1, s3 = radius * np.sin(angle), radius * np.cos(angle)
+    traj = qc.RegisterTrajectory.from_coherence(np.arange(7.0), s1 / 2.0, s3, np.full(7, 0.5))
+    raw = np.arctan2(s1, s3)
+    assert traj.gamma_defined.tolist() == [False, False, True, True, False, True, True]
+    assert np.array_equal(traj.gamma, raw[[2, 2, 2, 3, 3, 5, 6]])
+
+
+def test_lindblad_fit_on_a_long_uniform_grid():
+    """0.1 * arange(100000) is uniform, though its steps drift by up to 1.8e-12
+    (1 ulp of its last time): each fit agrees to 1e-12 with the fit on the
+    grid's own three samples around t."""
+    _, _, program, r1, psi0 = toy_setup(s=9)
+    times = 0.1 * np.arange(100_000)
+    traj = qc.register_trajectory(program, r1, psi0, times)
+    for t in (1.0, 5000.0, 9999.8):
+        i = int(np.argmin(np.abs(times - t)))
+        own = qc.register_trajectory(program, r1, psi0, times[i - 1 : i + 2])
+        fit, local = qc.lindblad_coefficients(traj, t), qc.lindblad_coefficients(own, t)
+        assert not fit.flagged and not local.flagged
+        assert np.allclose(fit[:3], local[:3], rtol=0.0, atol=1e-12), t
+
+
 def test_optimal_readout():
     params = qc.grover_params(5)
     iota = qc.grover_initial_state(params)
@@ -401,11 +430,11 @@ def _trajectory_chunks(s, T):
     """Chunk width and checked estimate of a trajectory of s sites over T times,
     written out: 4 MiB of (s, 2) complex samples on the GEMM path, and 1 MiB
     of 144 B per extended site on the FFT path; the O(T) results, 160 B per
-    site, V with its complex copy below 640 sites, and the widest chunk."""
+    site, the cached complex V below 640 sites, and the widest chunk."""
     if s >= 640:
         width, basis, per_sample = max(1, 2**20 // (144 * (s + 1))), 0, 144 * (s + 1)
     else:
-        width, basis, per_sample = max(1, 4 * 2**20 // (32 * s)), 24 * s * s, 112 * s
+        width, basis, per_sample = max(1, 4 * 2**20 // (32 * s)), 16 * s * s, 112 * s
     return width, 128 * T + 160 * s + basis + per_sample * min(width, T)
 
 
@@ -434,6 +463,34 @@ def test_trajectory_windows_and_estimate_pinned(s, width, monkeypatch):
         assert _trajectory_chunks(s, T)[0] == width
         assert checked == [_trajectory_chunks(s, T)[1]]
         assert evolved == [width] * (T // width) + ([T % width] if T % width else [])
+
+
+@pytest.mark.parametrize("s", [200, 400])
+def test_trajectory_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """Below 640 sites the trajectory's checked estimate (the cached complex V at
+    16 s^2 B among it) is at or above the peak tracemalloc sees over the
+    trajectory, the basis held."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        if what.startswith("trajectory of"):
+            checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    chain._complex_modes.cache_clear()
+    tracemalloc.start()
+    try:
+        machine = _random_machine(s)
+        chain._complex_modes(machine.spec)
+        tracemalloc.reset_peak()
+        machine_trajectory(machine, 0.5 * np.arange(300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [_trajectory_chunks(s, 300)[1]]
+    assert peak <= checked[0] < 2 * peak
 
 
 def _route_chunks(s, T):

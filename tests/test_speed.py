@@ -207,6 +207,32 @@ def test_pad_cn_validation():
         qc.law_pad_cn(0)
 
 
+def test_pad_cn_exact_mean_budgeted_before_its_terms(monkeypatch):
+    """The exact mean holds 32 B per term at its peak: law_pad_cn(10^12) (about
+    29 TiB) is refused before any array exists, and from 10^5 to 10^6 terms the
+    traced peak grows no faster than the checked estimate, nor less than half as fast."""
+    with pytest.raises(qc.ResourceLimitError, match="n=1000000000000"):
+        qc.law_pad_cn(10**12)
+    estimates, peaks = [], []
+    check_memory = speed._check_memory
+
+    def recording_check(nbytes, what):
+        estimates.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(speed, "_check_memory", recording_check)
+    for n in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            qc.pad_cn_mean_exact(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert estimates == [32 * 10**5, 32 * 10**6]
+    traced, estimated = peaks[1] - peaks[0], estimates[1] - estimates[0]
+    assert traced <= estimated < 2 * traced
+
+
 def test_uncertainty_product():
     # var(Q_n) = (n^2 - 1)/3 against the large-n speed variance
     for n in (5, 8, 12):
@@ -230,6 +256,19 @@ def test_empirical_variance_fit_flat_pad():
     design = np.vstack([np.ones_like(ts), ts**2]).T
     coef = np.linalg.lstsq(design, np.array(var), rcond=None)[0][1]
     assert abs(coef / qc.pad_cn_variance_large_n(5) - 1.0) < 0.10
+
+
+def test_empirical_cdf_is_the_cumulative_mass():
+    """The step CDF at each speed is the mass at and below it; 0 below the
+    slowest, all the mass from the fastest on, a float for a scalar."""
+    spec = qc.ChainSpec(33)
+    emp = qc.empirical_speed(spec, qc.basis_state(spec, 1), 12.0)
+    steps = np.cumsum(emp.masses)
+    assert np.allclose(emp.cdf(emp.speeds), steps, rtol=0.0, atol=1e-14)
+    midpoints = (emp.speeds[:-1] + emp.speeds[1:]) / 2.0
+    assert np.allclose(emp.cdf(midpoints), steps[:-1], rtol=0.0, atol=1e-14)
+    assert emp.cdf(0.5 * emp.speeds[0]) == 0.0
+    assert isinstance(emp.cdf(10.0), float) and abs(emp.cdf(10.0) - steps[-1]) < 1e-14
 
 
 def test_empirical_speed_requires_positive_time():
