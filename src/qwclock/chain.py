@@ -55,7 +55,9 @@ _FFT_CHUNK_BYTES = 2**20
 # bytes per time chunk of a one-column trajectory on the FFT path.  Both are
 # measured: from 16 anchors the (s, 15) table, or a chunk's arrays, pass the
 # allocator's 128 KiB mmap threshold at s = 769, which added 0.15 to 0.25 MB
-# of peak RSS and saved no time
+# of peak RSS and saved no time.  The position average counts 96 B per
+# extended site and sample, a third of it the extension, so its extension
+# stays within that threshold (5 samples at s = 769)
 _PHASE_ANCHOR = 8
 _COLUMN_CHUNK_BYTES = 3 * 2**17
 # bytes of phases per window of a one-column sweep below _FFT_SITES sites
@@ -226,9 +228,12 @@ def eigenbasis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     return _energies(spec), _complex_modes(spec).real
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _complex_modes(spec: ChainSpec) -> np.ndarray:
     """The sine basis V as complex, the one cached copy of it (read-only).
+
+    The cache keeps the last chain's basis only: the one basis every
+    estimate counts (a CLI run uses one chain).
 
     Built row by row, so no real s x s array exists beside it.  V is exactly
     symmetric, so the kernel uses it untransposed for both of its products;
@@ -402,8 +407,10 @@ def _evolve_column(
     (window, psi) for the windows _grid_chunks picks, psi the (chunk, s)
     view of psi(t_j, x) = sum_k exp(-i e_k t_j) v_k(x) coeff[k] for the
     (s, 1) coeff = _mode_coefficients(spec, psi0); psi is valid until the
-    next window.  `held` and `site_bytes` are the caller's, as for
-    _grid_chunks; the offset table and the anchor row are counted here.
+    next window: every window is transformed in one extension buffer, the
+    widest window's.  `held` and `site_bytes` are the caller's, as for
+    _grid_chunks; the offset table, the anchor row and the FFT's copy of the
+    extension (numpy copies an input that is also its output) are counted here.
 
     Sample j has the anchor a = j - j % _PHASE_ANCHOR and takes
     (exp(-i e t_a) c coeff) exp(-i e (j - a) h), with c = _sine_scale(s) and
@@ -413,14 +420,17 @@ def _evolve_column(
     """
     s, K = spec.s, _PHASE_ANCHOR
     e = _energies(spec)
-    # the offset table with the anchor row, and the phase temporaries of an anchor
-    windows = _grid_chunks(spec, times, 1, held + (16 * K + 24) * s, site_bytes)
+    # the offset table with the anchor row, and the phase temporaries of an
+    # anchor; per site and sample, the FFT's 32 B copy of the extension
+    windows = _grid_chunks(spec, times, 1, held + (16 * K + 24) * s, site_bytes + 32)
     offsets = _phases(e, step * np.arange(1, K))
     scaled = _sine_scale(s) * coeff[:, 0]
     anchor = row = None
     for window in windows:
         start, stop = window.start, window.stop
-        ext = np.empty((stop - start, 2 * (s + 1)), dtype=complex)
+        if start == 0:  # the first window, the widest
+            buf = np.empty((stop, 2 * (s + 1)), dtype=complex)
+        ext = buf[: stop - start]
         body = ext[:, 1 : s + 1]
         for a in range(start - start % K, stop, K):
             if a != anchor:

@@ -109,9 +109,13 @@ def sector_energy(spec: ChainSpec, momenta) -> float:
     return float(sum(eigenvalue(spec, k) for k in _as_sites(momenta)))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _occupation_array(s: int, n: int) -> np.ndarray:
-    """The (C(s, n), n) occupation labels, 0-based, listed once into one cached read-only array."""
+    """The (C(s, n), n) occupation labels, 0-based, listed once into one cached read-only array.
+
+    The cache keeps the last sector's labels only, the one array the sector
+    estimates count.
+    """
     arr = np.fromiter(combinations(range(s), n), dtype=(int, n), count=math.comb(s, n))
     arr.flags.writeable = False
     return arr

@@ -418,6 +418,8 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 
     numpy adds the rows of a C-ordered array in sequence, one vector add per
     row; it would sum a single column pairwise, so that one is accumulated.
+    Serves _chunk_sums (machine_trajectory) only; the position average
+    contracts its sites in one einsum per window.
     """
     a = np.ascontiguousarray(a)
     if a[0].size < 2:
@@ -475,7 +477,11 @@ def _position_average(
     rho(t) = sum_x P_t(x) W(x) b b^dagger W(x)^dagger, with P_t the free
     walk's site distribution from psi0, evolved as one column.  Each site
     weighs Re and Im of [Wb]_1 conj([Wb]_0), |[Wb]_0|^2 - |[Wb]_1|^2 and 1
-    (the norm), and the weighted sites are summed row by row.
+    (the norm), and each window's four site sums are one einsum contraction
+    of P with the weights.  einsum reduces every (sample, weight) pair over
+    the sites by itself, so a sample's bits do not depend on the window's
+    row count; a BLAS product would route a one-row window to GEMV, which
+    rounds otherwise than the GEMM of a wider one.
     """
     s, T = psi0.spec.s, times.size
     u = np.einsum("xij,j->xi", program.cumulative, b)  # W(x) b
@@ -486,14 +492,12 @@ def _position_average(
     weights[3] = 1.0
     sums = np.empty((T, 4))
     # held: the O(T) results and, per site, the weights, W b and the start's
-    # coefficients; per site and sample: P with its two squares and the
-    # weighted sites
+    # coefficients; per site and sample: P with its two squares, and the last
+    # window's P while this one's is squared
     held = 128 * T + 160 * s
-    for window, psi in _evolve_column(psi0.spec, psi0._coefficients, times, step, held, 56):
+    for window, psi in _evolve_column(psi0.spec, psi0._coefficients, times, step, held, 32):
         p = np.square(psi.real) + np.square(psi.imag)  # (chunk, s)
-        terms = np.empty((s, p.shape[0], 4))  # filled site-contiguously
-        np.multiply(weights[:, None, :], p, out=terms.transpose(2, 1, 0))
-        sums[window] = _sum_rows(terms)
+        np.einsum("ij,kj->ik", p, weights, out=sums[window])
     return _checked_trajectory(times, sums[:, 0] + 1j * sums[:, 1], sums[:, 2], sums[:, 3])
 
 

@@ -70,7 +70,7 @@ def _real_modes(s):
 def test_complex_modes_bitwise_equal_the_real_formula_cast():
     """The one cached basis has, at every size below the FFT path, the bits of
     the real formula cast to complex."""
-    build = chain._complex_modes.__wrapped__  # uncached: 638 bases would fill the cache
+    build = chain._complex_modes.__wrapped__  # uncached: 638 bases, each built once
     for s in range(2, chain._FFT_SITES):
         Vc = build(qc.ChainSpec(s))
         bits = Vc.view(np.int64)  # real and imaginary parts interleaved

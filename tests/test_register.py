@@ -495,16 +495,17 @@ def test_trajectory_estimate_bounds_its_traced_peak(s, monkeypatch):
 
 def _route_chunks(s, T):
     """Chunk width and checked estimate of a position-average trajectory of s
-    sites over T times, written out: 384 KiB of 88 B per extended site (the
-    one-column extension, P with its two squares, the weighted sites); the
-    O(T) results, 160 B per site, 16 B per site for each of the 8 rows of
-    offsets and anchor, 24 B per site of anchor temporaries, and the widest
-    chunk."""
-    width = max(1, 3 * 2**17 // (88 * (s + 1)))
-    return width, 128 * T + 160 * s + 152 * s + 88 * (s + 1) * min(width, T)
+    sites over T times, written out: 384 KiB of 96 B per extended site (the
+    one-column extension and the FFT's copy of it, P with its two squares,
+    the last window's P), so the extension stays within the allocator's
+    128 KiB mmap threshold; the O(T) results, 160 B per site, 16 B per site
+    for each of the 8 rows of offsets and anchor, 24 B per site of anchor
+    temporaries, and the widest chunk."""
+    width = max(1, 3 * 2**17 // (96 * (s + 1)))
+    return width, 128 * T + 160 * s + 152 * s + 96 * (s + 1) * min(width, T)
 
 
-@pytest.mark.parametrize("s,width", [(640, 6), (769, 5), (2049, 2)])
+@pytest.mark.parametrize("s,width", [(640, 6), (769, 5), (2049, 1)])
 def test_position_average_windows_and_estimate_pinned(s, width, monkeypatch):
     """The position average evolves, and checks to the byte, the chunks written out above."""
     checked, evolved = [], []
@@ -524,13 +525,71 @@ def test_position_average_windows_and_estimate_pinned(s, width, monkeypatch):
     monkeypatch.setattr(register, "_evolve_column", recording_column)
     monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
     _, _, program, r1, psi0 = toy_setup(mu=5, s=s)
-    for T in (2, width, width + 1, 2 * width + 1):  # one sample is no uniform grid
+    for T in (2, max(2, width), width + 1, 2 * width + 1):  # one sample is no uniform grid
         checked.clear()
         evolved.clear()
         qc.register_trajectory(program, r1, psi0, 0.5 * np.arange(T))
         assert _route_chunks(s, T)[0] == width
         assert checked == [_route_chunks(s, T)[1]]
         assert evolved == [width] * (T // width) + ([T % width] if T % width else [])
+
+
+@pytest.mark.parametrize("s", [769, 2049])
+def test_position_average_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """The position average's checked estimate is at or above the peak
+    tracemalloc sees over the route, and within twice that peak."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        if what.startswith("trajectory of"):
+            checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
+    _, _, program, r1, psi0 = toy_setup(mu=5, s=s)
+    times = 0.5 * np.arange(300)
+    qc.register_trajectory(program, r1, psi0, times[:2])  # the FFT plans, built once
+    checked.clear()
+    tracemalloc.start()
+    try:
+        qc.register_trajectory(program, r1, psi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [_route_chunks(s, times.size)[1]]
+    assert peak <= checked[0] < 2 * peak
+
+
+@pytest.mark.parametrize("s", [640, 769])
+def test_position_average_bits_do_not_depend_on_window_width(s, monkeypatch):
+    """One grid evolved in windows of 1, 2 and 5 samples, and a prefix of it,
+    give the same s1, s2 and s3 bytes: no window of any row count, a one-row
+    one included, reduces its sites otherwise than a wider one."""
+    _, _, program, r1, psi0 = toy_setup(mu=6, s=s)
+    times = 0.5 * np.arange(23)  # an exact step, so every prefix has the same h
+    widths, evolve_column = [], register._evolve_column
+
+    def recording_column(*args):
+        for window, psi in evolve_column(*args):
+            widths.append(psi.shape[0])
+            yield window, psi
+
+    monkeypatch.setattr(register, "_evolve_column", recording_column)
+    monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
+    runs = []
+    for width in (1, 2, 5):
+        widths.clear()
+        monkeypatch.setattr(chain, "_COLUMN_CHUNK_BYTES", width * 96 * (s + 1))
+        runs.append(qc.register_trajectory(program, r1, psi0, times))
+        assert widths[0] == width and sum(widths) == times.size
+    prefix = qc.register_trajectory(program, r1, psi0, times[:7])
+    for field in ("s1", "s2", "s3"):
+        expected = getattr(runs[0], field).tobytes()
+        for traj in runs[1:]:
+            assert getattr(traj, field).tobytes() == expected, field
+        assert getattr(prefix, field).tobytes() == getattr(runs[0], field)[:7].tobytes(), field
 
 
 @pytest.mark.parametrize("s", [513, 769])
@@ -641,11 +700,12 @@ def test_position_average_bitwise_equals_whole_grid_formula(s):
     """The chunked route against its whole-grid formula, anchors included, bit
     for bit.  Sample j takes its phases from the anchor a = j - j % K: exact
     cos and sin at t_a times c V psi0, then one product with exp(-i e (j-a) h)
-    for j > a.  The grid spans anchors that straddle chunks and ends in a
-    short chunk."""
+    for j > a; the site sums are one einsum over the whole grid.  The grid
+    spans anchors that straddle chunks; at 769 sites it ends in a short
+    chunk, at 2049 every chunk is one sample."""
     _, _, program, r1, psi0 = toy_setup(mu=6, s=s)
     K = chain._PHASE_ANCHOR
-    times = 0.37 * np.arange(4 * K + 1)  # widths 5 and 2 leave a short last chunk
+    times = 0.37 * np.arange(4 * K + 1)  # width 5 leaves a short last chunk
     traj = qc.register_trajectory(program, r1, psi0, times)
 
     spec = psi0.spec
@@ -672,12 +732,10 @@ def test_position_average_bitwise_equals_whole_grid_formula(s):
     u = np.einsum("xij,j->xi", program.cumulative, r1)  # W(1) = 1, so b = r1
     cross = u[:, 1] * u[:, 0].conj()
     weights = np.stack([cross.real, cross.imag, np.abs(u[:, 0]) ** 2 - np.abs(u[:, 1]) ** 2])
-    total = weights[:, 0, None] * p[:, 0]
-    for x in range(1, s):  # site by site
-        total += weights[:, x, None] * p[:, x]
-    assert np.array_equal(traj.s1, 2.0 * total[0])
-    assert np.array_equal(traj.s2, 2.0 * total[1])
-    assert np.array_equal(traj.s3, total[2])
+    total = np.einsum("ij,kj->ik", p, weights)  # (T, 3), every sample at once
+    assert np.array_equal(traj.s1, 2.0 * total[:, 0])
+    assert np.array_equal(traj.s2, 2.0 * total[:, 1])
+    assert np.array_equal(traj.s3, total[:, 2])
 
 
 def test_position_average_other_cases_equal_machine_trajectory(monkeypatch):
@@ -919,6 +977,19 @@ def test_cached_arrays_read_only():
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_basis_caches_hold_one_entry():
+    """The basis and label caches keep one entry, the one each estimate counts:
+    a run over many chains or sectors leaves the last one only."""
+    for s in range(200, 210):
+        chain._complex_modes(qc.ChainSpec(s))
+        multi._occupation_array(s, 2)
+    for cache in (chain._complex_modes, multi._occupation_array):
+        info = cache.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1, cache
+    assert chain._complex_modes(qc.ChainSpec(209)).shape == (209, 209)
+    assert chain._complex_modes.cache_info().hits >= 1
 
 
 def test_local_extrema_helpers():
