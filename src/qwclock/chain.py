@@ -492,10 +492,12 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     s, T = spec.s, len(times)
     workers = _cpus()
     # the moment and norm^2 columns, and per thread one sample's column,
-    # product and squares; per site and sample, the kernel's phase arguments
-    # (and on the GEMM path the phases' complex temporary)
+    # product and squares; per site and sample, the kernel's phase arguments,
+    # and on the GEMM path the phases' complex temporary, on the FFT path
+    # numpy's copy of the extension with 8 B of ufunc buffer, which the
+    # kernel's in-place steps on the extension's views take
     held = 24 * T + 64 * s * workers
-    windows = list(_grid_chunks(spec, times, 1, held, 8 if s >= _FFT_SITES else 24, workers))
+    windows = list(_grid_chunks(spec, times, 1, held, 48 if s >= _FFT_SITES else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)
 
     def sweep(i):

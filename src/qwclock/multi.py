@@ -43,14 +43,16 @@ __all__ = [
 _WHOLE_START_BYTES = 2**19
 
 
-def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None) -> None:
+def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None, a=None) -> None:
     """Budget the C(s, n) labels with their link counts and masks, the state's (d, C(s, n))
-    amplitudes and undressed copy, the d*s^n start and, per thread, the s x s propagator, two
-    width*s^n work tensors (width d by default) and three (d, C(s, n)) sample temporaries;
-    every SectorState passes this at one thread, so propagate_free_sector is too."""
-    c, width = math.comb(s, n), d if width is None else width
-    per_thread = 64 * s * s + 32 * width * s**n + 48 * d * c
-    nbytes = 9 * c * (n + 1) + 32 * d * c + 16 * d * s**n + workers * per_thread
+    amplitudes and undressed copy, the d*a^n start over its a active sites (a = s by default)
+    and, per thread, the s x s propagator with its s x a active columns, the last leg's
+    width*s^n product and its width*a*s^(n-1) operand (width d by default) and three
+    (d, C(s, n)) sample temporaries; every SectorState passes this at one thread and a = s,
+    so propagate_free_sector is too."""
+    c, width, a = math.comb(s, n), d if width is None else width, s if a is None else a
+    per_thread = 64 * s * s + 16 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
+    nbytes = 9 * c * (n + 1) + 32 * d * c + 16 * d * a**n + workers * per_thread
     _check_memory(nbytes, f"sector s={s}, n={n}, d={d}")
 
 
@@ -179,16 +181,22 @@ class SectorState:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
 
 
-def _embed_antisymmetric(amps: np.ndarray, s: int, n: int) -> np.ndarray:
-    """Scatter (d, C(s, n)) ordered amplitudes onto the n-leg antisymmetric tensor.
+def _embed_antisymmetric(amps: np.ndarray, occupied: np.ndarray, n: int) -> np.ndarray:
+    """Scatter (d, C(s, n)) ordered amplitudes onto the n-leg antisymmetric tensor over the
+    a sites of the (s,) mask occupied, which holds every site of a label with a nonzero
+    amplitude.
 
-    The tensor is stored leg-1-major, (l1, d, l2, ..., ln): the layout in which
-    np.tensordot hands the first leg to its product.
+    Only the labels over those sites are scattered.  The tensor is stored
+    leg-1-major, (l1, d, l2, ..., ln), each leg a wide: the layout of the
+    first leg's operand.  Where every site is occupied, it is the d * s^n tensor.
     """
-    subs = _occupation_array(s, n)
-    full = np.zeros((s, amps.shape[0]) + (s,) * (n - 1), dtype=complex)
+    labels = _occupation_array(occupied.size, n)
+    inside = occupied[labels].all(axis=1)  # the labels over the occupied sites
+    subs = (np.cumsum(occupied) - 1)[labels[inside]]  # their sites, numbered 0..a-1
+    a, amps = np.count_nonzero(occupied), amps[:, inside]
+    full = np.zeros((a, amps.shape[0]) + (a,) * (n - 1), dtype=complex)
     for perm in permutations(range(n)):
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))  # inversion parity
+        sign = (-1) ** sum(i > j for i, j in combinations(perm, 2))  # inversion parity
         idx = tuple(subs[:, j] for j in perm)
         full[(idx[0], slice(None)) + idx[1:]] = (sign * amps).T
     return full
@@ -201,38 +209,57 @@ def _extract_ordered(full: np.ndarray, s: int, n: int) -> np.ndarray:
 
 
 def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, n: int):
-    """Free-sector amplitudes (labels, C(s, n)) of the embedded start after the propagator u.
+    """Free-sector amplitudes (labels, C(s, n)) of the embedded start after the propagator.
 
-    Leg by leg as np.tensordot did, with each leg's operand copied to the same
-    C-ordered layout, but into the work buffers out and spare.  (For n = 2,
-    d = 1 np.tensordot passed a transposed view; OpenBLAS gives the same bits.)
-    Unchecked: the caller's SectorState, or the trace of its density, checks the norm.
+    u holds the propagator's s x a columns at the start's a active sites, and
+    the start's legs are a wide.  Leg by leg, u @ operand goes into out and
+    widens that leg to s.  The first leg's operand is the start; leg k's is
+    the tensor with leg k moved first (legs before it s wide, after it a wide),
+    copied C-ordered into spare.  Where a start's active sites are all s,
+    these are the products np.tensordot made.  Unchecked: the caller's
+    SectorState, or the trace of its density, checks the norm.
     """
-    s = u.shape[0]
-    np.dot(u, start.reshape(s, -1), out=out.reshape(s, -1))
-    full = out.swapaxes(0, 1)  # (d, l1, ..., ln), leg 1 updated
-    for axis in range(2, n + 1):  # the views of np.moveaxis(full, axis, 0) and back, cheaper
-        np.copyto(spare, full.transpose(axis, *range(axis), *range(axis + 1, n + 1)))
-        np.dot(u, spare.reshape(s, -1), out=out.reshape(s, -1))
-        full = out.transpose(*range(1, axis + 1), 0, *range(axis + 1, n + 1))
+    s, a = u.shape
+    operand = start
+    for axis in range(1, n + 1):
+        if axis > 1:  # the views of np.moveaxis(full, axis, 0) and back, cheaper
+            moved = full.transpose(axis, *range(axis), *range(axis + 1, n + 1))
+            operand = spare[: moved.size].reshape(moved.shape)
+            np.copyto(operand, moved)
+        product = out[: operand.size // a * s].reshape((s,) + operand.shape[1:])
+        np.dot(u, operand.reshape(a, -1), out=product.reshape(s, -1))
+        full = product.transpose(*range(1, axis + 1), 0, *range(axis + 1, n + 1))
     return _extract_ordered(full, s, n)
 
 
 def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -> None:
     """Call emit(i, free) with the free-sector amplitudes (d, C(s, n)) at each times[i],
-    the samples spread over the CPUs by _each.  The start is embedded once, whole up to
-    _WHOLE_START_BYTES and else label by label, and shared; each thread evolves whole
-    samples in a work pair of its own, of one embedded tensor's size.  Budgeted first."""
+    the samples spread over the CPUs by _each.  The start is embedded over its active
+    sites only, the sites of its labels with a nonzero amplitude padded to a multiple
+    of 4 (sites 1..4 for a product start on sites 1..n, n <= 4): once, whole up to
+    _WHOLE_START_BYTES of d*s^n and else label by label, and shared.  Each thread
+    evolves whole samples in a work pair of its own, the last leg's product and its
+    operand.  Budgeted first."""
     d, s = amps.shape[0], spec.s
-    width = d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
-    _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width)
-    starts = [_embed_antisymmetric(amps[z : z + width], s, n) for z in range(0, d, width)]
+    occupied = np.zeros(s, dtype=bool)
+    occupied[_occupation_array(s, n)[amps.any(axis=0)]] = True
+    # padded with the lowest free sites to a multiple of 4 (or to all s), for the
+    # bits of all s sites: OpenBLAS's complex kernels take 4 columns at a time
+    # and round a remainder column, or a lone one, otherwise
+    occupied[np.flatnonzero(~occupied)[: -np.count_nonzero(occupied) % 4]] = True
+    sites = np.flatnonzero(occupied)
+    a, width = sites.size, d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
+    _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width, a)
+    starts = [_embed_antisymmetric(amps[z : z + width], occupied, n) for z in range(0, d, width)]
+    sizes = width * s**n, width * a * s ** (n - 1)  # the last leg's product and its operand
     local = threading.local()
 
     def sample(i):
         if not hasattr(local, "pair"):
-            local.pair = np.empty_like(starts[0]), np.empty_like(starts[0])
-        u = propagator(spec, times[i])
+            local.pair = [np.empty(size, complex) for size in sizes]
+        # a C-contiguous copy: the fancy-indexed view u[:, sites] would reach
+        # BLAS with another transpose flag, which moved bits at n = d = 1
+        u = propagator(spec, times[i]).take(sites, axis=1)
         emit(i, np.concatenate([_free_sample(u, start, *local.pair, n) for start in starts]))
 
     chain._complex_modes(spec)  # cached before the threads share it
@@ -307,8 +334,10 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
     """Register density matrices, shape (T, d, d), with primitive g on link x0 only.
 
     One start evolved over a time grid: it is checked, undressed and embedded
-    once, and each time costs n leg products of the d * s^n tensor (label by
-    label above _WHOLE_START_BYTES).  _each spreads the samples over the CPUs;
+    once over its a active sites, and each time costs n leg products, leg k
+    widening the tensor from a to s sites on that leg, so that the last
+    leg's product has s^n entries per label (label by label above
+    _WHOLE_START_BYTES of d * s^n).  _each spreads the samples over the CPUs;
     each gets the bits it gets alone, so rho does not depend on the CPU count.
     Raises ValueError before the first sample, the lowest failing sample's
     error, and NormalizationError, after the sweep, if the trace of any

@@ -425,14 +425,14 @@ def _sweep_estimate(s, T, cpus):
     (no more threads than windows), as wide as the grid when the grid is
     narrower.  Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of phases, 40 B per
     site and sample with their arguments; from 640 sites on one-column
-    windows of 384 KiB of 40 B per extended site and sample (extension and
-    phase arguments)."""
+    windows of 384 KiB of 80 B per extended site and sample (the extension,
+    numpy's copy of it with 8 B of ufunc buffer, and the phase arguments)."""
     held = 24 * T + 64 * s * cpus
     if s < 640:
         width = 65536 // (16 * s)
         return held + 16 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
-    width = 3 * 2**17 // (40 * (s + 1))
-    return held + 40 * (s + 1) * min(width, T) * min(cpus, -(-T // width))
+    width = 3 * 2**17 // (80 * (s + 1))
+    return held + 80 * (s + 1) * min(width, T) * min(cpus, -(-T // width))
 
 
 @pytest.mark.parametrize("s", [513, 769])
@@ -488,6 +488,35 @@ def test_position_sweep_estimate_bounds_its_traced_peak(s, monkeypatch):
     finally:
         tracemalloc.stop()
     assert checked == [_sweep_estimate(s, 100, 1)]
+    assert peak <= checked[0] < 2 * peak
+
+
+@pytest.mark.parametrize("s", [769, 1025])
+def test_position_sweep_fft_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """From 640 sites on, on one thread, the sweep's checked estimate is at or
+    above the peak tracemalloc sees over 400 samples and within twice it: it
+    counts numpy's copy of the extension, which the FFT path's in-place steps
+    on the extension's views take."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    psi0 = qc.basis_state(qc.ChainSpec(s), s // 2)
+    times = 0.5 * np.arange(400.0)
+    chain.position_moments(psi0, times[:2])  # the FFT plans and the state's coefficients, once
+    checked.clear()
+    tracemalloc.start()
+    try:
+        chain.position_moments(psi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [_sweep_estimate(s, 400, 1)]
     assert peak <= checked[0] < 2 * peak
 
 

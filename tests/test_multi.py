@@ -312,22 +312,30 @@ def test_single_link_densities_leave_no_thread_behind(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
-def _sector_sweep_estimate(s, n, d, T, cpus, width):
+def _active_sites(s, n):
+    """The sites a product start on sites 1..n is embedded over: n, padded to a
+    multiple of 4 (BLAS's complex kernels take 4 columns at a time), or all s."""
+    return min(s, -(-n // 4) * 4)
+
+
+def _sector_sweep_estimate(s, n, d, T, cpus, width, a):
     """The sector sweep's estimate, written out: the C(s, n) labels at 9 (n + 1) B
     each (8 n for the array, 8 for the count past the link, n + 1 for the count
     masks), the state's (d, C(s, n)) amplitudes and their undressed copy, the
-    d s^n embedded start (16 B each), and per thread (no more threads than
-    samples) the s x s propagator (64 B per entry), a work pair of two width s^n
-    tensors and three (d, C(s, n)) sample temporaries."""
+    d a^n start embedded over its a (padded) active sites (16 B each), and per thread
+    (no more threads than samples) the s x s propagator (64 B per entry) with
+    its s x a active columns, a work pair of the last leg's width s^n product
+    and its width a s^(n-1) operand, and three (d, C(s, n)) sample temporaries."""
     c = math.comb(s, n)
-    per_thread = 64 * s * s + 32 * width * s**n + 48 * d * c
-    return 9 * c * (n + 1) + 32 * d * c + 16 * d * s**n + min(cpus, T) * per_thread
+    per_thread = 64 * s * s + 16 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
+    return 9 * c * (n + 1) + 32 * d * c + 16 * d * a**n + min(cpus, T) * per_thread
 
 
 @pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
 def test_sector_sweep_estimate_counts_a_work_pair_per_thread(s, n, width, monkeypatch):
     """The estimate is checked once, to the byte, before any sample is evolved:
-    a whole start (9 sites, 2.6 kB) and a start label by label (16 sites, 2 MiB)."""
+    a whole start (9 sites, 2.6 kB of d s^n) and a start label by label (16
+    sites, 2 MiB of d s^n), each a product start on sites 1..n."""
     events = []
     check_memory, each = multi._check_memory, multi._each
 
@@ -348,15 +356,14 @@ def test_sector_sweep_estimate_counts_a_work_pair_per_thread(s, n, width, monkey
             monkeypatch.setattr(chain, "_cpus", lambda: cpus)
             events.clear()
             qc.single_link_densities(state, n + 1, qc.rotation_about_2(0.3), np.arange(float(T)))
-            assert events == [_sector_sweep_estimate(s, n, 2, T, cpus, width), "evolve"]
+            expected = _sector_sweep_estimate(s, n, 2, T, cpus, width, _active_sites(s, n))
+            assert events == [expected, "evolve"]
 
 
-@pytest.mark.parametrize("s,n", [(16, 3), (16, 4)])
-def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
-    """On one thread the sweep's checked estimate is at or above the peak that
-    tracemalloc sees over building the state and its densities, labels and
-    basis included: a whole start (16 sites, n = 3, 131 kB) and a start label
-    by label (n = 4, 2 MiB)."""
+def _traced_sweep(s, n, monkeypatch):
+    """The last checked sector estimate and the peak tracemalloc sees, on one
+    thread, over building a product start on sites 1..n and its densities at
+    4 samples, labels and basis included."""
     checked = []
     check_memory = multi._check_memory
 
@@ -375,8 +382,29 @@ def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert checked[-1] == _sector_sweep_estimate(s, n, 2, 4, 1, 2 if n == 3 else 1)
-    assert peak <= checked[-1] < 2 * peak
+    width = 2 if 32 * s**n <= multi._WHOLE_START_BYTES else 1
+    assert checked[-1] == _sector_sweep_estimate(s, n, 2, 4, 1, width, _active_sites(s, n))
+    return checked[-1], peak
+
+
+@pytest.mark.parametrize("s,n", [(16, 3), (16, 4)])
+def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
+    """On one thread the sweep's checked estimate is at or above the traced
+    peak and within twice it: a whole start (16 sites, n = 3, 131 kB of
+    d s^n) and a start label by label (n = 4, 2 MiB of d s^n)."""
+    checked, peak = _traced_sweep(s, n, monkeypatch)
+    assert peak <= checked < 2 * peak
+
+
+@pytest.mark.parametrize("sizes", [(16, 24), (28, 33)], ids=["whole", "label by label"])
+def test_sector_sweep_estimate_bounds_its_traced_slope(sizes, monkeypatch):
+    """At n = 3, on one thread, from the smaller chain to the larger the checked
+    estimate grows at least as fast as the traced peak and less than twice as
+    fast: whole starts (131 and 442 kB of d s^n) and starts label by label
+    (702 kB and 1.15 MB)."""
+    (small, small_peak), (large, large_peak) = (_traced_sweep(s, 3, monkeypatch) for s in sizes)
+    traced, estimated = large_peak - small_peak, large - small
+    assert traced <= estimated < 2 * traced
 
 
 @pytest.mark.parametrize("s,n", [(5, 1), (6, 3), (9, 4), (7, 7)])
@@ -452,6 +480,28 @@ def _per_sample_single_link(state, x0, g, t):
     return dressed
 
 
+def _assert_per_sample_bits(state, g, tol=0.0):
+    """The densities, single-link amplitudes and free amplitudes of state at four
+    times equal the per-sample formula's: bitwise, or to tol."""
+    s, n, d = state.spec.s, state.n, state.d
+    same = np.array_equal if tol == 0 else (lambda a, b: np.abs(a - b).max() <= tol)
+    x0 = (n + s - 1) // 2
+    times = np.array([0.0, 0.9, 3.7, 2.5 * s])
+    rho = qc.single_link_densities(state, x0, g, times)
+    assert rho.shape == (times.size, d, d)
+    for i, t in enumerate(times):
+        expected = _per_sample_single_link(state, x0, g, t)
+        assert same(rho[i], expected @ expected.conj().T), t
+        assert same(qc.propagate_single_link(state, x0, g, t).amplitudes, expected), t
+        free = _per_sample_free(state.spec, n, state.amplitudes, t)
+        assert same(qc.propagate_free_sector(state, t).amplitudes, free), t
+
+
+def _random_unitary(rng, d):
+    g, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return g
+
+
 @pytest.mark.parametrize(
     "s,n,d", [(10, 2, 2), (16, 4, 2), (7, 3, 2), (13, 4, 1), (9, 1, 2), (8, 2, 1)]
 )
@@ -462,21 +512,75 @@ def test_single_link_densities_bitwise_equal_per_sample_formula(s, n, d):
     leg to BLAS as a transposed view, where the trajectory copies it first.
     """
     rng = np.random.default_rng(10 * s + n)
-    spec = qc.ChainSpec(s)
     m = len(list(combinations(range(s), n)))
     amps = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-    state = qc.SectorState(spec, n, amps / np.linalg.norm(amps))
-    g, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    x0 = (n + s - 1) // 2
-    times = np.array([0.0, 0.9, 3.7, 2.5 * s])
-    rho = qc.single_link_densities(state, x0, g, times)
-    assert rho.shape == (times.size, d, d)
-    for i, t in enumerate(times):
-        expected = _per_sample_single_link(state, x0, g, t)
-        assert np.array_equal(rho[i], expected @ expected.conj().T), t
-        assert np.array_equal(qc.propagate_single_link(state, x0, g, t).amplitudes, expected)
-        free = _per_sample_free(spec, n, state.amplitudes, t)
-        assert np.array_equal(qc.propagate_free_sector(state, t).amplitudes, free)
+    state = qc.SectorState(qc.ChainSpec(s), n, amps / np.linalg.norm(amps))
+    _assert_per_sample_bits(state, _random_unitary(rng, d))
+
+
+# (s, n) of _MULTI_RUNS, oracle-check's free start and the label-side CLI start --g 3 --s 33
+_PRODUCT_SHAPES = sorted(
+    {(s, n) for _, n, s, _, _ in _MULTI_RUNS} | {(9, 1), (8, 2), (13, 4), (33, 3)}
+)
+
+
+@pytest.mark.parametrize("s,n", _PRODUCT_SHAPES)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("whole", [None, True], ids=["as run", "whole"])
+def test_product_starts_bitwise_equal_per_sample_formula(s, n, d, whole, monkeypatch):
+    """A product start on sites 1..n, embedded over its padded active sites
+    only, gets the bits of the per-sample formula, which multiplies all s
+    columns of the propagator into the full tensor.  As run, (16, 4) and
+    (33, 3) at d = 2 go label by label (over 512 KiB of d s^n) and the rest
+    whole; the second run takes each start whole."""
+    if whole:
+        monkeypatch.setattr(multi, "_WHOLE_START_BYTES", float("inf"))
+    rng = np.random.default_rng(100 * s + 10 * n + d)
+    reg = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), reg / np.linalg.norm(reg))
+    _assert_per_sample_bits(state, _random_unitary(rng, d))
+
+
+@pytest.mark.parametrize("s,n,d", [(9, 2, 2), (10, 3, 1), (12, 2, 1), (13, 4, 2)])
+def test_partially_supported_starts_match_per_sample_formula(s, n, d):
+    """A general start whose labels cover only n + 2 of the s sites is embedded
+    over those, padded to a multiple of 4; it agrees with the per-sample
+    formula to 1e-14 (BLAS may round the narrower products otherwise)."""
+    rng = np.random.default_rng(10 * s + n)
+    labels = multi._occupation_array(s, n)
+    over = np.isin(labels, rng.choice(s, size=n + 2, replace=False)).all(axis=1)
+    keep = over & (rng.random(len(labels)) < 0.7)
+    keep[np.flatnonzero(over)[0]] = True
+    amps = np.where(keep, rng.standard_normal((d, len(labels))) + 1j, 0.0)
+    state = qc.SectorState(qc.ChainSpec(s), n, amps / np.linalg.norm(amps))
+    _assert_per_sample_bits(state, _random_unitary(rng, d), tol=1e-14)
+
+
+@pytest.mark.parametrize("s,n,whole", [(9, 1, True), (10, 2, True), (33, 3, False), (16, 4, False)])
+def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
+    """Every sample multiplies the propagator's columns at the start's sites 1..n,
+    padded to 4, into operands of that many rows, and its work pair is the last
+    leg's width s^n product and width a s^(n-1) operand: no leg of a product
+    start returns to s rows (4 here, where a whole tensor has 9 to 33)."""
+    columns, shapes = [], set()
+    free_sample = multi._free_sample
+    a, width = _active_sites(s, n), 2 if whole else 1
+
+    def recording_sample(u, start, out, spare, legs):
+        columns.append(u)
+        shapes.add((u.shape, start.shape, out.size, spare.size))
+        return free_sample(u, start, out, spare, legs)
+
+    monkeypatch.setattr(multi, "_free_sample", recording_sample)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    spec, times = qc.ChainSpec(s), np.arange(3.0)
+    state = qc.SectorState.from_product(spec, range(1, n + 1), [0.6, 0.8])
+    qc.single_link_densities(state, n, qc.rotation_about_2(0.3), times)
+    assert a == 4 < s and len(columns) == times.size * 2 // width  # d / width labels per sample
+    for k, u in enumerate(columns):
+        assert np.array_equal(u, qc.propagator(spec, times[k * width // 2])[:, :a])
+    operand, product = width * a * s ** (n - 1), width * s**n
+    assert shapes == {((s, a), (a, width) + (a,) * (n - 1), product, operand)}
 
 
 @pytest.mark.parametrize("s,x0,mu", [(9, 3, 4), (16, 8, 6), (24, 5, 9)])
