@@ -322,50 +322,10 @@ def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:
     return CursorWavefunction(spec, amps)
 
 
-def _evolve_modes(spec: ChainSpec, coeff: np.ndarray, times) -> np.ndarray:
-    """Free chain evolution of d amplitude columns over a time grid.
-
-    Maps the (s, d) mode coefficients coeff = _mode_coefficients(spec, psi0)
-    of site amplitudes psi0 to (s, T, d):
-    psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)).
-    This is the package's one spectral transform; callers compute coeff once
-    per start and check the norm.  Below _FFT_SITES sites it is a GEMM over
-    the cached complex V, one product per sample for d = 1; from there on
-    the FFT sine transform, which returns a strided view.  Times do not mix,
-    so callers evolve a grid in the windows _grid_chunks picks and budgets,
-    and a sample's bits depend on that sample alone on every path.  On the
-    GEMM path this holds with one BLAS thread: a threaded GEMM splits its
-    columns by their count, so its bits may follow the width.
-    """
-    s, T, d = spec.s, len(times), coeff.shape[1]
-    e = _energies(spec)
-    if s >= _FFT_SITES:
-        ext = np.empty((T, d, 2 * (s + 1)), dtype=complex)
-        body = ext[:, :, 1 : s + 1]
-        # the phases exp(-i e_k t) go straight into the first column, which
-        # the others then scale; no (s, T, d) product exists beside ext
-        _phases(e, times, out=body[:, 0])
-        scaled = _sine_scale(s) * coeff.T  # (d, s)
-        np.multiply(body[:, :1], scaled[1:], out=body[:, 1:])
-        body[:, 0] *= scaled[0]
-        return _sine_transform(ext).transpose(2, 0, 1)
-    Vc = _complex_modes(spec)
-    if d > 1:
-        phases = np.exp(-1j * np.outer(e, times))  # (s, T)
-        return np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
-    # each sample's product overwrites its phases: a T-column product would
-    # round otherwise than T one-column products
-    psi = np.exp(-1j * np.outer(times, e))  # (T, s)
-    for row in psi:
-        row[:] = np.dot(Vc, row[:, None] * coeff)[:, 0]
-    return psi.T[:, :, None]
-
-
-def _phases(e: np.ndarray, times, out=None) -> np.ndarray:
+def _phases(e: np.ndarray, times) -> np.ndarray:
     """(T, s) phases exp(-i e_k t) from exact cos and sin of t * (-e_k)."""
     arg = np.multiply.outer(times, -e)
-    if out is None:
-        out = np.empty(arg.shape, dtype=complex)
+    out = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     return out
@@ -386,69 +346,102 @@ def _uniform_step(times):
 
 
 def _column_step(spec: ChainSpec, times):
-    """The step on which _evolve_column may evolve a grid, None where it may not.
+    """The step on which _evolve may anchor a grid's phases, None where it may not.
 
     That is the uniform step (_uniform_step) of a chain of at least
     _FFT_SITES sites; None below them, on any other grid, and where
-    max|e| max|t| is inf, which the anchored phases would hide from the norm check.
+    max|e| max|t| is inf, which the anchored phases would hide from the norm
+    check.  The step is passed to both _grid_chunks and _evolve.
     """
     step = _uniform_step(times) if spec.s >= _FFT_SITES else None
     bound = float(np.abs(_energies(spec)).max()) * float(np.abs(times).max(initial=0.0))
     return step if np.isfinite(bound) else None
 
 
-def _evolve_column(
-    spec: ChainSpec, coeff: np.ndarray, times, step: float, held: int, site_bytes: int
-):
-    """Free evolution of one amplitude column over a uniform time grid, window by window.
+def _evolve(spec: ChainSpec, coeff: np.ndarray, times, windows, step=None):
+    """Free chain evolution of d amplitude columns over a time grid, window by window.
 
-    The FFT path of _evolve_modes for d = 1, on a grid of step
-    `step = _column_step(spec, times)`, which is not None.  Yields
-    (window, psi) for the windows _grid_chunks picks, psi the (chunk, s)
-    view of psi(t_j, x) = sum_k exp(-i e_k t_j) v_k(x) coeff[k] for the
-    (s, 1) coeff = _mode_coefficients(spec, psi0); psi is valid until the
-    next window: every window is transformed in one extension buffer, the
-    widest window's.  `held` and `site_bytes` are the caller's, as for
-    _grid_chunks; the offset table, the anchor row and the FFT's copy of the
-    extension (numpy copies an input that is also its output) are counted here.
+    The package's one spectral transform.  Maps the (s, d) mode coefficients
+    coeff = _mode_coefficients(spec, psi0) of site amplitudes psi0 to
+    psi(t, x) = sum_k exp(-i e_k t) v_k(x) (sum_y v_k(y) psi0(y)), and yields
+    (window, psi) for each slice of `windows`, psi of shape (chunk, d, s).
+    Callers compute coeff once per start, take the windows from _grid_chunks,
+    which budgets them, and check the norm.
 
-    Sample j has the anchor a = j - j % _PHASE_ANCHOR and takes
-    (exp(-i e t_a) c coeff) exp(-i e (j - a) h), with c = _sine_scale(s) and
-    h = step: exact cos and sin at the anchors only, and the offsets
-    exp(-i e m h), m = 1 .. _PHASE_ANCHOR - 1, from one table per run.  The
-    bits depend on j only, never on the window.
+    Below _FFT_SITES sites each window is a GEMM over the cached complex V:
+    one product per sample for d = 1, one tensordot (psi is then a transposed
+    view) for d > 1.  From there on each window fills the odd extension of
+    the FFT sine transform in one buffer, the first window's, which must be
+    the widest; psi is a view of it, valid until the next window.  Sample j
+    takes (exp(-i e t_a) c coeff) exp(-i e (j - a) h) from its anchor
+    a = j - j % K, with c = _sine_scale(s).  With no step every sample is an
+    anchor (K = 1).  With step = h = _column_step(spec, times), not None,
+    K = _PHASE_ANCHOR: exact cos and sin at the anchors only, and the offsets
+    exp(-i e m h), m = 1 .. K - 1, from one table per run; the windows must
+    then run in order from sample 0, since the last anchor's row is carried
+    into the next window.
+
+    A sample's bits depend on that sample alone, never on its window.  On the
+    GEMM path this holds with one BLAS thread: a threaded GEMM splits its
+    columns by their count, so its bits may follow the width.
     """
-    s, K = spec.s, _PHASE_ANCHOR
+    s, d = spec.s, coeff.shape[1]
     e = _energies(spec)
-    # the offset table with the anchor row, and the phase temporaries of an
-    # anchor; per site and sample, the FFT's 32 B copy of the extension
-    windows = _grid_chunks(spec, times, 1, held + (16 * K + 24) * s, site_bytes + 32)
-    offsets = _phases(e, step * np.arange(1, K))
-    scaled = _sine_scale(s) * coeff[:, 0]
-    anchor = row = None
+    if s < _FFT_SITES:
+        Vc = _complex_modes(spec)
+        for window in windows:
+            if d > 1:
+                phases = np.exp(-1j * np.outer(e, times[window]))  # (s, chunk)
+                psi = np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
+                yield window, psi.transpose(1, 2, 0)
+            else:
+                # each sample's product overwrites its phases: a chunk-column
+                # product would round otherwise than one-column products
+                psi = np.exp(-1j * np.outer(times[window], e))  # (chunk, s)
+                for row in psi:
+                    row[:] = np.dot(Vc, row[:, None] * coeff)[:, 0]
+                yield window, psi[:, None]
+        return
+    K = 1 if step is None else _PHASE_ANCHOR
+    offsets = None if step is None else _phases(e, step * np.arange(1, K))
+    scaled = _sine_scale(s) * coeff.T  # (d, s)
+    buf = row = None
     for window in windows:
         start, stop = window.start, window.stop
-        if start == 0:  # the first window, the widest
-            buf = np.empty((stop, 2 * (s + 1)), dtype=complex)
+        if buf is None:  # the first window, the widest
+            buf = np.empty((stop - start, d, 2 * (s + 1)), dtype=complex)
         ext = buf[: stop - start]
-        body = ext[:, 1 : s + 1]
-        for a in range(start - start % K, stop, K):
-            if a != anchor:
-                anchor, row = a, _phases(e, times[a : a + 1])[0] * scaled
-            if a >= start:
-                body[a - start] = row
-            lo, hi = max(a + 1, start), min(a + K, stop)
-            np.multiply(row, offsets[lo - a - 1 : hi - a - 1], out=body[lo - start : hi - start])
+        body = ext[..., 1 : s + 1]
+        first = start + -start % K  # the window's first anchor
+        if first < stop:  # with a step, a window narrower than K may hold no anchor
+            anchors = body[first - start :: K]
+            np.multiply(_phases(e, times[first:stop:K])[:, None], scaled, out=anchors)
+        if step is not None:
+            for a in range(start - start % K, stop, K):
+                if a >= start:
+                    row = body[a - start]
+                lo, hi = max(a + 1, start), min(a + K, stop)
+                out = body[lo - start : hi - start]
+                np.multiply(row, offsets[lo - a - 1 : hi - a - 1, None], out=out)
+            if a >= start:  # the transform overwrites the last anchor's row
+                row = row.copy()
         yield window, _sine_transform(ext)
 
 
-def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, workers: int = 1):
-    """The windows in which a sweep evolves d columns over a time grid.
+def _grid_chunks(
+    spec: ChainSpec, times, d: int, held: int, site_bytes: int, workers: int = 1, step=None
+):
+    """The windows in which _evolve evolves d columns over a time grid.
 
     The caller holds `held` bytes for the whole run and `site_bytes` per site
     and sample beside the kernel's own temporaries, which are 16 d B per site
     and sample on the GEMM path (plus the cached complex V) and 32 d B per
-    site of the 2(s+1)-entry extension on the FFT path.  The run's estimate,
+    site of the 2(s+1)-entry extension on the FFT path.  Given the step of an
+    anchored grid (_column_step), the kernel's further ones are counted here:
+    the offset table, carried anchor row and anchor phases, (16 K + 24) s B
+    with K = _PHASE_ANCHOR, and 32 B per extended site and sample for the
+    copy _sine_transform's np.negative makes of its overlapping input (the
+    FFT, given its input as out, copies nothing).  The run's estimate,
     with the widest chunk once per worker evolving one at a time (up to
     `workers`, no more than there are chunks), is checked once here, on the
     calling thread, before any window is evolved; no evolution is budgeted
@@ -458,6 +451,8 @@ def _grid_chunks(spec: ChainSpec, times, d: int, held: int, site_bytes: int, wor
     and _FFT_CHUNK_BYTES on the FFT path.
     """
     s, T = spec.s, len(times)
+    if step is not None:
+        held, site_bytes = held + (16 * _PHASE_ANCHOR + 24) * s, site_bytes + 32
     if s >= _FFT_SITES:
         basis, per_sample = 0, (32 * d + site_bytes) * (s + 1)
         width = max(1, (_FFT_CHUNK_BYTES if d > 1 else _COLUMN_CHUNK_BYTES) // per_sample)
@@ -476,8 +471,9 @@ def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:
     reused by later ones.  The evolved state checks its own norm.
     """
     spec = psi0.spec
-    _grid_chunks(spec, [t], 1, 0, 32)  # one sample: the evolved column and the state's copy
-    return CursorWavefunction(spec, _evolve_modes(spec, psi0._coefficients, [t])[:, 0, 0])
+    window = _grid_chunks(spec, [t], 1, 0, 32)  # one sample: the column and the state's copy
+    _, psi = next(_evolve(spec, psi0._coefficients, [t], window))
+    return CursorWavefunction(spec, psi[0, 0])
 
 
 def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.ndarray]:
@@ -485,25 +481,24 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
 
     Each sample has the bits of position_statistics(propagate(psi0, t)), at
     any CPU count.  _each spreads _grid_chunks' windows over the CPUs, each
-    evolved by _evolve_modes.  After the sweep, the norm^2 series is checked
-    as propagate checks one sample: the first drifting sample raises.
+    evolved alone by _evolve with exact phases, as propagate's one sample is.
+    After the sweep, the norm^2 series is checked as propagate checks one
+    sample: the first drifting sample raises.
     """
     spec, coeff, times = psi0.spec, psi0._coefficients, np.asarray(times)
     s, T = spec.s, len(times)
     workers = _cpus()
     # the moment and norm^2 columns, and per thread one sample's column,
     # product and squares; per site and sample, the kernel's phase arguments,
-    # and on the GEMM path the phases' complex temporary, on the FFT path
-    # numpy's copy of the extension with 8 B of ufunc buffer, which the
-    # kernel's in-place steps on the extension's views take
+    # and on the GEMM path the phases' complex temporary, on the FFT path the
+    # phases beside the extension and _sine_transform's copy of its reflection
     held = 24 * T + 64 * s * workers
     windows = list(_grid_chunks(spec, times, 1, held, 48 if s >= _FFT_SITES else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)
 
     def sweep(i):
-        window = windows[i]
-        amps = _evolve_modes(spec, coeff, times[window])[:, :, 0].T
-        for j, row in zip(range(window.start, window.stop), amps):
+        window, psi = next(_evolve(spec, coeff, times, windows[i : i + 1]))
+        for j, row in zip(range(window.start, window.stop), psi[:, 0]):
             p = np.abs(row) ** 2
             stats = _site_statistics(p)
             mean[j], variance[j], norm2[j] = stats.mean, stats.variance, p.sum()

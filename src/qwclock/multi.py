@@ -20,7 +20,6 @@ import numpy as np
 from . import chain
 from .chain import ChainSpec, eigenvalue, propagator
 from .chain import _check_memory, _check_norm, _check_site, _each
-from .oracle import sector_occupations
 from .quadrature import composite_gauss_legendre
 from .register import _check_unitary
 
@@ -152,7 +151,8 @@ class SectorState:
 
     @property
     def occupations(self) -> tuple[tuple[int, ...], ...]:
-        return sector_occupations(self.spec.s, self.n)
+        """The occupation lists, 1-based tuples in the amplitudes' order."""
+        return tuple(map(tuple, (_occupation_array(self.spec.s, self.n) + 1).tolist()))
 
     @classmethod
     def from_product(

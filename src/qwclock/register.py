@@ -23,8 +23,7 @@ from .chain import (
     _check_norm,
     _check_site,
     _column_step,
-    _evolve_column,
-    _evolve_modes,
+    _evolve,
     _grid_chunks,
     _mode_coefficients,
     _site_statistics,
@@ -246,10 +245,10 @@ class MachineState:
 
     def evolve(self, t: float) -> "MachineState":
         """Exact evolution for time t (each comoving component walks freely)."""
-        _grid_chunks(self.spec, [t], 2, 0, 64)  # one sample: the components and the spinors
+        window = _grid_chunks(self.spec, [t], 2, 0, 64)  # one sample: components, spinors
         coeff = _mode_coefficients(self.spec, self.comoving_components())
-        phi_t = _evolve_modes(self.spec, coeff, [t])[:, 0, :]
-        spinors = np.einsum("xij,xj->xi", self.program.cumulative, phi_t)
+        _, psi = next(_evolve(self.spec, coeff, [t], window))
+        spinors = np.einsum("xij,xj->xi", self.program.cumulative, psi[0].T)
         return MachineState(self.spec, self.program, spinors)
 
     def register_density_matrix(self) -> np.ndarray:
@@ -427,13 +426,11 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0)
 
 
-def _chunk_sums(machine: MachineState, coeff: np.ndarray, times: np.ndarray):
-    """rho[1, 0], s3 and norm^2 of the register over one chunk of times."""
-    phi = _evolve_modes(machine.spec, coeff, times)  # (s, chunk, 2)
-    W = machine.program.cumulative
-    chi0, chi1 = (
-        W[:, i, 0, None] * phi[:, :, 0] + W[:, i, 1, None] * phi[:, :, 1] for i in range(2)
-    )
+def _chunk_sums(W: np.ndarray, psi: np.ndarray):
+    """rho[1, 0], s3 and norm^2 of the register over one chunk of comoving
+    components psi, (chunk, 2, s), dressed by the cumulative links W."""
+    phi0, phi1 = psi[:, 0].T, psi[:, 1].T  # (s, chunk)
+    chi0, chi1 = (W[:, i, 0, None] * phi0 + W[:, i, 1, None] * phi1 for i in range(2))
     p0 = np.abs(chi0) ** 2
     p1 = np.abs(chi1) ** 2
     return _sum_rows(chi0.conj() * chi1), _sum_rows(p0 - p1), _sum_rows(p0 + p1)
@@ -457,8 +454,8 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     cross = np.empty(times.size, dtype=complex)
     s3 = np.empty(times.size)
     norm2 = np.empty(times.size)
-    for window in windows:
-        cross[window], s3[window], norm2[window] = _chunk_sums(machine, coeff, times[window])
+    for window, psi in _evolve(machine.spec, coeff, times, windows):
+        cross[window], s3[window], norm2[window] = _chunk_sums(machine.program.cumulative, psi)
     return _checked_trajectory(times, cross, s3, norm2)
 
 
@@ -494,10 +491,10 @@ def _position_average(
     # held: the O(T) results and, per site, the weights, W b and the start's
     # coefficients; per site and sample: P with its two squares, and the last
     # window's P while this one's is squared
-    held = 128 * T + 160 * s
-    for window, psi in _evolve_column(psi0.spec, psi0._coefficients, times, step, held, 32):
-        p = np.square(psi.real) + np.square(psi.imag)  # (chunk, s)
-        np.einsum("ij,kj->ik", p, weights, out=sums[window])
+    windows = _grid_chunks(psi0.spec, times, 1, 128 * T + 160 * s, 32, step=step)
+    for window, psi in _evolve(psi0.spec, psi0._coefficients, times, windows, step):
+        p = np.square(psi.real) + np.square(psi.imag)  # (chunk, 1, s)
+        np.einsum("ij,kj->ik", p[:, 0], weights, out=sums[window])
     return _checked_trajectory(times, sums[:, 0] + 1j * sums[:, 1], sums[:, 2], sums[:, 3])
 
 

@@ -495,8 +495,8 @@ def test_position_sweep_estimate_bounds_its_traced_peak(s, monkeypatch):
 def test_position_sweep_fft_estimate_bounds_its_traced_peak(s, monkeypatch):
     """From 640 sites on, on one thread, the sweep's checked estimate is at or
     above the peak tracemalloc sees over 400 samples and within twice it: it
-    counts numpy's copy of the extension, which the FFT path's in-place steps
-    on the extension's views take."""
+    counts the window's phases beside the extension, and the copy that
+    _sine_transform's np.negative makes of its overlapping input."""
     checked = []
     check_memory = chain._check_memory
 
@@ -560,6 +560,70 @@ def test_evolve_modes_sample_bits_depend_on_that_sample_alone(s, d):
     amps = rng.standard_normal((s, d)) + 1j * rng.standard_normal((s, d))
     coeff = chain._mode_coefficients(spec, amps / np.linalg.norm(amps, axis=0))
     times = 0.37 * np.arange(40)
-    whole = chain._evolve_modes(spec, coeff, times)
+    whole = _evolve_whole(spec, coeff, times)
     for j, t in enumerate(times):
-        assert np.array_equal(whole[:, j], chain._evolve_modes(spec, coeff, [t])[:, 0]), j
+        assert np.array_equal(whole[j], _evolve_whole(spec, coeff, [t])[0]), j
+
+
+def _evolve_whole(spec, coeff, times, step=None):
+    """The kernel's (T, d, s) evolution of a grid as one window."""
+    return next(chain._evolve(spec, coeff, times, [slice(0, len(times))], step))[1]
+
+
+def _evolve_in_windows(spec, coeff, times, width, step=None):
+    """The kernel's (T, d, s) evolution of a grid in windows of `width` samples,
+    each copied out before the next reuses the extension."""
+    windows = [slice(i, min(i + width, len(times))) for i in range(0, len(times), width)]
+    evolved = chain._evolve(spec, coeff, times, windows, step)
+    return np.concatenate([psi.copy() for _, psi in evolved])
+
+
+def _anchored_formula(spec, coeff, times, h):
+    """The anchored FFT evolution written out, (T, d, s): sample j takes exact
+    cos and sin at its anchor a = j - j % K, times c coeff, times
+    exp(-i e (j - a) h), then one FFT of the odd extension."""
+    s, K = spec.s, chain._PHASE_ANCHOR
+    c = 0.5j * np.sqrt(2.0 / (s + 1))
+    e = -spec.lam * np.cos(np.arange(1, s + 1) * np.pi / (s + 1))
+
+    def phases(t):
+        arg = np.multiply.outer(t, -e)
+        out = np.empty(arg.shape, dtype=complex)
+        out.real, out.imag = np.cos(arg), np.sin(arg)
+        return out
+
+    offsets = phases(h * np.arange(1, K))
+    body = np.empty((len(times), coeff.shape[1], s), dtype=complex)
+    for j in range(len(times)):
+        a = j - j % K
+        body[j] = phases(times[a : a + 1])[0] * (c * coeff.T)
+        if j > a:
+            body[j] = body[j] * offsets[j - a - 1]
+    ext = np.zeros(body.shape[:-1] + (2 * (s + 1),), dtype=complex)
+    ext[..., 1 : s + 1] = body
+    ext[..., s + 2 :] = -body[..., ::-1]
+    return np.fft.fft(ext, axis=-1)[..., 1 : s + 1]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s,anchored", [(513, False), (769, False), (769, True)])
+def test_evolve_sample_bits_do_not_depend_on_the_window(s, anchored, d):
+    """One grid evolved in windows of 1, 2, 3, 5, 8 and 9 samples gives every
+    sample the bits of width-1 windows: on the GEMM route, and on the FFT
+    route with exact and with anchored phases, for one or two columns.  With
+    an anchor every 8 samples, windows of 3, 5 and 9 start and end between
+    anchors, and windows of 3 and 5 hold none (samples 9..11, 10..14).  The
+    anchored route also has the bits of its formula written out."""
+    rng = np.random.default_rng(s + d)
+    spec = qc.ChainSpec(s)
+    amps = rng.standard_normal((s, d)) + 1j * rng.standard_normal((s, d))
+    coeff = chain._mode_coefficients(spec, amps / np.linalg.norm(amps, axis=0))
+    times = 0.37 * np.arange(4 * chain._PHASE_ANCHOR + 3)
+    step = chain._column_step(spec, times) if anchored else None
+    assert anchored == (step is not None)
+    one = _evolve_in_windows(spec, coeff, times, 1, step)
+    assert one.shape == (times.size, d, s)
+    for width in (2, 3, 5, 8, 9):
+        assert np.array_equal(_evolve_in_windows(spec, coeff, times, width, step), one), width
+    if anchored:
+        assert np.array_equal(one, _anchored_formula(spec, coeff, times, step))

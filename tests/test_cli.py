@@ -382,7 +382,7 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     # the sector budget is checked before the C(400, 4) labels are listed;
     # multi --s 30 --g 2 now runs (test_multi checks it against the oracle)
     with monkeypatch.context() as patch:
-        patch.setattr("qwclock.multi.sector_occupations", _must_not_run)
+        patch.setattr("qwclock.oracle.sector_occupations", _must_not_run)
         patch.setattr("qwclock.multi._occupation_array", _must_not_run)
         assert main(["multi", "--s", "400", "--g", "4"]) == 3
     _one_line_naming(capsys, "s=400", "n=4")
@@ -421,7 +421,7 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     # states, before their labels; at s=83 in its largest build, built first
     with monkeypatch.context() as patch:
         patch.setattr("qwclock.oracle.build", _must_not_run)
-        patch.setattr("qwclock.multi.sector_occupations", _must_not_run)
+        patch.setattr("qwclock.oracle.sector_occupations", _must_not_run)
         patch.setattr("qwclock.multi._occupation_array", _must_not_run)
         assert main(["oracle-check", "--s", "10000"]) == 3
     _one_line_naming(capsys, "s=10000")
@@ -645,14 +645,15 @@ def test_position_drift_exits_2_with_the_per_sample_line(s, drifts, monkeypatch,
         monkeypatch.setattr(cli, "_time_grid", drifting_grid)
         grid = drifting_grid(0.0, float(s), 1.0)
     else:
-        evolve_modes = chain._evolve_modes
+        evolve = chain._evolve
 
-        def drifting(spec, coeff, times):
-            scale = 1.0 + np.isin(np.asarray(times), grid[drifts[0]]) * 1e-6
-            scale += np.isin(np.asarray(times), grid[drifts[1]]) * 2e-6
-            return evolve_modes(spec, coeff, times) * scale[None, :, None]
+        def drifting(spec, coeff, times, windows, step=None):
+            for window, psi in evolve(spec, coeff, times, windows, step):
+                scale = 1.0 + np.isin(np.asarray(times)[window], grid[drifts[0]]) * 1e-6
+                scale += np.isin(np.asarray(times)[window], grid[drifts[1]]) * 2e-6
+                yield window, psi * scale[:, None, None]
 
-        monkeypatch.setattr(chain, "_evolve_modes", drifting)
+        monkeypatch.setattr(chain, "_evolve", drifting)
     psi0 = chain.basis_state(chain.ChainSpec(s), 1)
     for t in grid[: drifts[0]]:
         chain.propagate(psi0, t)

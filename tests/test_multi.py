@@ -412,12 +412,32 @@ def test_occupation_array_lists_the_labels_once_zero_based(s, n):
     labels = multi._occupation_array(s, n)
     assert labels.shape == (math.comb(s, n), n) and labels.dtype == int
     assert np.array_equal(labels, np.array(oracle.sector_occupations(s, n)) - 1)
+    # SectorState.occupations lists the oracle's tuples, built from this array
+    state = qc.SectorState.from_product(qc.ChainSpec(s), tuple(range(1, n + 1)))
+    assert state.occupations == oracle.sector_occupations(s, n)
+    assert all(type(x) is int for label in state.occupations for x in label)
+
+
+def test_multi_imports_nothing_from_the_oracle():
+    """The analytic sector layer does not import the reference it is checked against."""
+    import ast
+
+    tree = ast.parse(open(multi.__file__).read())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for name in (node.module, *(alias.name for alias in node.names))
+    ]
+    assert "chain" in imported  # the scan sees the package imports
+    assert "oracle" not in imported
 
 
 def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
-    """No multi computation calls sector_occupations, and the label table takes
-    part in no arithmetic per sample: the ufuncs on it are the same for one
-    sample as for five."""
+    """No multi computation lists label tuples (oracle.sector_occupations or
+    SectorState.occupations), and the label table takes part in no
+    arithmetic per sample: the ufuncs on it are the same for one sample as
+    for five."""
     calls = []
 
     class RecordingLabels(np.ndarray):
@@ -430,7 +450,9 @@ def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
         raise AssertionError(f"listed C({s}, {n}) label tuples")
 
     labels = multi._occupation_array
-    monkeypatch.setattr(multi, "sector_occupations", no_tuples)
+    monkeypatch.setattr(oracle, "sector_occupations", no_tuples)
+    no_state_tuples = property(lambda state: no_tuples(state.spec.s, state.n))
+    monkeypatch.setattr(multi.SectorState, "occupations", no_state_tuples)
     monkeypatch.setattr(multi, "_occupation_array", lambda s, n: labels(s, n).view(RecordingLabels))
     spec, g = qc.ChainSpec(9), qc.rotation_about_2(0.3)
     seen = []
@@ -652,7 +674,7 @@ def test_sector_state_desk_cap(monkeypatch):
     def no_labels(s, n):
         raise AssertionError(f"listed C({s}, {n}) labels past the budget")
 
-    monkeypatch.setattr("qwclock.multi.sector_occupations", no_labels)
+    monkeypatch.setattr("qwclock.oracle.sector_occupations", no_labels)
     monkeypatch.setattr(multi, "_occupation_array", no_labels)
     with pytest.raises(qc.ResourceLimitError):
         qc.SectorState.from_product(qc.ChainSpec(400), (1, 2, 3, 4))

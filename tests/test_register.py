@@ -372,13 +372,14 @@ def test_machine_norm_validation():
 
 
 def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
-    evolve_modes = chain._evolve_modes
+    evolve = chain._evolve
 
-    def drifting(spec, amps, times):
-        return evolve_modes(spec, amps, times) * (1.0 + 1e-6)
+    def drifting(*args):
+        for window, psi in evolve(*args):
+            yield window, psi * (1.0 + 1e-6)
 
-    monkeypatch.setattr(chain, "_evolve_modes", drifting)
-    monkeypatch.setattr(register, "_evolve_modes", drifting)
+    monkeypatch.setattr(chain, "_evolve", drifting)
+    monkeypatch.setattr(register, "_evolve", drifting)
     _, _, program, r1, psi0 = toy_setup(mu=4, s=17)
     machine = qc.MachineState.from_product(program, r1, psi0)
     with pytest.raises(qc.NormalizationError):
@@ -391,23 +392,19 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
     # a grid of two chunks that drifts in its one-sample last chunk only
     times = 0.01 * np.arange(_trajectory_chunks(17, 1)[0] + 1)
 
-    def drifting_late(spec, amps, t):
-        scale = np.where(np.asarray(t) >= times[-1], 1.0 + 1e-6, 1.0)
-        return evolve_modes(spec, amps, t) * scale[None, :, None]
+    def drifting_late(spec, coeff, t, windows, step=None):
+        for window, psi in evolve(spec, coeff, t, windows, step):
+            scale = np.where(np.asarray(t)[window] >= times[-1], 1.0 + 1e-6, 1.0)
+            yield window, psi * scale[:, None, None]
 
-    monkeypatch.setattr(register, "_evolve_modes", drifting_late)
+    monkeypatch.setattr(register, "_evolve", drifting_late)
     machine_trajectory(machine, times[:-1])
     with pytest.raises(qc.NormalizationError):
         machine_trajectory(machine, times)
 
     # the position average evolves one column: a start at site 1 takes it from 640 sites
-    evolve_column = chain._evolve_column
-
-    def drifting_column(*args):
-        for window, psi in evolve_column(*args):
-            yield window, psi * (1.0 + 1e-6)
-
-    monkeypatch.setattr(register, "_evolve_column", drifting_column)
+    monkeypatch.setattr(register, "_evolve", drifting)
+    monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
     _, _, long_program, _, long_psi0 = toy_setup(mu=4, s=chain._FFT_SITES)
     with pytest.raises(qc.NormalizationError):
         qc.register_trajectory(long_program, r1, long_psi0, np.array([0.0, 1.0]))
@@ -438,23 +435,36 @@ def _trajectory_chunks(s, T):
     return width, 128 * T + 160 * s + basis + per_sample * min(width, T)
 
 
+def _recording_widths(widths):
+    """register's kernel, recording the sample count of each window it evolves."""
+    evolve = register._evolve
+
+    def recorded(*args):
+        for window, psi in evolve(*args):
+            widths.append(psi.shape[0])
+            yield window, psi
+
+    return recorded
+
+
+def _evolve_whole(spec, coeff, times):
+    """The kernel's (T, d, s) evolution of a grid as one window."""
+    return next(chain._evolve(spec, coeff, times, [slice(0, len(times))]))[1]
+
+
 @pytest.mark.parametrize("s,width", [(17, 7710), (639, 205), (640, 11), (769, 9), (2049, 3)])
 def test_trajectory_windows_and_estimate_pinned(s, width, monkeypatch):
     """machine_trajectory evolves, and checks to the byte, the chunks written out above."""
     checked, evolved = [], []
-    check_memory, evolve_modes = chain._check_memory, register._evolve_modes
+    check_memory = chain._check_memory
 
     def recording_check(nbytes, what):
         if what.startswith("trajectory of"):
             checked.append(nbytes)
         check_memory(nbytes, what)
 
-    def recording_evolve(spec, coeff, times):
-        evolved.append(len(times))
-        return evolve_modes(spec, coeff, times)
-
     monkeypatch.setattr(chain, "_check_memory", recording_check)
-    monkeypatch.setattr(register, "_evolve_modes", recording_evolve)
+    monkeypatch.setattr(register, "_evolve", _recording_widths(evolved))
     machine = _random_machine(s)
     for T in (1, width - 1, width, 2 * width + 1):
         checked.clear()
@@ -509,20 +519,15 @@ def _route_chunks(s, T):
 def test_position_average_windows_and_estimate_pinned(s, width, monkeypatch):
     """The position average evolves, and checks to the byte, the chunks written out above."""
     checked, evolved = [], []
-    check_memory, evolve_column = chain._check_memory, register._evolve_column
+    check_memory = chain._check_memory
 
     def recording_check(nbytes, what):
         if what.startswith("trajectory of"):
             checked.append(nbytes)
         check_memory(nbytes, what)
 
-    def recording_column(*args):
-        for window, psi in evolve_column(*args):
-            evolved.append(psi.shape[0])
-            yield window, psi
-
     monkeypatch.setattr(chain, "_check_memory", recording_check)
-    monkeypatch.setattr(register, "_evolve_column", recording_column)
+    monkeypatch.setattr(register, "_evolve", _recording_widths(evolved))
     monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
     _, _, program, r1, psi0 = toy_setup(mu=5, s=s)
     for T in (2, max(2, width), width + 1, 2 * width + 1):  # one sample is no uniform grid
@@ -569,14 +574,8 @@ def test_position_average_bits_do_not_depend_on_window_width(s, monkeypatch):
     one included, reduces its sites otherwise than a wider one."""
     _, _, program, r1, psi0 = toy_setup(mu=6, s=s)
     times = 0.5 * np.arange(23)  # an exact step, so every prefix has the same h
-    widths, evolve_column = [], register._evolve_column
-
-    def recording_column(*args):
-        for window, psi in evolve_column(*args):
-            widths.append(psi.shape[0])
-            yield window, psi
-
-    monkeypatch.setattr(register, "_evolve_column", recording_column)
+    widths = []
+    monkeypatch.setattr(register, "_evolve", _recording_widths(widths))
     monkeypatch.setattr(register, "machine_trajectory", _must_not_run)
     runs = []
     for width in (1, 2, 5):
@@ -595,9 +594,10 @@ def test_position_average_bits_do_not_depend_on_window_width(s, monkeypatch):
 @pytest.mark.parametrize("s", [513, 769])
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_every_evolution_is_budgeted_once_on_the_calling_thread(s, cpus, monkeypatch):
-    """_grid_chunks is the one budget of every evolution: each _evolve_modes
-    call, through either module's binding, follows a `trajectory of` check
-    made on the calling thread, and no memory check runs on a helper thread."""
+    """_grid_chunks is the one budget of every evolution: each _evolve call,
+    through either module's binding, follows a `trajectory of` check made
+    on the calling thread before its first window, and no memory check runs
+    on a helper thread."""
     events, caller = [], threading.get_ident()
     check_memory = chain._check_memory
 
@@ -605,18 +605,18 @@ def test_every_evolution_is_budgeted_once_on_the_calling_thread(s, cpus, monkeyp
         events.append((threading.get_ident(), what))
         check_memory(nbytes, what)
 
-    def recording(evolve_modes):
-        def evolve(spec, coeff, times):
+    def recording(evolve):
+        def recorded(*args):
             events.append((threading.get_ident(), "evolve"))
-            return evolve_modes(spec, coeff, times)
+            yield from evolve(*args)
 
-        return evolve
+        return recorded
 
     machine = _random_machine(s)
     psi0 = qc.launchpad_state(qc.ChainSpec(s), 5, 3)
     monkeypatch.setattr(chain, "_check_memory", recording_check)
-    monkeypatch.setattr(chain, "_evolve_modes", recording(chain._evolve_modes))
-    monkeypatch.setattr(register, "_evolve_modes", recording(register._evolve_modes))
+    monkeypatch.setattr(chain, "_evolve", recording(chain._evolve))
+    monkeypatch.setattr(register, "_evolve", recording(register._evolve))
     monkeypatch.setattr(chain, "_cpus", lambda: cpus)
     times = 0.5 * np.arange(40)
     for run in (
@@ -863,7 +863,7 @@ def test_fft_kernel_matches_gemm_kernel(s, monkeypatch):
     for crossover in (10**9, 2):  # GEMM, then FFT
         monkeypatch.setattr(chain, "_FFT_SITES", crossover)
         coeff = chain._mode_coefficients(spec, amps)
-        results.append((coeff, chain._evolve_modes(spec, coeff, times)))
+        results.append((coeff, _evolve_whole(spec, coeff, times)))
     (coeff_gemm, phi_gemm), (coeff_fft, phi_fft) = results
     assert np.abs(coeff_fft - chain._complex_modes(spec) @ amps).max() < 1e-13
     assert np.abs(coeff_fft - coeff_gemm).max() < 1e-13
@@ -926,7 +926,7 @@ def test_evolve_modes_bitwise_equals_real_basis_formula(d):
             else:
                 expected = formula(grid)
             coeff = chain._complex_modes(spec) @ amps
-            assert np.array_equal(chain._evolve_modes(spec, coeff, grid), expected)
+            assert np.array_equal(_evolve_whole(spec, coeff, grid).transpose(2, 0, 1), expected)
 
 
 def test_propagate_reuses_cached_coefficients_bitwise():
@@ -953,7 +953,7 @@ def test_trajectory_budget_refuses_long_grid(monkeypatch):
     # chunks bound the spinors, not the O(T) results: 4e7 times are refused up front
     _, _, program, r1, psi0 = toy_setup(mu=4, s=17)
     machine = qc.MachineState.from_product(program, r1, psi0)
-    monkeypatch.setattr(register, "_evolve_modes", None)  # nothing is evolved
+    monkeypatch.setattr(register, "_evolve", None)  # nothing is evolved
     with pytest.raises(qc.ResourceLimitError):
         machine_trajectory(machine, np.broadcast_to(0.0, (40_000_000,)))
 
@@ -1059,6 +1059,6 @@ def test_register_imports_no_kernel_constant():
         if isinstance(node, ast.ImportFrom) and node.module == "chain"
         for alias in node.names
     }
-    assert "_evolve_modes" in names  # the scan sees the chain import
+    assert "_evolve" in names  # the scan sees the chain import
     assert not names & {"_FFT_SITES", "_uniform_step", "_check_memory"}
     assert not [name for name in names if name.endswith("_BYTES")]
