@@ -309,9 +309,16 @@ def amplitude_kernel(spec: ChainSpec, t: float, x: int) -> complex:
 
 
 def propagator(spec: ChainSpec, t: float) -> np.ndarray:
-    """Unitary s x s matrix exp(-i*H*t) of the one-excitation chain."""
+    """Unitary s x s matrix exp(-i*H*t) of the one-excitation chain, its columns at every site."""
+    return _propagator_columns(spec, t, slice(None))
+
+
+def _propagator_columns(spec: ChainSpec, t: float, sites) -> np.ndarray:
+    """The (s, a) columns of propagator(spec, t) at the a 0-based sites, at O(s^2 a).
+    Vc[sites] is a C-ordered copy, so its transpose reaches BLAS with the flag of Vc.T:
+    at a multiple of 4 sites the columns keep the whole product's bits (not one column)."""
     Vc = _complex_modes(spec)
-    return (Vc * np.exp(-1j * _energies(spec) * t)) @ Vc.T
+    return (Vc * np.exp(-1j * _energies(spec) * t)) @ Vc[sites].T
 
 
 def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:

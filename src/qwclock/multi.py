@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import chain
-from .chain import ChainSpec, eigenvalue, propagator
+from .chain import ChainSpec, eigenvalue
 from .chain import _check_memory, _check_norm, _check_site, _each
 from .quadrature import composite_gauss_legendre
 from .register import _check_unitary
@@ -43,15 +43,15 @@ _WHOLE_START_BYTES = 2**19
 
 
 def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None, a=None) -> None:
-    """Budget the C(s, n) labels with their link counts and masks, the state's (d, C(s, n))
-    amplitudes and undressed copy, the d*a^n start over its a active sites (a = s by default)
-    and, per thread, the s x s propagator with its s x a active columns, the last leg's
-    width*s^n product and its width*a*s^(n-1) operand (width d by default) and three
-    (d, C(s, n)) sample temporaries; every SectorState passes this at one thread and a = s,
-    so propagate_free_sector is too."""
+    """Budget the C(s, n) labels with their link counts, index arrays and width gather
+    offsets, the state's (d, C(s, n)) amplitudes and undressed copy, the d*a^n start over
+    its a active sites (a = s by default) and, per thread, Vc * phases, the Vc[sites] copy
+    and the s x a columns, the last leg's width*s^n product and its width*a*s^(n-1) operand
+    (width d by default) and three (d, C(s, n)) sample temporaries; every SectorState
+    passes this at one thread and a = s, so propagate_free_sector is too."""
     c, width, a = math.comb(s, n), d if width is None else width, s if a is None else a
-    per_thread = 64 * s * s + 16 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
-    nbytes = 9 * c * (n + 1) + 32 * d * c + 16 * d * a**n + workers * per_thread
+    per_thread = 16 * s * s + 32 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
+    nbytes = 8 * c * (n + 2 + width) + 32 * d * c + 16 * d * a**n + workers * per_thread
     _check_memory(nbytes, f"sector s={s}, n={n}, d={d}")
 
 
@@ -202,34 +202,27 @@ def _embed_antisymmetric(amps: np.ndarray, occupied: np.ndarray, n: int) -> np.n
     return full
 
 
-def _extract_ordered(full: np.ndarray, s: int, n: int) -> np.ndarray:
-    subs = _occupation_array(s, n)
-    idx = tuple(subs[:, j] for j in range(n))
-    return full[(slice(None),) + idx]
-
-
-def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, n: int):
+def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, gather):
     """Free-sector amplitudes (labels, C(s, n)) of the embedded start after the propagator.
 
-    u holds the propagator's s x a columns at the start's a active sites, and
-    the start's legs are a wide.  Leg by leg, u @ operand goes into out and
-    widens that leg to s.  The first leg's operand is the start; leg k's is
-    the tensor with leg k moved first (legs before it s wide, after it a wide),
-    copied C-ordered into spare.  Where a start's active sites are all s,
-    these are the products np.tensordot made.  Unchecked: the caller's
-    SectorState, or the trace of its density, checks the norm.
+    u holds the propagator's s x a columns at the start's a active sites, and the
+    start's legs are a wide.  Leg by leg, u @ operand goes into out, stored with
+    that leg first, and widens it to s.  Leg k's operand is the start (k = 1) or
+    the last product with leg k moved first, copied C-ordered into spare.  Where
+    all s sites are active, these are np.tensordot's products.  gather holds the
+    labels' flat offsets in the last, (l_n, label, l_1, ..., l_{n-1}).  Unchecked:
+    the caller's SectorState, or the trace of its density, checks the norm.
     """
-    s, a = u.shape
+    (s, a), n = u.shape, start.ndim - 1
     operand = start
     for axis in range(1, n + 1):
-        if axis > 1:  # the views of np.moveaxis(full, axis, 0) and back, cheaper
-            moved = full.transpose(axis, *range(axis), *range(axis + 1, n + 1))
+        if axis > 1:
+            moved = product.transpose(axis, 1, *range(2, axis), 0, *range(axis + 1, n + 1))
             operand = spare[: moved.size].reshape(moved.shape)
             np.copyto(operand, moved)
         product = out[: operand.size // a * s].reshape((s,) + operand.shape[1:])
         np.dot(u, operand.reshape(a, -1), out=product.reshape(s, -1))
-        full = product.transpose(*range(1, axis + 1), 0, *range(axis + 1, n + 1))
-    return _extract_ordered(full, s, n)
+    return out.take(gather)
 
 
 def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -> None:
@@ -237,9 +230,9 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
     the samples spread over the CPUs by _each.  The start is embedded over its active
     sites only, the sites of its labels with a nonzero amplitude padded to a multiple
     of 4 (sites 1..4 for a product start on sites 1..n, n <= 4): once, whole up to
-    _WHOLE_START_BYTES of d*s^n and else label by label, and shared.  Each thread
-    evolves whole samples in a work pair of its own, the last leg's product and its
-    operand.  Budgeted first."""
+    _WHOLE_START_BYTES of d*s^n and else label by label, and shared with the labels'
+    gather.  A sample takes the propagator's s x a columns there, and each thread evolves
+    it in a work pair of its own, the last leg's product and operand.  Budgeted first."""
     d, s = amps.shape[0], spec.s
     occupied = np.zeros(s, dtype=bool)
     occupied[_occupation_array(s, n)[amps.any(axis=0)]] = True
@@ -252,15 +245,15 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
     _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width, a)
     starts = [_embed_antisymmetric(amps[z : z + width], occupied, n) for z in range(0, d, width)]
     sizes = width * s**n, width * a * s ** (n - 1)  # the last leg's product and its operand
+    legs, shape = _occupation_array(s, n).T, (s, width) + (s,) * (n - 1)  # (l_n, label, l_1, ...)
+    gather = np.ravel_multi_index((legs[-1], np.arange(width)[:, None], *legs[:-1]), shape)
     local = threading.local()
 
     def sample(i):
         if not hasattr(local, "pair"):
             local.pair = [np.empty(size, complex) for size in sizes]
-        # a C-contiguous copy: the fancy-indexed view u[:, sites] would reach
-        # BLAS with another transpose flag, which moved bits at n = d = 1
-        u = propagator(spec, times[i]).take(sites, axis=1)
-        emit(i, np.concatenate([_free_sample(u, start, *local.pair, n) for start in starts]))
+        u = chain._propagator_columns(spec, times[i], sites)
+        emit(i, np.concatenate([_free_sample(u, start, *local.pair, gather) for start in starts]))
 
     chain._complex_modes(spec)  # cached before the threads share it
     _each(sample, len(times))
@@ -302,15 +295,15 @@ def _single_link_sweep(state: SectorState, x0: int, g: np.ndarray, times, emit) 
 
     counts = _counts_past(state.spec.s, state.n, x0)
     powers = [np.linalg.matrix_power(g, m) for m in range(state.n + 1)]
-    masks = [(m, mask) for m in range(state.n + 1) if (mask := counts == m).any()]
+    groups = [(m, idx) for m in range(state.n + 1) if (idx := np.flatnonzero(counts == m)).size]
 
     undressed = np.empty_like(state.amplitudes)
-    for m, mask in masks:
-        undressed[:, mask] = powers[m].conj().T @ state.amplitudes[:, mask]
+    for m, idx in groups:
+        undressed[:, idx] = powers[m].conj().T @ state.amplitudes[:, idx]
 
-    def redress(free):  # in place: the masks are disjoint
-        for m, mask in masks:
-            free[:, mask] = powers[m] @ free[:, mask]
+    def redress(free):  # in place: the index arrays are disjoint
+        for m, idx in groups:
+            free[:, idx] = powers[m] @ free[:, idx]
         return free
 
     _free_sector_sweep(state.spec, state.n, undressed, times, lambda i, a: emit(i, redress(a)))
@@ -334,17 +327,17 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
     """Register density matrices, shape (T, d, d), with primitive g on link x0 only.
 
     One start evolved over a time grid: it is checked, undressed and embedded
-    once over its a active sites, and each time costs n leg products, leg k
-    widening the tensor from a to s sites on that leg, so that the last
-    leg's product has s^n entries per label (label by label above
-    _WHOLE_START_BYTES of d * s^n).  _each spreads the samples over the CPUs;
-    each gets the bits it gets alone, so rho does not depend on the CPU count.
-    Raises ValueError before the first sample, the lowest failing sample's
-    error, and NormalizationError, after the sweep, if the trace of any
-    density (the sector's norm^2) drifted.
+    once over its a active sites, and each time costs the propagator's s x a
+    columns there and n leg products, leg k widening the tensor from a to s
+    sites on that leg (label by label above _WHOLE_START_BYTES of d * s^n).
+    _each spreads the samples over the CPUs; each gets the bits it gets alone,
+    so rho does not depend on the CPU count.  rho is budgeted with its traces'
+    norm check (32 B per time).  Raises ValueError before the first sample, the
+    lowest failing sample's error, and NormalizationError, after the sweep, if
+    the trace of any density (the sector's norm^2) drifted.
     """
     times = np.asarray(times, dtype=float)
-    _check_memory(16 * state.d**2 * times.size, f"register densities at {times.size} times")
+    _check_memory((16 * state.d**2 + 32) * times.size, f"register densities at {times.size} times")
     rho = np.empty((times.size, state.d, state.d), dtype=complex)
     _single_link_sweep(state, x0, g, times, lambda i, a: np.matmul(a, a.conj().T, out=rho[i]))
     _check_norm(np.trace(rho, axis1=1, axis2=2).real, "sector")

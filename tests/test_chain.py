@@ -106,6 +106,22 @@ def test_propagator_bitwise_equals_the_real_basis_formula(s):
         assert qc.propagator(spec, t).tobytes() == expected.tobytes(), t
 
 
+@pytest.mark.parametrize("s", [*range(8, 70), 100, 129, 257])
+def test_propagator_columns_bitwise_equal_the_propagators_columns(s):
+    """The columns at a multiple of 4 sites, one s x a product, have the bits of
+    the whole s x s propagator's columns there: sites 5..8, 1..8, {3, 10, 11, 12}
+    where they fit, and a random set of 4, 8 or 12 sites."""
+    spec, rng = qc.ChainSpec(s), np.random.default_rng(s)
+    sets = [np.arange(4, 8), np.arange(8), np.array([2, 9, 10, 11])]
+    sets = [sites for sites in sets if sites[-1] < s]
+    sets.append(np.sort(rng.choice(s, size=4 * rng.integers(1, min(3, s // 4) + 1), replace=False)))
+    for t in (0.3, 7.1):
+        u = qc.propagator(spec, t)
+        for sites in sets:
+            columns = chain._propagator_columns(spec, t, sites)
+            assert columns.tobytes() == u.take(sites, axis=1).tobytes(), (t, sites)
+
+
 def test_basis_estimate_pinned_and_bounds_its_traced_slope(monkeypatch):
     """The basis build is checked at 16 s^2 + 32 s B (the complex V and one
     row's temporaries, with the mode numbers) before any array exists.  At 300

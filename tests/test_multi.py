@@ -198,34 +198,34 @@ def test_single_link_validation(monkeypatch):
     with pytest.raises(ValueError):
         qc.propagate_single_link(state, 4, 1.5 * np.eye(2, dtype=complex), 1.0)
     # a trajectory is refused before its first sample is evolved
-    monkeypatch.setattr(multi, "propagator", None)
+    monkeypatch.setattr(chain, "_propagator_columns", None)
     for x0, g in ((2, np.eye(2)), (8, np.eye(2)), (4, 1.5 * np.eye(2)), (4, np.eye(3))):
         with pytest.raises(ValueError):
             qc.single_link_densities(state, x0, g, [0.0, 1.0, 2.0])
 
 
 def test_single_link_densities_keep_no_sample_alive(monkeypatch):
-    """When a thread starts a sample, its previous samples' propagators and
-    amplitudes are freed: at most one sample per thread is alive (at n = 1,
-    s = 3000 a kept propagator alone adds 144 MB).  On one thread no previous
-    sample is alive at all.  A whole start, and a start label by label."""
+    """When a thread starts a sample, its previous samples' propagator columns
+    and amplitudes are freed: at most one sample per thread is alive (at n = 1,
+    s = 3000 a kept s x s propagator alone added 144 MB).  On one thread no
+    previous sample is alive at all.  A whole start, and a start label by label."""
     refs = []  # (thread, weak reference)
-    unitary, extract = multi.propagator, multi._extract_ordered
+    columns, free_sample = chain._propagator_columns, multi._free_sample
 
-    def propagator(spec, t):
+    def propagator_columns(spec, t, sites):
         me = threading.get_ident()
         assert all(ref() is None for owner, ref in refs if owner == me), "a sample is still alive"
-        u = unitary(spec, t)
+        u = columns(spec, t, sites)
         refs.append((me, weakref.ref(u)))
         return u
 
-    def extract_ordered(full, s, n):
-        amps = extract(full, s, n)
+    def recording_sample(u, start, out, spare, gather):
+        amps = free_sample(u, start, out, spare, gather)
         refs.append((threading.get_ident(), weakref.ref(amps)))
         return amps
 
-    monkeypatch.setattr(multi, "propagator", propagator)
-    monkeypatch.setattr(multi, "_extract_ordered", extract_ordered)
+    monkeypatch.setattr(chain, "_propagator_columns", propagator_columns)
+    monkeypatch.setattr(multi, "_free_sample", recording_sample)
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
     for cpus in (1, 3):
         for whole in (True, False):
@@ -233,7 +233,7 @@ def test_single_link_densities_keep_no_sample_alive(monkeypatch):
             monkeypatch.setattr(multi, "_WHOLE_START_BYTES", float("inf") if whole else 0)
             refs.clear()
             qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), 0.5 * np.arange(1.0, 13.0))
-            assert len(refs) == 12 * (2 if whole else 3)  # a propagator and one or d extracts
+            assert len(refs) == 12 * (2 if whole else 3)  # the columns and one or d gathers
 
 
 # (mu, g, s, x0, t_max) of multi_small.csv's argv and of the multi-sector
@@ -262,24 +262,24 @@ def test_single_link_densities_bits_do_not_depend_on_the_thread_count(
 
 
 def _failing_at(fails, delays=None):
-    """multi.propagator, raising ValueError('sample <t>') at the times in fails,
-    each after its delay in seconds."""
-    unitary = multi.propagator
+    """chain._propagator_columns, raising ValueError('sample <t>') at the times in
+    fails, each after its delay in seconds."""
+    columns = chain._propagator_columns
 
-    def propagator(spec, t):
+    def propagator_columns(spec, t, sites):
         time.sleep((delays or {}).get(t, 0.0))
         if t in fails:
             raise ValueError(f"sample {t:g}")
-        return unitary(spec, t)
+        return columns(spec, t, sites)
 
-    return propagator
+    return propagator_columns
 
 
 def test_single_link_densities_raise_the_lowest_failing_sample(monkeypatch):
     """Samples 2 and 5 fail, sample 5 first in time when threads run: the error
     of sample 2, which a serial loop meets first, is raised on any thread count."""
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
-    monkeypatch.setattr(multi, "propagator", _failing_at({2.0, 5.0}, {2.0: 0.1}))
+    monkeypatch.setattr(chain, "_propagator_columns", _failing_at({2.0, 5.0}, {2.0: 0.1}))
     for cpus in (1, 2, 3):
         monkeypatch.setattr(chain, "_cpus", lambda: cpus)
         with pytest.raises(ValueError, match="^sample 2$"):
@@ -294,15 +294,15 @@ def test_single_link_densities_leave_no_thread_behind(monkeypatch):
     second = threading.Event()
     failing = _failing_at({9.0})
 
-    def propagator(spec, t):
+    def propagator_columns(spec, t, sites):
         ran_on.add(threading.get_ident())
         if len(ran_on) > 1:
             second.set()
         if t == 0.0:  # the first claimed sample waits until a second thread has entered
             second.wait(timeout=10)
-        return failing(spec, t)
+        return failing(spec, t, sites)
 
-    monkeypatch.setattr(multi, "propagator", propagator)
+    monkeypatch.setattr(chain, "_propagator_columns", propagator_columns)
     monkeypatch.setattr(chain, "_cpus", lambda: 3)
     before = set(threading.enumerate())
     qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), np.arange(9.0))
@@ -319,16 +319,18 @@ def _active_sites(s, n):
 
 
 def _sector_sweep_estimate(s, n, d, T, cpus, width, a):
-    """The sector sweep's estimate, written out: the C(s, n) labels at 9 (n + 1) B
-    each (8 n for the array, 8 for the count past the link, n + 1 for the count
-    masks), the state's (d, C(s, n)) amplitudes and their undressed copy, the
-    d a^n start embedded over its a (padded) active sites (16 B each), and per thread
-    (no more threads than samples) the s x s propagator (64 B per entry) with
-    its s x a active columns, a work pair of the last leg's width s^n product
-    and its width a s^(n-1) operand, and three (d, C(s, n)) sample temporaries."""
+    """The sector sweep's estimate, written out: the C(s, n) labels at 8 (n + 2 + width)
+    B each (8 n for the array, 8 for the count past the link, 8 for the index
+    arrays by count, 8 width for the gather offsets), the state's (d, C(s, n))
+    amplitudes and their undressed copy, the d a^n start embedded over its a
+    (padded) active sites (16 B each), and per thread (no more threads than
+    samples) Vc * phases (16 B per s x s entry), the Vc[sites] copy and the s x a
+    columns (32 B per s x a entry), a work pair of the last leg's width s^n
+    product and its width a s^(n-1) operand, and three (d, C(s, n)) sample
+    temporaries."""
     c = math.comb(s, n)
-    per_thread = 64 * s * s + 16 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
-    return 9 * c * (n + 1) + 32 * d * c + 16 * d * a**n + min(cpus, T) * per_thread
+    per_thread = 16 * s * s + 32 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
+    return 8 * c * (n + 2 + width) + 32 * d * c + 16 * d * a**n + min(cpus, T) * per_thread
 
 
 @pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
@@ -387,13 +389,103 @@ def _traced_sweep(s, n, monkeypatch):
     return checked[-1], peak
 
 
-@pytest.mark.parametrize("s,n", [(16, 3), (16, 4)])
+@pytest.mark.parametrize("s,n", [(16, 3), (16, 4), (256, 2)])
 def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
     """On one thread the sweep's checked estimate is at or above the traced
     peak and within twice it: a whole start (16 sites, n = 3, 131 kB of
-    d s^n) and a start label by label (n = 4, 2 MiB of d s^n)."""
+    d s^n) and starts label by label (n = 4, 2 MiB of d s^n; 256 sites at
+    n = 2, 2 MiB, where a sample once built the 1 MiB s x s propagator)."""
     checked, peak = _traced_sweep(s, n, monkeypatch)
     assert peak <= checked < 2 * peak
+
+
+def _traced(fn):
+    """fn() and the peak tracemalloc sees over it."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s,n,d", [(10, 3, 2), (16, 4, 2), (12, 4, 1), (40, 2, 3)])
+def test_sector_state_estimate_bounds_its_traced_peak(s, n, d, monkeypatch):
+    """from_product and the constructor are checked at the sweep's estimate at
+    a = s, width d and one thread, to the byte, and hold at most that: a
+    product start, a dense start, and that dense start's free sample, whose
+    sweep is then checked at the same a = s."""
+    checked = []
+    check_memory = multi._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(multi, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    expected = _sector_sweep_estimate(s, n, d, 1, 1, d, s)
+    rng, spec, m = np.random.default_rng(s + n + d), qc.ChainSpec(s), math.comb(s, n)
+    amps = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    reg = np.eye(d)[0]
+    for build in (
+        lambda: qc.SectorState.from_product(spec, range(1, n + 1), reg),
+        lambda: qc.SectorState(spec, n, amps / np.linalg.norm(amps)),
+    ):
+        multi._occupation_array.cache_clear()
+        checked.clear()
+        state, peak = _traced(build)
+        assert set(checked) == {expected} and peak <= expected
+    chain._complex_modes.cache_clear()
+    checked.clear()
+    _, peak = _traced(lambda: qc.propagate_free_sector(state, 1.3))
+    width = d if 16 * d * s**n <= multi._WHOLE_START_BYTES else 1
+    assert checked == [_sector_sweep_estimate(s, n, d, 1, 1, width, s), expected]
+    assert peak <= max(checked)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_density_estimate_bounds_its_traced_slope(d, monkeypatch):
+    """single_link_densities checks (16 d^2 + 32) B per time, to the byte: rho,
+    its traces and the norm check's two real temporaries.  From 2,000 times to
+    6,000 the traced peak grows no faster than that and more than half as fast."""
+    checked = []
+    check_memory = multi._check_memory
+
+    def recording_check(nbytes, what):
+        if what.startswith("register densities"):
+            checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(multi, "_check_memory", recording_check)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    state = qc.SectorState.from_product(qc.ChainSpec(6), (1,), np.eye(d)[0])
+    grids = [np.linspace(0.0, 1.0, T) for T in (2000, 6000)]
+    peaks = [_traced(lambda: qc.single_link_densities(state, 3, np.eye(d), t))[1] for t in grids]
+    assert checked == [(16 * d * d + 32) * T for T in (2000, 6000)]
+    traced, estimated = peaks[1] - peaks[0], checked[1] - checked[0]
+    assert traced <= estimated < 2 * traced
+
+
+def test_no_sample_builds_the_whole_propagator(monkeypatch):
+    """Every sector path takes the propagator's columns at the active sites and
+    never the s x s unitary: densities, a free sample and a single-link sample,
+    of a product start and of a start over every site."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sample built the s x s propagator")
+
+    for module in (chain, multi, qc):
+        monkeypatch.setattr(module, "propagator", must_not_run, raising=False)
+    spec, g = qc.ChainSpec(9), qc.rotation_about_2(0.3)
+    rng = np.random.default_rng(9)
+    amps = rng.standard_normal((2, math.comb(9, 2))) + 1j
+    for state in (
+        qc.SectorState.from_product(spec, (1, 2), [0.6, 0.8]),
+        qc.SectorState(spec, 2, amps / np.linalg.norm(amps)),
+    ):
+        assert qc.single_link_densities(state, 4, g, np.arange(4.0)).shape == (4, 2, 2)
+        qc.propagate_free_sector(state, 1.5)
+        qc.propagate_single_link(state, 4, g, 1.5)
 
 
 @pytest.mark.parametrize("sizes", [(16, 24), (28, 33)], ids=["whole", "label by label"])
@@ -588,10 +680,10 @@ def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
     free_sample = multi._free_sample
     a, width = _active_sites(s, n), 2 if whole else 1
 
-    def recording_sample(u, start, out, spare, legs):
+    def recording_sample(u, start, out, spare, gather):
         columns.append(u)
         shapes.add((u.shape, start.shape, out.size, spare.size))
-        return free_sample(u, start, out, spare, legs)
+        return free_sample(u, start, out, spare, gather)
 
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
     monkeypatch.setattr(chain, "_cpus", lambda: 1)

@@ -410,12 +410,12 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
         qc.register_trajectory(long_program, r1, long_psi0, np.array([0.0, 1.0]))
 
     # the sector path evolves one start over the grid: only its last time drifts
-    unitary = multi.propagator
+    columns = chain._propagator_columns
 
-    def drifting_last(spec, t):
-        return unitary(spec, t) * (1.0 + 1e-6 if t == times[-1] else 1.0)
+    def drifting_last(spec, t, sites):
+        return columns(spec, t, sites) * (1.0 + 1e-6 if t == times[-1] else 1.0)
 
-    monkeypatch.setattr(multi, "propagator", drifting_last)
+    monkeypatch.setattr(chain, "_propagator_columns", drifting_last)
     state = qc.SectorState.from_product(qc.ChainSpec(8), (1, 2, 3), r1)
     g = program.unitary(1)
     qc.single_link_densities(state, 4, g, times[-4:-1])
