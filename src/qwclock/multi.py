@@ -43,16 +43,17 @@ _WHOLE_START_BYTES = 2**19
 
 
 def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None, a=None) -> None:
-    """Budget the C(s, n) labels with their link counts, index arrays and width gather
-    offsets, the state's (d, C(s, n)) amplitudes and undressed copy, the d*a^n start over
-    its a active sites (a = s by default) and, per thread, Vc * phases, the Vc[sites] copy
-    and the s x a columns, the last leg's width*s^n product and its width*a*s^(n-1) operand
-    (width d by default) and three (d, C(s, n)) sample temporaries; every SectorState
-    passes this at one thread and a = s, so propagate_free_sector is too."""
+    """Budget, held once, the cached s x s basis Vc, the C(s, n) labels with their link
+    counts, index arrays and width gather offsets, the (d, C(s, n)) amplitudes, their
+    undressed copy and the d*a^n start on its a active sites (a = s by default); per thread,
+    Vc * phases and numpy's buffer for it, the Vc[sites] copy, the s x a columns, the last
+    leg's width*s^n product and width*a*s^(n-1) operand (width d by default) and three
+    (d, C(s, n)) sample temporaries.  Every SectorState passes this at one thread, a = s."""
     c, width, a = math.comb(s, n), d if width is None else width, s if a is None else a
-    per_thread = 16 * s * s + 32 * s * a + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
-    nbytes = 8 * c * (n + 2 + width) + 32 * d * c + 16 * d * a**n + workers * per_thread
-    _check_memory(nbytes, f"sector s={s}, n={n}, d={d}")
+    held = 16 * s * s + 8 * c * (n + 2 + width) + 32 * d * c + 16 * d * a**n
+    columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
+    per_thread = columns + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
+    _check_memory(held + workers * per_thread, f"sector s={s}, n={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,7 @@ def slater_amplitude(spec: ChainSpec, momenta, sites) -> float:
     for label in (k, x):
         if label.min() < 1 or label.max() > spec.s:
             raise ValueError(f"labels {label.tolist()} outside 1..{spec.s}")
-    matrix = np.sqrt(2.0 / (spec.s + 1)) * np.sin(
-        np.pi * np.outer(k, x) / (spec.s + 1)
-    )
+    matrix = np.sqrt(2.0 / (spec.s + 1)) * np.sin(np.pi * np.outer(k, x) / (spec.s + 1))
     return float(np.linalg.det(matrix))
 
 
@@ -155,9 +154,7 @@ class SectorState:
         return tuple(map(tuple, (_occupation_array(self.spec.s, self.n) + 1).tolist()))
 
     @classmethod
-    def from_product(
-        cls, spec: ChainSpec, sites, register_state=None
-    ) -> "SectorState":
+    def from_product(cls, spec: ChainSpec, sites, register_state=None) -> "SectorState":
         """Basis occupation list, optionally tensored with a register vector."""
         occupied = _as_sites(sites)
         if occupied[-1] > spec.s:
@@ -209,9 +206,9 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     start's legs are a wide.  Leg by leg, u @ operand goes into out, stored with
     that leg first, and widens it to s.  Leg k's operand is the start (k = 1) or
     the last product with leg k moved first, copied C-ordered into spare.  Where
-    all s sites are active, these are np.tensordot's products.  gather holds the
-    labels' flat offsets in the last, (l_n, label, l_1, ..., l_{n-1}).  Unchecked:
-    the caller's SectorState, or the trace of its density, checks the norm.
+    all s sites are active, these are np.tensordot's products.  gather is
+    _gather(s, n, width), the labels' offsets in the last.  Unchecked: the
+    caller's SectorState, or the trace of its density, checks the norm.
     """
     (s, a), n = u.shape, start.ndim - 1
     operand = start
@@ -223,6 +220,13 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
         product = out[: operand.size // a * s].reshape((s,) + operand.shape[1:])
         np.dot(u, operand.reshape(a, -1), out=product.reshape(s, -1))
     return out.take(gather)
+
+
+def _gather(s: int, n: int, width: int) -> np.ndarray:
+    """The labels' flat offsets in _free_sample's last product, (l_n, label, l_1, ..., l_{n-1})."""
+    legs = _occupation_array(s, n).T
+    shape = (s, width) + (s,) * (n - 1)
+    return np.ravel_multi_index((legs[-1], np.arange(width)[:, None], *legs[:-1]), shape)
 
 
 def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -> None:
@@ -245,8 +249,7 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
     _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width, a)
     starts = [_embed_antisymmetric(amps[z : z + width], occupied, n) for z in range(0, d, width)]
     sizes = width * s**n, width * a * s ** (n - 1)  # the last leg's product and its operand
-    legs, shape = _occupation_array(s, n).T, (s, width) + (s,) * (n - 1)  # (l_n, label, l_1, ...)
-    gather = np.ravel_multi_index((legs[-1], np.arange(width)[:, None], *legs[:-1]), shape)
+    gather = _gather(s, n, width)
     local = threading.local()
 
     def sample(i):
@@ -309,9 +312,7 @@ def _single_link_sweep(state: SectorState, x0: int, g: np.ndarray, times, emit) 
     _free_sector_sweep(state.spec, state.n, undressed, times, lambda i, a: emit(i, redress(a)))
 
 
-def propagate_single_link(
-    state: SectorState, x0: int, g: np.ndarray, t: float
-) -> SectorState:
+def propagate_single_link(state: SectorState, x0: int, g: np.ndarray, t: float) -> SectorState:
     """Evolve with primitive g on link x0 only.
 
     Each configuration carries the register factor g^(count of excitations
@@ -362,9 +363,8 @@ class JointSpeedLaw:
         inside = (a1 > 0.0) & (a1 < a2) & (a2 < 1.0)
         if inside.any():
             b1, b2 = a1[inside], a2[inside]
-            out[inside] = self._integrand_p(np.arcsin(b1), np.arcsin(b2)) / np.sqrt(
-                (1.0 - b1**2) * (1.0 - b2**2)
-            )
+            root = np.sqrt((1.0 - b1**2) * (1.0 - b2**2))
+            out[inside] = self._integrand_p(np.arcsin(b1), np.arcsin(b2)) / root
         if np.ndim(v1) == 0 and np.ndim(v2) == 0:
             return float(out[0])
         return out
