@@ -37,22 +37,26 @@ __all__ = [
 ]
 
 
-# a start of at most this many bytes (d*s^n complex) is evolved whole, which keeps OpenBLAS's
-# bits and was the faster at 442 kB; a larger one label by label, which holds less
+# a start whose d*s^n complex (the tensor a sample filled before its legs were trimmed to
+# the labels' columns) is at most this many bytes is evolved whole, all d register labels
+# in each leg's product, which keeps OpenBLAS's bits and was the faster at 442 kB; a
+# larger one label by label, which holds less
 _WHOLE_START_BYTES = 2**19
 
 
 def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None, a=None) -> None:
     """Budget, held once, the cached s x s basis Vc, the C(s, n) labels with their link
-    counts, index arrays and width gather offsets, the (d, C(s, n)) amplitudes, their
-    undressed copy and the d*a^n start on its a active sites (a = s by default); per thread,
-    Vc * phases and numpy's buffer for it, the Vc[sites] copy, the s x a columns, the last
-    leg's width*s^n product and width*a*s^(n-1) operand (width d by default) and three
-    (d, C(s, n)) sample temporaries.  Every SectorState passes this at one thread, a = s."""
+    counts, index arrays and width gather offsets, the legs' operand tables, the (d, C(s, n))
+    amplitudes, their undressed copy and the d*a^n start on its a active sites (a = s by
+    default); per thread, Vc * phases and numpy's buffer for it, the Vc[sites] copy, the
+    s x a columns, the work pair of the widest leg's s x M product and a x M operand
+    (_leg_columns, width d by default) and three (d, C(s, n)) sample temporaries.  Every
+    SectorState passes this at one thread, a = s."""
     c, width, a = math.comb(s, n), d if width is None else width, s if a is None else a
-    held = 16 * s * s + 8 * c * (n + 2 + width) + 32 * d * c + 16 * d * a**n
+    legs = _leg_columns(s, n, width, a)
+    held = 16 * s * s + 8 * c * (n + 2 + width) + 8 * a * sum(legs[1:]) + 32 * d * c + 16 * d * a**n
     columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
-    per_thread = columns + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
+    per_thread = columns + 16 * (s + a) * max(legs) + 48 * d * c
     _check_memory(held + workers * per_thread, f"sector s={s}, n={n}, d={d}")
 
 
@@ -203,30 +207,73 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     """Free-sector amplitudes (labels, C(s, n)) of the embedded start after the propagator.
 
     u holds the propagator's s x a columns at the start's a active sites, and the
-    start's legs are a wide.  Leg by leg, u @ operand goes into out, stored with
-    that leg first, and widens it to s.  Leg k's operand is the start (k = 1) or
-    the last product with leg k moved first, copied C-ordered into spare.  Where
-    all s sites are active, these are np.tensordot's products.  gather is
-    _gather(s, n, width), the labels' offsets in the last.  Unchecked: the
-    caller's SectorState, or the trace of its density, checks the norm.
+    start's legs are a wide, (l1, z, l2, ..., ln) with z the register label.  Leg 1
+    multiplies u into the start; each later leg takes its (a, M_k) operand from the
+    last product into spare, with one take through its table, and u @ operand goes
+    into out.  Only the columns some label reads are multiplied (_gather).  gather is
+    _gather(s, n, width, a): those tables, then the labels' offsets in the last
+    product.  Where all s sites are active at n <= 2, these are np.tensordot's
+    products.  Unchecked: the caller's SectorState, or the trace of its density,
+    checks the norm.
     """
-    (s, a), n = u.shape, start.ndim - 1
-    operand = start
-    for axis in range(1, n + 1):
-        if axis > 1:
-            moved = product.transpose(axis, 1, *range(2, axis), 0, *range(axis + 1, n + 1))
-            operand = spare[: moved.size].reshape(moved.shape)
-            np.copyto(operand, moved)
-        product = out[: operand.size // a * s].reshape((s,) + operand.shape[1:])
-        np.dot(u, operand.reshape(a, -1), out=product.reshape(s, -1))
-    return out.take(gather)
+    s, a = u.shape
+    np.dot(u, start.reshape(a, -1), out=out[: start.size // a * s].reshape(s, -1))
+    for table in gather[:-1]:  # "clip" fills spare unbuffered ("raise" buffers out=)
+        operand = out.take(table, out=spare[: table.size].reshape(table.shape), mode="clip")
+        np.dot(u, operand, out=out[: table.shape[1] * s].reshape(s, -1))
+    return out.take(gather[-1])
 
 
-def _gather(s: int, n: int, width: int) -> np.ndarray:
-    """The labels' flat offsets in _free_sample's last product, (l_n, label, l_1, ..., l_{n-1})."""
-    legs = _occupation_array(s, n).T
-    shape = (s, width) + (s,) * (n - 1)
-    return np.ravel_multi_index((legs[-1], np.arange(width)[:, None], *legs[:-1]), shape)
+def _leg_columns(s: int, n: int, width: int, a: int) -> list[int]:
+    """The column counts M_1, ..., M_n of _free_sample's leg operands, from the label
+    counts alone: the start's width * a^(n-1), then leg k's (z, head, l_{k+1}, ...,
+    l_n), with a head for each of the C(s - n + k - 1, k - 1) distinct (k-1)-prefixes
+    of the labels, padded to a multiple of 4 so that every column some label reads
+    is in OpenBLAS's 4-column kernel, as in the untrimmed product.  At n <= 2 leg 2
+    keeps all s heads, unpadded, the untrimmed operand: trimmed, head s - 2, which
+    that product rounds in the remainder kernel, moved bits at (s, n, d) = (10, 2, 1)."""
+    if n <= 2:
+        return [width * a ** (n - 1)] + [width * s] * (n - 1)
+    counts = (width * math.comb(s - n + k - 1, k - 1) * a ** (n - k) for k in range(2, n + 1))
+    return [width * a ** (n - 1)] + [-(-m // 4) * 4 for m in counts]
+
+
+def _gather(s: int, n: int, width: int, a: int) -> tuple[np.ndarray, ...]:
+    """_free_sample's tables: for each leg k >= 2 the (a, M_k) offsets of its operand
+    in the last product, then the (width, C(s, n)) offsets of the labels in leg n's.
+
+    Leg k's product is stored (l_k, z, head, l_{k+1}, ..., l_n): l_k over all s
+    sites, z over the width register labels, the head numbering the distinct
+    prefixes (l_1, ..., l_{k-1}) in lex order, the later legs over the a active
+    sites.  _occupation_array lists the labels in lex order, so equal prefixes are
+    neighbours, and a label's head index counts the changes of its prefix before
+    it.  Leg k + 1's operand entry (l_{k+1}, z, h, ...) at the head h of (l_1, ...,
+    l_k) reads leg k's entry (l_k, z, the head of (l_1, ..., l_{k-1}), l_{k+1}, ...).
+    Its padding columns read offset 0.  Built with numpy operations, once per sweep.
+    """
+    labels = _occupation_array(s, n)
+    columns = _leg_columns(s, n, width, a)
+    heads, head, tables = 1, np.zeros(len(labels), dtype=int), []
+    changed = np.zeros(len(labels), dtype=bool)  # where the prefix (l_1, ..., l_{k-1}) changes
+    changed[0] = True
+    for k in range(2, n + 1):
+        if n <= 2:  # all s heads, as _leg_columns counts them
+            last, parent, head = np.arange(s), np.zeros(s, dtype=int), labels[:, 0]
+        else:
+            changed[1:] |= labels[1:, k - 2] != labels[:-1, k - 2]
+            last, parent, head = labels[changed, k - 2], head[changed], np.cumsum(changed) - 1
+        tail = a ** (n - k)  # l_{k+1}, ..., l_n
+        table = np.zeros((a, columns[k - 1]), dtype=int)
+        table[:, : width * len(last) * tail] = (
+            np.arange(a)[:, None, None, None] * tail
+            + np.arange(width)[:, None, None] * heads * a * tail
+            + (last * columns[k - 2] + parent * a * tail)[:, None]
+            + np.arange(tail)
+        ).reshape(a, -1)
+        tables.append(table)
+        heads = len(last)
+    tables.append(labels[:, -1] * columns[-1] + np.arange(width)[:, None] * heads + head)
+    return tuple(tables)
 
 
 def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -> None:
@@ -234,9 +281,10 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
     the samples spread over the CPUs by _each.  The start is embedded over its active
     sites only, the sites of its labels with a nonzero amplitude padded to a multiple
     of 4 (sites 1..4 for a product start on sites 1..n, n <= 4): once, whole up to
-    _WHOLE_START_BYTES of d*s^n and else label by label, and shared with the labels'
-    gather.  A sample takes the propagator's s x a columns there, and each thread evolves
-    it in a work pair of its own, the last leg's product and operand.  Budgeted first."""
+    _WHOLE_START_BYTES of d*s^n and else label by label.  The legs' tables are built
+    once (_gather) and shared.  A sample takes the propagator's s x a columns there,
+    and each thread evolves it in a work pair of its own, the widest leg's s x M
+    product and a x M operand (_leg_columns).  Budgeted first."""
     d, s = amps.shape[0], spec.s
     occupied = np.zeros(s, dtype=bool)
     occupied[_occupation_array(s, n)[amps.any(axis=0)]] = True
@@ -248,8 +296,9 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
     a, width = sites.size, d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
     _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width, a)
     starts = [_embed_antisymmetric(amps[z : z + width], occupied, n) for z in range(0, d, width)]
-    sizes = width * s**n, width * a * s ** (n - 1)  # the last leg's product and its operand
-    gather = _gather(s, n, width)
+    most = max(_leg_columns(s, n, width, a))
+    sizes = s * most, a * most  # the widest leg's product and its operand
+    gather = _gather(s, n, width, a)
     local = threading.local()
 
     def sample(i):
@@ -329,8 +378,9 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
 
     One start evolved over a time grid: it is checked, undressed and embedded
     once over its a active sites, and each time costs the propagator's s x a
-    columns there and n leg products, leg k widening the tensor from a to s
-    sites on that leg (label by label above _WHOLE_START_BYTES of d * s^n).
+    columns there and n leg products, leg k widening its leg from a to s sites
+    over only the columns that some label reads (label by label above
+    _WHOLE_START_BYTES of d * s^n).
     _each spreads the samples over the CPUs; each gets the bits it gets alone,
     so rho does not depend on the CPU count.  rho is budgeted with its traces'
     norm check (32 B per time).  Raises ValueError before the first sample, the

@@ -179,8 +179,13 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def number_operator(s: int, d: int) -> np.ndarray:
-    """Total excitation number on the full space, diagonal in the basis."""
-    _check_memory(8 * (d * 2**s) ** 2, f"number operator at s={s}, d={d}")
-    labels = _full_labels(s)
-    diag = np.repeat([len(label) for label in labels], d).astype(float)
-    return np.diag(diag)
+    """Total excitation number on the full space, diagonal in the basis.
+
+    The full space's labels are grouped by excitation number n, C(s, n) of
+    each, the register fastest; so the diagonal holds each n d C(s, n) times,
+    and no label is listed.  Budgeted: the matrix and its diagonal.
+    """
+    dim = d * 2**s
+    _check_memory(8 * dim * (dim + 2), f"number operator at s={s}, d={d}")
+    counts = [d * math.comb(s, n) for n in range(s + 1)]
+    return np.diag(np.repeat(np.arange(s + 1.0), counts))

@@ -318,22 +318,37 @@ def _active_sites(s, n):
     return min(s, -(-n // 4) * 4)
 
 
+def _leg_columns(s, n, width, a):
+    """The column counts of the legs' operands, written out: the start's width
+    a^(n-1), then leg k's width x heads x a^(n-k), padded to a multiple of 4,
+    with a head for each distinct (k-1)-prefix of the labels, counted from the
+    label tuples; at n <= 2 leg 2 has all s heads, unpadded."""
+    if n <= 2:
+        return [width * a ** (n - 1)] + [width * s] * (n - 1)
+    labels = list(combinations(range(s), n))
+    heads = [len({label[: k - 1] for label in labels}) for k in range(2, n + 1)]
+    return [width * a ** (n - 1)] + [
+        -(-width * h * a ** (n - k) // 4) * 4 for k, h in zip(range(2, n + 1), heads)
+    ]
+
+
 def _sector_sweep_estimate(s, n, d, T, cpus, width, a):
     """The sector sweep's estimate, written out: the cached s x s basis Vc (16 B per
     entry, shared by the threads), the C(s, n) labels at 8 (n + 2 + width) B each
     (8 n for the array, 8 for the count past the link, 8 for the index arrays by
-    count, 8 width for the gather offsets), the state's (d, C(s, n)) amplitudes and
+    count, 8 width for the gather offsets), the legs' operand tables (8 B per
+    offset, a per column of legs 2..n), the state's (d, C(s, n)) amplitudes and
     their undressed copy, the d a^n start embedded over its a (padded) active sites
     (16 B each), and per thread (no more threads than samples) Vc * phases (16 B per
     s x s entry) with numpy's buffer for that broadcast (16 B per entry, at most
     np.getbufsize() entries), the Vc[sites] copy and the s x a columns (32 B per
-    s x a entry), a work pair of the last leg's width s^n product and its width
-    a s^(n-1) operand, and three (d, C(s, n)) sample temporaries."""
-    c = math.comb(s, n)
+    s x a entry), a work pair of the widest leg's s x M product and its a x M
+    operand, and three (d, C(s, n)) sample temporaries."""
+    c, legs = math.comb(s, n), _leg_columns(s, n, width, a)
     columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
-    per_thread = columns + 16 * width * (s**n + a * s ** (n - 1)) + 48 * d * c
-    held = 16 * s * s + 8 * c * (n + 2 + width) + 32 * d * c + 16 * d * a**n
-    return held + min(cpus, T) * per_thread
+    per_thread = columns + 16 * (s + a) * max(legs) + 48 * d * c
+    held = 16 * s * s + 8 * c * (n + 2 + width) + 8 * a * sum(legs[1:]) + 32 * d * c
+    return held + 16 * d * a**n + min(cpus, T) * per_thread
 
 
 @pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
@@ -532,8 +547,11 @@ def test_multi_imports_nothing_from_the_oracle():
 def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
     """No multi computation lists label tuples (oracle.sector_occupations or
     SectorState.occupations), and the label table takes part in no
-    arithmetic per sample: the ufuncs on it are the same for one sample as
-    for five."""
+    arithmetic per sample: the ufuncs on it are the same for a sweep of one
+    sample as for one of five.  Each sweep, single_link_densities' and
+    propagate_free_sector's, builds its tables once: per leg table (legs 2
+    and 3 at n = 3) one comparison of neighbouring labels' sites and one
+    offset product, and one product for the labels' gather."""
     calls = []
 
     class RecordingLabels(np.ndarray):
@@ -557,10 +575,10 @@ def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
         state = qc.SectorState.from_product(spec, (2, 3, 5), [0.6, 0.8])
         qc.count_past_link_distribution(state, 4)
         qc.single_link_densities(state, 4, g, np.arange(float(T)))
-        for t in range(T):
-            qc.propagate_free_sector(state, float(t))
+        qc.propagate_free_sector(state, float(T))
         seen.append(list(calls))
-    assert seen[0] == ["equal", "greater_equal", "greater_equal"]
+    sweep = ["not_equal", "multiply", "not_equal", "multiply", "multiply"]
+    assert seen[0] == ["equal", "greater_equal", "greater_equal", *sweep, *sweep]
     # propagate_free_sector counts nothing, and each further sample adds nothing
     assert seen[1] == seen[0]
 
@@ -621,13 +639,18 @@ def _random_unitary(rng, d):
 
 
 @pytest.mark.parametrize(
-    "s,n,d", [(10, 2, 2), (16, 4, 2), (7, 3, 2), (13, 4, 1), (9, 1, 2), (8, 2, 1)]
+    "s,n,d",
+    [(10, 2, 2), (16, 4, 2), (7, 3, 2), (13, 4, 1), (9, 1, 2), (8, 2, 1)]
+    + [(9, 4, 1), (11, 3, 2), (13, 3, 1)],
 )
 def test_single_link_densities_bitwise_equal_per_sample_formula(s, n, d):
     """The trajectory gives every sample the bits of the per-sample formula.
 
     At (8, 2, 1), oracle-check's free start, np.tensordot hands the second
     leg to BLAS as a transposed view, where the trajectory copies it first.
+    The last three start over all sites at an s that is no multiple of 4, so
+    leg 1's operand has a remainder column and the later legs' operands are
+    trimmed to the labels' heads and padded to a multiple of 4.
     """
     rng = np.random.default_rng(10 * s + n)
     m = len(list(combinations(range(s), n)))
@@ -636,9 +659,10 @@ def test_single_link_densities_bitwise_equal_per_sample_formula(s, n, d):
     _assert_per_sample_bits(state, _random_unitary(rng, d))
 
 
-# (s, n) of _MULTI_RUNS, oracle-check's free start and the label-side CLI start --g 3 --s 33
+# (s, n) of _MULTI_RUNS, oracle-check's free start, the label-side CLI start --g 3 --s 33
+# and (13, 5), whose 8 active sites give every trimmed leg an 8-row operand
 _PRODUCT_SHAPES = sorted(
-    {(s, n) for _, n, s, _, _ in _MULTI_RUNS} | {(9, 1), (8, 2), (13, 4), (33, 3)}
+    {(s, n) for _, n, s, _, _ in _MULTI_RUNS} | {(9, 1), (8, 2), (13, 4), (33, 3), (13, 5)}
 )
 
 
@@ -649,8 +673,8 @@ def test_product_starts_bitwise_equal_per_sample_formula(s, n, d, whole, monkeyp
     """A product start on sites 1..n, embedded over its padded active sites
     only, gets the bits of the per-sample formula, which multiplies all s
     columns of the propagator into the full tensor.  As run, (16, 4) and
-    (33, 3) at d = 2 go label by label (over 512 KiB of d s^n) and the rest
-    whole; the second run takes each start whole."""
+    (33, 3) at d = 2 and (13, 5) go label by label (over 512 KiB of d s^n)
+    and the rest whole; the second run takes each start whole."""
     if whole:
         monkeypatch.setattr(multi, "_WHOLE_START_BYTES", float("inf"))
     rng = np.random.default_rng(100 * s + 10 * n + d)
@@ -677,16 +701,19 @@ def test_partially_supported_starts_match_per_sample_formula(s, n, d):
 @pytest.mark.parametrize("s,n,whole", [(9, 1, True), (10, 2, True), (33, 3, False), (16, 4, False)])
 def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
     """Every sample multiplies the propagator's columns at the start's sites 1..n,
-    padded to 4, into operands of that many rows, and its work pair is the last
-    leg's width s^n product and width a s^(n-1) operand: no leg of a product
-    start returns to s rows (4 here, where a whole tensor has 9 to 33)."""
+    padded to 4, into operands of that many rows: the start, then one (a, M_k)
+    operand per later leg, taken through its table.  Its work pair is the widest
+    leg's s x M product and a x M operand: no leg of a product start returns to
+    s rows (4 here, where a whole tensor has 9 to 33), and from n = 3 on the
+    widest product holds fewer entries than the width s^n tensor."""
     columns, shapes = [], set()
     free_sample = multi._free_sample
     a, width = _active_sites(s, n), 2 if whole else 1
 
     def recording_sample(u, start, out, spare, gather):
         columns.append(u)
-        shapes.add((u.shape, start.shape, out.size, spare.size))
+        tables = tuple(table.shape for table in gather[:-1])
+        shapes.add((u.shape, start.shape, out.size, spare.size, tables))
         return free_sample(u, start, out, spare, gather)
 
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
@@ -697,8 +724,31 @@ def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
     assert a == 4 < s and len(columns) == times.size * 2 // width  # d / width labels per sample
     for k, u in enumerate(columns):
         assert np.array_equal(u, qc.propagator(spec, times[k * width // 2])[:, :a])
-    operand, product = width * a * s ** (n - 1), width * s**n
-    assert shapes == {((s, a), (a, width) + (a,) * (n - 1), product, operand)}
+    legs = _leg_columns(s, n, width, a)
+    tables = tuple((a, m) for m in legs[1:])
+    assert shapes == {((s, a), (a, width) + (a,) * (n - 1), s * max(legs), a * max(legs), tables)}
+    assert n < 3 or max(legs) < width * s ** (n - 1)  # trimmed from n = 3 on
+
+
+def test_legs_multiply_only_the_columns_some_label_reads(monkeypatch):
+    """At multi-sector's shape (16 sites, n = 4, one register label at a time,
+    4 active sites) the legs' operands have 64, 208, 364 and 456 columns: the
+    start's 4^3, then 13 heads x 4^2, 91 x 4 and 455 padded to 456.  That is
+    s a (64 + 208 + 364 + 456) = 69,888 complex multiply-adds per label, where
+    operands over all s sites of the earlier legs took 348,160."""
+    widths = []
+    free_sample = multi._free_sample
+
+    def recording_sample(u, start, out, spare, gather):
+        widths.append([start.size // u.shape[1]] + [table.shape[1] for table in gather[:-1]])
+        return free_sample(u, start, out, spare, gather)
+
+    monkeypatch.setattr(multi, "_free_sample", recording_sample)
+    state = qc.SectorState.from_product(qc.ChainSpec(16), range(1, 5), [0.6, 0.8])
+    qc.single_link_densities(state, 13, qc.rotation_about_2(0.3), np.arange(2.0))
+    assert widths == [[64, 208, 364, 456]] * 4  # two samples of two labels each
+    assert multi._leg_columns(16, 4, 1, 4) == _leg_columns(16, 4, 1, 4) == [64, 208, 364, 456]
+    assert 16 * 4 * sum(widths[0]) == 69_888
 
 
 @pytest.mark.parametrize("s,x0,mu", [(9, 3, 4), (16, 8, 6), (24, 5, 9)])

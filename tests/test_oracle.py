@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,9 @@ def test_full_space_commutes_with_number_operator():
     ham = oracle.build(spec, qc.toy_program(6, params.alpha), sector=None)
     n3 = oracle.number_operator(6, 2)
     assert np.abs(ham.matrix @ n3 - n3 @ ham.matrix).max() == 0.0
+    # the diagonal counts the excitations of each of the full space's labels
+    sizes = np.repeat([len(label) for label in ham.cursor_labels], ham.d)
+    assert np.array_equal(n3, np.diag(sizes.astype(float)))
 
 
 def test_sector_blocks_are_disjoint():
@@ -187,6 +193,53 @@ def test_size_cap(monkeypatch):
 
 def _no_labels(*args):
     raise AssertionError("labels listed past the memory budget")
+
+
+def _traced_checks(monkeypatch, fn):
+    """The estimates fn checks and the peak tracemalloc sees over it."""
+    checked = []
+    check_memory = oracle._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(oracle, "_check_memory", recording_check)
+    oracle.sector_occupations.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return checked, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s,sector", [(100, 1), (200, 1), (16, 2), (24, 2)])
+def test_build_estimate_bounds_its_traced_peak(s, sector, monkeypatch):
+    """build checks 96 dim^2 B, to the byte, and that is at or above the peak
+    tracemalloc sees over the build and its eigensystem, and within twice it:
+    the matrix, its adjoint and their difference hold 48 dim^2 B.  eigh's copy,
+    workspace and eigenvectors come after the build, and LAPACK's workspace is
+    allocated where tracemalloc does not see it."""
+    spec, program = qc.ChainSpec(s), qc.toy_program(s, 0.3)
+    dim = 2 * math.comb(s, sector)
+    checked, peak = _traced_checks(
+        monkeypatch, lambda: oracle.build(spec, program, sector=sector).eigensystem()
+    )
+    assert checked == [96 * dim * dim]
+    assert peak <= checked[0] < 2 * peak
+
+
+@pytest.mark.parametrize("s,d", [(9, 2), (11, 1)])
+def test_number_operator_estimate_bounds_its_traced_peak(s, d, monkeypatch):
+    """number_operator checks 8 dim (dim + 2) B, to the byte: the dim x dim
+    matrix and its diagonal, with no label listed; that is at or above the
+    peak tracemalloc sees and within twice it."""
+    dim = d * 2**s
+    monkeypatch.setattr("qwclock.oracle._full_labels", _no_labels)
+    checked, peak = _traced_checks(monkeypatch, lambda: oracle.number_operator(s, d))
+    assert checked == [8 * dim * (dim + 2)]
+    assert peak <= checked[0] < 2 * peak
 
 
 def test_basis_labeling_round_trip():

@@ -478,8 +478,11 @@ def test_trajectory_windows_and_estimate_pinned(s, width, monkeypatch):
 @pytest.mark.parametrize("s", [200, 400])
 def test_trajectory_estimate_bounds_its_traced_peak(s, monkeypatch):
     """Below 640 sites the trajectory's checked estimate (the cached complex V at
-    16 s^2 B among it) is at or above the peak tracemalloc sees over the
-    trajectory, the basis held."""
+    16 s^2 B among it) is at or above the peak tracemalloc sees over building
+    the basis and the trajectory.  The machine is the caller's input, built
+    untraced: its links, cumulative unitaries and start (about 100 B per site,
+    which the CLI's per-site check counts) are no allocation of the trajectory,
+    and the first machine of a process imports numpy.random (about 700 kB)."""
     checked = []
     check_memory = chain._check_memory
 
@@ -489,12 +492,11 @@ def test_trajectory_estimate_bounds_its_traced_peak(s, monkeypatch):
         check_memory(nbytes, what)
 
     monkeypatch.setattr(chain, "_check_memory", recording_check)
+    machine = _random_machine(s)
     chain._complex_modes.cache_clear()
     tracemalloc.start()
     try:
-        machine = _random_machine(s)
         chain._complex_modes(machine.spec)
-        tracemalloc.reset_peak()
         machine_trajectory(machine, 0.5 * np.arange(300))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
