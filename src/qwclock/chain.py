@@ -62,6 +62,11 @@ _PHASE_ANCHOR = 8
 _COLUMN_CHUNK_BYTES = 3 * 2**17
 # bytes of phases per window of a one-column sweep below _FFT_SITES sites
 _MOMENT_WINDOW_BYTES = 2**16
+# _each spreads calls that each touch at least this many bytes, as declared by
+# their caller, and runs cheaper ones on the calling thread: the crossover of
+# one CPU against two measured over multi samples (0.92 and 0.94 MiB slower on
+# two, 1.31 MiB faster) and gamma CDF points (1.02 MiB faster, 0.70 MiB either)
+_SPREAD_BYTES = 2**20
 
 
 def _cpus() -> int:
@@ -72,10 +77,18 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each(fn, count: int) -> None:
-    """Call fn(i) for every i in range(count), spread over _cpus() threads.
+def _workers(cost: int) -> int:
+    """The threads _each runs calls of `cost` bytes touched each on, before it caps
+    them at the call count: one per CPU from _SPREAD_BYTES a call, else the calling
+    thread alone.  Every estimate that holds a buffer per thread counts these."""
+    return _cpus() if cost >= _SPREAD_BYTES else 1
 
-    The calling thread and one daemon thread per further CPU (no more
+
+def _each(fn, count: int, cost: int) -> None:
+    """Call fn(i) for every i in range(count), each call touching `cost` bytes,
+    spread over _workers(cost) threads.
+
+    The calling thread and one daemon thread per further worker (no more
     threads than calls) claim the indices in increasing order under a lock,
     under the caller's numpy error state; once a call raises, no index is
     claimed after it.  After the join, the exception of the lowest index is
@@ -100,7 +113,8 @@ def _each(fn, count: int) -> None:
                     with lock:
                         errors[i] = exc
 
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(_cpus(), count) - 1)]
+    workers = min(_workers(cost), count)
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
     for thread in helpers:
         thread.start()
     work()
@@ -487,20 +501,25 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     """Mean and variance of the site index of psi0 evolved to each of `times`.
 
     Each sample has the bits of position_statistics(propagate(psi0, t)), at
-    any CPU count.  _each spreads _grid_chunks' windows over the CPUs, each
-    evolved alone by _evolve with exact phases, as propagate's one sample is.
+    any CPU count.  _each spreads _grid_chunks' windows over the CPUs (from
+    _SPREAD_BYTES touched a window, as on 16 sites or more), each evolved
+    alone by _evolve with exact phases, as propagate's one sample is.
     After the sweep, the norm^2 series is checked as propagate checks one
     sample: the first drifting sample raises.
     """
     spec, coeff, times = psi0.spec, psi0._coefficients, np.asarray(times)
     s, T = spec.s, len(times)
-    workers = _cpus()
+    # a full window streams the s x s basis once per sample on the GEMM path,
+    # and its extension once per FFT pass on the FFT path
+    fft = s >= _FFT_SITES
+    touched = _COLUMN_CHUNK_BYTES * (2 * s + 2).bit_length() if fft else _MOMENT_WINDOW_BYTES * s
+    workers = _workers(touched)
     # the moment and norm^2 columns, and per thread one sample's column,
     # product and squares; per site and sample, the kernel's phase arguments,
     # and on the GEMM path the phases' complex temporary, on the FFT path the
     # phases beside the extension and _sine_transform's copy of its reflection
     held = 24 * T + 64 * s * workers
-    windows = list(_grid_chunks(spec, times, 1, held, 48 if s >= _FFT_SITES else 24, workers))
+    windows = list(_grid_chunks(spec, times, 1, held, 48 if fft else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)
 
     def sweep(i):
@@ -510,7 +529,7 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
             stats = _site_statistics(p)
             mean[j], variance[j], norm2[j] = stats.mean, stats.variance, p.sum()
 
-    _each(sweep, len(windows))
+    _each(sweep, len(windows), touched)
     _check_norm(norm2, "state")
     return mean, variance
 

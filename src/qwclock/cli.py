@@ -3,8 +3,9 @@
 Each subcommand maps onto one library computation with explicit
 parameters.  Output is comma-separated with a header row, 15 significant
 digits, LF line endings; identical flags produce byte-identical output, at
-any CPU count (mean-q, var-q and the quadrature speed laws spread their
-points over the CPUs of the process's affinity mask).
+any CPU count (mean-q and var-q windows, multi samples and the quadrature
+speed laws' CDF points run over the CPUs of the process's affinity mask
+when each touches at least chain._SPREAD_BYTES, and on one thread else).
 Exit codes: 0 success, 1 oracle-check deviation >= 1e-10, 2 parameter
 error (non-finite float flags and unwritable --out paths included), 3
 resource error (a memory estimate, checked before allocating, over

@@ -46,15 +46,17 @@ _WHOLE_START_BYTES = 2**19
 
 def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None, a=None) -> None:
     """Budget, held once, the cached s x s basis Vc, the C(s, n) labels with their link
-    counts, index arrays and width gather offsets, the legs' operand tables, the (d, C(s, n))
-    amplitudes, their undressed copy and the d*a^n start on its a active sites (a = s by
-    default); per thread, Vc * phases and numpy's buffer for it, the Vc[sites] copy, the
-    s x a columns, the work pair of the widest leg's s x M product and a x M operand
-    (_leg_columns, width d by default) and three (d, C(s, n)) sample temporaries.  Every
-    SectorState passes this at one thread, a = s."""
+    counts, count-group order and its inverse, the legs' operand tables, the width gather
+    offsets in lex and in count-group order, the (d, C(s, n)) amplitudes, their undressed
+    copy and the d*a^n start on its a active sites (a = s by default); per thread, Vc *
+    phases and numpy's buffer for it, the Vc[sites] copy, the s x a columns, the work pair
+    of the widest leg's s x M product and a x M operand (_leg_columns, width d by default),
+    the (d, C(s, n)) labels' buffer, their copy in lex order and its conjugate, counted
+    together.  Every SectorState passes this at one thread, a = s."""
     c, width, a = math.comb(s, n), d if width is None else width, s if a is None else a
     legs = _leg_columns(s, n, width, a)
-    held = 16 * s * s + 8 * c * (n + 2 + width) + 8 * a * sum(legs[1:]) + 32 * d * c + 16 * d * a**n
+    held = 16 * s * s + 8 * c * (n + 3 + 2 * width) + 8 * a * sum(legs[1:]) + 32 * d * c
+    held += 16 * d * a**n
     columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
     per_thread = columns + 16 * (s + a) * max(legs) + 48 * d * c
     _check_memory(held + workers * per_thread, f"sector s={s}, n={n}, d={d}")
@@ -203,8 +205,11 @@ def _embed_antisymmetric(amps: np.ndarray, occupied: np.ndarray, n: int) -> np.n
     return full
 
 
-def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, gather):
-    """Free-sector amplitudes (labels, C(s, n)) of the embedded start after the propagator.
+def _free_sample(
+    u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, gather, labels
+) -> np.ndarray:
+    """Write into labels the free-sector amplitudes (width, C(s, n)) of the embedded
+    start after the propagator, and return it.
 
     u holds the propagator's s x a columns at the start's a active sites, and the
     start's legs are a wide, (l1, z, l2, ..., ln) with z the register label.  Leg 1
@@ -212,16 +217,16 @@ def _free_sample(u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.nd
     last product into spare, with one take through its table, and u @ operand goes
     into out.  Only the columns some label reads are multiplied (_gather).  gather is
     _gather(s, n, width, a): those tables, then the labels' offsets in the last
-    product.  Where all s sites are active at n <= 2, these are np.tensordot's
-    products.  Unchecked: the caller's SectorState, or the trace of its density,
-    checks the norm.
+    product, in the order the labels are written.  Where all s sites are active at
+    n <= 2, these are np.tensordot's products.  Unchecked: the caller's SectorState,
+    or the trace of its density, checks the norm.
     """
     s, a = u.shape
     np.dot(u, start.reshape(a, -1), out=out[: start.size // a * s].reshape(s, -1))
     for table in gather[:-1]:  # "clip" fills spare unbuffered ("raise" buffers out=)
         operand = out.take(table, out=spare[: table.size].reshape(table.shape), mode="clip")
         np.dot(u, operand, out=out[: table.shape[1] * s].reshape(s, -1))
-    return out.take(gather[-1])
+    return out.take(gather[-1], out=labels, mode="clip")
 
 
 def _leg_columns(s: int, n: int, width: int, a: int) -> list[int]:
@@ -238,6 +243,7 @@ def _leg_columns(s: int, n: int, width: int, a: int) -> list[int]:
     return [width * a ** (n - 1)] + [-(-m // 4) * 4 for m in counts]
 
 
+@functools.lru_cache(maxsize=1)
 def _gather(s: int, n: int, width: int, a: int) -> tuple[np.ndarray, ...]:
     """_free_sample's tables: for each leg k >= 2 the (a, M_k) offsets of its operand
     in the last product, then the (width, C(s, n)) offsets of the labels in leg n's.
@@ -249,7 +255,9 @@ def _gather(s: int, n: int, width: int, a: int) -> tuple[np.ndarray, ...]:
     neighbours, and a label's head index counts the changes of its prefix before
     it.  Leg k + 1's operand entry (l_{k+1}, z, h, ...) at the head h of (l_1, ...,
     l_k) reads leg k's entry (l_k, z, the head of (l_1, ..., l_{k-1}), l_{k+1}, ...).
-    Its padding columns read offset 0.  Built with numpy operations, once per sweep.
+    Its padding columns read offset 0.  Built with numpy operations and cached for the
+    last (s, n, width, a), as _occupation_array caches its labels; left writeable, as
+    numpy's take copies a read-only index array on every call (295 kB at (13, 5)).
     """
     labels = _occupation_array(s, n)
     columns = _leg_columns(s, n, width, a)
@@ -276,15 +284,19 @@ def _gather(s: int, n: int, width: int, a: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -> None:
+def _free_sector_sweep(
+    spec: ChainSpec, n: int, amps: np.ndarray, times, emit, order=slice(None)
+) -> None:
     """Call emit(i, free) with the free-sector amplitudes (d, C(s, n)) at each times[i],
-    the samples spread over the CPUs by _each.  The start is embedded over its active
-    sites only, the sites of its labels with a nonzero amplitude padded to a multiple
-    of 4 (sites 1..4 for a product start on sites 1..n, n <= 4): once, whole up to
-    _WHOLE_START_BYTES of d*s^n and else label by label.  The legs' tables are built
-    once (_gather) and shared.  A sample takes the propagator's s x a columns there,
-    and each thread evolves it in a work pair of its own, the widest leg's s x M
-    product and a x M operand (_leg_columns).  Budgeted first."""
+    the labels in `order` (lex by default), in a buffer of the thread's that its next
+    sample overwrites; _each spreads the samples over the CPUs when they touch enough
+    bytes.  The start is embedded over its active sites only, the sites of its labels
+    with a nonzero amplitude padded to a multiple of 4 (sites 1..4 for a product start
+    on sites 1..n, n <= 4): once, whole up to _WHOLE_START_BYTES of d*s^n and else label
+    by label.  The legs' tables are cached (_gather) and shared.  A sample takes the
+    propagator's s x a columns there, and each thread evolves it in a work pair of its
+    own, the widest leg's s x M product and a x M operand (_leg_columns).  Budgeted
+    first."""
     d, s = amps.shape[0], spec.s
     occupied = np.zeros(s, dtype=bool)
     occupied[_occupation_array(s, n)[amps.any(axis=0)]] = True
@@ -294,26 +306,33 @@ def _free_sector_sweep(spec: ChainSpec, n: int, amps: np.ndarray, times, emit) -
     occupied[np.flatnonzero(~occupied)[: -np.count_nonzero(occupied) % 4]] = True
     sites = np.flatnonzero(occupied)
     a, width = sites.size, d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
-    _check_sector_memory(s, n, d, min(chain._cpus(), len(times)), width, a)
+    legs = _leg_columns(s, n, width, a)
+    # a sample touches Vc, Vc * phases and its read (3 s^2 entries), and per start
+    # each leg's a x M operand, taken and read (3 a M), and its s x M product
+    touched = 16 * (3 * s * s + d // width * (s + 3 * a) * sum(legs))
+    _check_sector_memory(s, n, d, min(chain._workers(touched), len(times)), width, a)
     starts = [_embed_antisymmetric(amps[z : z + width], occupied, n) for z in range(0, d, width)]
-    most = max(_leg_columns(s, n, width, a))
-    sizes = s * most, a * most  # the widest leg's product and its operand
-    gather = _gather(s, n, width, a)
+    sizes = s * max(legs), a * max(legs)  # the widest leg's product and its operand
+    *tables, offsets = _gather(s, n, width, a)
+    gather = (*tables, offsets[:, order])
     local = threading.local()
 
     def sample(i):
-        if not hasattr(local, "pair"):
+        if not hasattr(local, "free"):
             local.pair = [np.empty(size, complex) for size in sizes]
+            local.free = np.empty((d, offsets.shape[1]), complex)
         u = chain._propagator_columns(spec, times[i], sites)
-        emit(i, np.concatenate([_free_sample(u, start, *local.pair, gather) for start in starts]))
+        for z, start in zip(range(0, d, width), starts):
+            _free_sample(u, start, *local.pair, gather, local.free[z : z + width])
+        emit(i, local.free)
 
     chain._complex_modes(spec)  # cached before the threads share it
-    _each(sample, len(times))
+    _each(sample, len(times), touched)
 
 
 def propagate_free_sector(state: SectorState, t: float) -> SectorState:
     """Evolve under the bare chain: one single-particle propagator per leg."""
-    amps = [None]
+    amps = [None]  # the one sample's buffer, which no later sample reuses
     _free_sector_sweep(state.spec, state.n, state.amplitudes, [t], amps.__setitem__)
     return SectorState(state.spec, state.n, amps[0])
 
@@ -347,18 +366,23 @@ def _single_link_sweep(state: SectorState, x0: int, g: np.ndarray, times, emit) 
 
     counts = _counts_past(state.spec.s, state.n, x0)
     powers = [np.linalg.matrix_power(g, m) for m in range(state.n + 1)]
-    groups = [(m, idx) for m in range(state.n + 1) if (idx := np.flatnonzero(counts == m)).size]
+    order = np.argsort(counts, kind="stable")  # the count groups, each in lex order
+    ends = np.cumsum(np.bincount(counts, minlength=state.n + 1))
+    groups = [(m, lo, hi) for m, (lo, hi) in enumerate(zip([0, *ends], ends)) if hi > lo]
 
     undressed = np.empty_like(state.amplitudes)
-    for m, idx in groups:
+    for m, lo, hi in groups:
+        idx = order[lo:hi]
         undressed[:, idx] = powers[m].conj().T @ state.amplitudes[:, idx]
+    inverse = np.argsort(order)
 
-    def redress(free):  # in place: the index arrays are disjoint
-        for m, idx in groups:
-            free[:, idx] = powers[m] @ free[:, idx]
-        return free
+    def redress(i, free):  # free in count-group order, each group a block of columns
+        for m, lo, hi in groups:  # assigned: an out= laid out otherwise (F-order) moved bits
+            free[:, lo:hi] = powers[m] @ free[:, lo:hi]
+        free[:] = free.take(inverse, axis=1)  # back in lex order, in the thread's buffer
+        emit(i, free)
 
-    _free_sector_sweep(state.spec, state.n, undressed, times, lambda i, a: emit(i, redress(a)))
+    _free_sector_sweep(state.spec, state.n, undressed, times, redress, order)
 
 
 def propagate_single_link(state: SectorState, x0: int, g: np.ndarray, t: float) -> SectorState:
@@ -381,9 +405,10 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
     columns there and n leg products, leg k widening its leg from a to s sites
     over only the columns that some label reads (label by label above
     _WHOLE_START_BYTES of d * s^n).
-    _each spreads the samples over the CPUs; each gets the bits it gets alone,
-    so rho does not depend on the CPU count.  rho is budgeted with its traces'
-    norm check (32 B per time).  Raises ValueError before the first sample, the
+    _each spreads the samples over the CPUs when each touches at least
+    chain._SPREAD_BYTES; each gets the bits it gets alone, so rho does not
+    depend on the CPU count.  rho is budgeted with its traces' norm check
+    (32 B per time).  Raises ValueError before the first sample, the
     lowest failing sample's error, and NormalizationError, after the sweep, if
     the trace of any density (the sector's norm^2) drifted.
     """

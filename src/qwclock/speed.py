@@ -42,6 +42,10 @@ _SINGULAR_OFFSET = 1e-9
 # quadrature point's site indices and (512, s) scaled sine matrix with its complex
 # cast, 24 B per node (traced slope on two threads: 24,583 to 24,592 B per site)
 _LAW_SITE_BYTES, _POINT_SITE_BYTES = 16, 8 + 24 * 512
+# bytes per site that one CDF point of law_general touches, its cost to chain._each:
+# each of its two momentum amplitudes writes and reads the (512, s) phases, sines,
+# scaled sines and their complex cast, 80 B per node
+_POINT_TOUCHED_SITE_BYTES = 160 * 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +94,12 @@ def _on_unit_interval(core: Callable[[np.ndarray], np.ndarray], from_one: float)
     return wrapped
 
 
-def _law(family: str, integrand_p, density=None, cdf=None, moments=None) -> SpeedLaw:
-    """Law from its p-space integrand; closed forms replace the derived parts."""
+def _law(
+    family: str, integrand_p, density=None, cdf=None, moments=None, point_bytes=0
+) -> SpeedLaw:
+    """Law from its p-space integrand; closed forms replace the derived parts.  A
+    quadrature CDF declares point_bytes touched per point to chain._each (0: a
+    closed-form integrand's 512-node arrays, which stay on the calling thread)."""
     if density is None:
         def density(v):
             return integrand_p(np.arcsin(v)) / np.sqrt(1.0 - v**2)
@@ -99,10 +107,10 @@ def _law(family: str, integrand_p, density=None, cdf=None, moments=None) -> Spee
         def cdf(v):
             top, out = np.arcsin(v), np.empty(len(v))
 
-            def point(i):  # one full rule per point, the points spread over the CPUs
+            def point(i):  # one full rule per point, spread over the CPUs when costly
                 out[i] = integrate(integrand_p, 0.0, float(top[i]))
 
-            _each(point, len(v))
+            _each(point, len(v), point_bytes)
             return out
     if moments is None:
         p, w = composite_gauss_legendre(0.0, np.pi / 2)
@@ -199,13 +207,14 @@ def law_general(psi0: CursorWavefunction) -> SpeedLaw:
             + np.abs(momentum_amplitude(psi0, np.pi - np.asarray(p, float))) ** 2
         )
 
-    return _law("general", integrand_p)
+    return _law("general", integrand_p, point_bytes=_POINT_TOUCHED_SITE_BYTES * psi0.spec.s)
 
 
 def _check_law_memory(s: int, what: str) -> None:
     """Budget law_general on s sites before its first integrand call: its moments
-    run on the calling thread, its CDF points on chain._cpus() threads."""
-    _check_memory((_LAW_SITE_BYTES + _POINT_SITE_BYTES * chain._cpus()) * s, what)
+    run on the calling thread, its CDF points on chain._workers threads."""
+    workers = chain._workers(_POINT_TOUCHED_SITE_BYTES * s)
+    _check_memory((_LAW_SITE_BYTES + _POINT_SITE_BYTES * workers) * s, what)
 
 
 def law_pad_ck(epsilon: int, k: int) -> SpeedLaw:

@@ -349,7 +349,7 @@ def test_each_calls_every_index_once_under_contention(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runner = threading.Thread(target=chain._each, args=(hit, hits.size))
+        runner = threading.Thread(target=chain._each, args=(hit, hits.size, chain._SPREAD_BYTES))
         runner.start()
         runner.join(timeout=60)
     finally:
@@ -372,7 +372,7 @@ def test_each_raises_the_lowest_index_exception(monkeypatch):
             raise ValueError("index 2")
 
     with pytest.raises(ValueError, match="index 1"):
-        chain._each(fail, 10)
+        chain._each(fail, 10, chain._SPREAD_BYTES)
     assert raised.is_set()
 
 
@@ -393,9 +393,9 @@ def test_each_leaves_no_helper_thread_alive(fails, monkeypatch):
 
     if fails:
         with pytest.raises(RuntimeError):
-            chain._each(work, 12)
+            chain._each(work, 12, chain._SPREAD_BYTES)
     else:
-        chain._each(work, 12)
+        chain._each(work, 12, chain._SPREAD_BYTES)
     assert len(threads) > 1
     assert not any(t.is_alive() for t in threads - {threading.current_thread()})
     assert threading.active_count() == before
@@ -414,10 +414,66 @@ def test_each_keeps_the_callers_numpy_error_state(monkeypatch):
             second.wait(timeout=10)
 
     with np.errstate(all="ignore"):
-        chain._each(record, 9)
+        chain._each(record, 9, chain._SPREAD_BYTES)
         expected = np.geterr()
     assert len(states) > 1
     assert all(state == expected for state in states.values())
+
+
+def test_each_claims_increasing_indices_on_every_thread(monkeypatch):
+    """From _SPREAD_BYTES a call, several threads run the calls, each thread's
+    indices in increasing order, every index once."""
+    monkeypatch.setattr(chain, "_cpus", lambda: 3)
+    seen: dict[threading.Thread, list[int]] = {}
+    second = threading.Event()
+
+    def record(i):
+        seen.setdefault(threading.current_thread(), []).append(i)
+        if len(seen) > 1:
+            second.set()
+        if i == 0:  # the first claimed call waits until a second thread has entered
+            second.wait(timeout=10)
+
+    chain._each(record, 30, chain._SPREAD_BYTES)
+    assert len(seen) > 1 and sorted(sum(seen.values(), [])) == list(range(30))
+    assert all(claimed == sorted(claimed) for claimed in seen.values())
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_each_runs_cheap_calls_in_order_on_the_calling_thread(fails, monkeypatch):
+    """Below _SPREAD_BYTES a call, on any CPU count, the calling thread makes
+    every call in index order under the caller's numpy error state, and
+    starts no thread; the lowest failing index raises and nothing after it
+    runs."""
+    monkeypatch.setattr(chain, "_cpus", lambda: 8)
+    calls, before = [], threading.active_count()
+
+    def record(i):
+        calls.append((i, threading.current_thread(), np.geterr()))
+        assert threading.active_count() == before
+        if fails and i in (4, 7):
+            raise RuntimeError(f"index {i}")
+
+    with np.errstate(all="ignore"):
+        expected = np.geterr()
+        if fails:
+            with pytest.raises(RuntimeError, match="index 4"):
+                chain._each(record, 12, chain._SPREAD_BYTES - 1)
+        else:
+            chain._each(record, 12, chain._SPREAD_BYTES - 1)
+    assert [i for i, _, _ in calls] == list(range(5 if fails else 12))
+    assert {thread for _, thread, _ in calls} == {threading.current_thread()}
+    assert all(state == expected for _, _, state in calls)
+    assert threading.active_count() == before
+
+
+def test_workers_follow_the_declared_cost(monkeypatch):
+    """One function decides the thread count from the declared cost alone:
+    every CPU from _SPREAD_BYTES a call, one thread below it."""
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(chain, "_cpus", lambda: cpus)
+        assert chain._workers(chain._SPREAD_BYTES - 1) == 1
+        assert chain._workers(chain._SPREAD_BYTES) == cpus
 
 
 @pytest.mark.parametrize("s", [33, 513, 639, 640, 769])
@@ -461,9 +517,9 @@ def test_position_sweep_estimate_counts_a_window_per_thread(s, monkeypatch):
         events.append(nbytes)
         check_memory(nbytes, what)
 
-    def recording_each(fn, count):
+    def recording_each(fn, count, cost):
         events.append("evolve")
-        each(fn, count)
+        each(fn, count, cost)
 
     psi0 = qc.basis_state(qc.ChainSpec(s), 1)
     psi0._coefficients  # noqa: B018  (the cached eigenbasis is checked here, once)

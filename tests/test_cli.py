@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwclock as qc
-from qwclock import chain, cli
+from qwclock import chain, cli, multi, speed
 from qwclock.cli import main
 
 
@@ -614,6 +614,36 @@ _SPREAD = [
     *(["mean-q", "--s", s, "--n", "3", "--step", "1"] for s in ("33", "513", "769")),
     *(["var-q", "--s", s, "--step", "1"] for s in ("33", "513", "769")),
 ]
+
+
+# each loop's declared cost per call against the cut: True where it spreads.  The
+# multi-sector workload, default multi and multi_small.csv's run are slower on two
+# CPUs than on one; a cursor-sweep window, a speed-table point and a 256-site
+# multi sample are faster
+_DECISIONS = [
+    ("multi --mu 4 --g 4 --s 16 --x0 13 --step 1", False),
+    ("multi", False),
+    ("multi --mu 4 --g 2 --x0 4 --s 10 --t-max 10 --step 1", False),
+    ("speed-density --family pad-ck --grid 20", False),
+    ("mean-q --s 513 --n 9 --step 1", True),
+    ("speed-density --family gamma --n 20 --grid 20", True),
+    ("multi --g 2 --s 256 --x0 128 --t-max 1", True),
+    ("mean-q --s 769 --step 1", True),
+]
+
+
+@pytest.mark.parametrize("args,spread", _DECISIONS, ids=[args for args, _ in _DECISIONS])
+def test_loops_spread_by_their_declared_cost(args, spread, monkeypatch):
+    costs, each = [], chain._each
+
+    def recording_each(fn, count, cost):
+        costs.append(cost)
+        each(fn, count, cost)
+
+    for module in (chain, multi, speed):
+        monkeypatch.setattr(module, "_each", recording_each)
+    assert main(args.split() + ["--out", os.devnull]) == 0
+    assert costs and all((cost >= chain._SPREAD_BYTES) == spread for cost in costs)
 
 
 @pytest.mark.parametrize("argv", _SPREAD, ids=" ".join)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -207,8 +208,11 @@ def test_single_link_validation(monkeypatch):
 def test_single_link_densities_keep_no_sample_alive(monkeypatch):
     """When a thread starts a sample, its previous samples' propagator columns
     and amplitudes are freed: at most one sample per thread is alive (at n = 1,
-    s = 3000 a kept s x s propagator alone added 144 MB).  On one thread no
-    previous sample is alive at all.  A whole start, and a start label by label."""
+    s = 3000 a kept s x s propagator alone added 144 MB); a thread's amplitudes
+    live in its one reused buffer.  On one thread no previous sample is alive at
+    all.  A whole start, and a start label by label; the cut lowered, so that
+    these samples spread over 3 threads."""
+    monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
     refs = []  # (thread, weak reference)
     columns, free_sample = chain._propagator_columns, multi._free_sample
 
@@ -219,8 +223,8 @@ def test_single_link_densities_keep_no_sample_alive(monkeypatch):
         refs.append((me, weakref.ref(u)))
         return u
 
-    def recording_sample(u, start, out, spare, gather):
-        amps = free_sample(u, start, out, spare, gather)
+    def recording_sample(u, start, out, spare, gather, labels):
+        amps = free_sample(u, start, out, spare, gather, labels)
         refs.append((threading.get_ident(), weakref.ref(amps)))
         return amps
 
@@ -246,7 +250,9 @@ def test_single_link_densities_bits_do_not_depend_on_the_thread_count(
     mu, n, s, x0, t_max, monkeypatch
 ):
     """Bitwise the same densities on 1, 2 and 3 threads (more threads than most
-    hosts' CPUs, switching often): threads share only the read-only start."""
+    hosts' CPUs, switching often, the cut lowered so that these samples spread):
+    threads share only the read-only start and tables."""
+    monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
     values = {"mu": mu, "g": n, "s": s, "x0": x0, "coupling": 1.0}
     state, x0, g = cli._multi_start(values)
     times = cli._time_grid(0.0, t_max, 1.0)
@@ -277,7 +283,9 @@ def _failing_at(fails, delays=None):
 
 def test_single_link_densities_raise_the_lowest_failing_sample(monkeypatch):
     """Samples 2 and 5 fail, sample 5 first in time when threads run: the error
-    of sample 2, which a serial loop meets first, is raised on any thread count."""
+    of sample 2, which a serial loop meets first, is raised on any thread count
+    (the cut lowered, so that these samples spread)."""
+    monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
     monkeypatch.setattr(chain, "_propagator_columns", _failing_at({2.0, 5.0}, {2.0: 0.1}))
     for cpus in (1, 2, 3):
@@ -287,8 +295,9 @@ def test_single_link_densities_raise_the_lowest_failing_sample(monkeypatch):
 
 
 def test_single_link_densities_leave_no_thread_behind(monkeypatch):
-    """Samples run on several threads, and no helper thread outlives the call,
-    whether it returns or raises."""
+    """Samples run on several threads (the cut lowered: these samples touch a few
+    kB), and no helper thread outlives the call, whether it returns or raises."""
+    monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
     ran_on = set()
     second = threading.Event()
@@ -332,30 +341,33 @@ def _leg_columns(s, n, width, a):
     ]
 
 
-def _sector_sweep_estimate(s, n, d, T, cpus, width, a):
+def _sector_sweep_estimate(s, n, d, workers, width, a):
     """The sector sweep's estimate, written out: the cached s x s basis Vc (16 B per
-    entry, shared by the threads), the C(s, n) labels at 8 (n + 2 + width) B each
-    (8 n for the array, 8 for the count past the link, 8 for the index arrays by
-    count, 8 width for the gather offsets), the legs' operand tables (8 B per
-    offset, a per column of legs 2..n), the state's (d, C(s, n)) amplitudes and
-    their undressed copy, the d a^n start embedded over its a (padded) active sites
-    (16 B each), and per thread (no more threads than samples) Vc * phases (16 B per
-    s x s entry) with numpy's buffer for that broadcast (16 B per entry, at most
-    np.getbufsize() entries), the Vc[sites] copy and the s x a columns (32 B per
-    s x a entry), a work pair of the widest leg's s x M product and its a x M
-    operand, and three (d, C(s, n)) sample temporaries."""
+    entry, shared by the threads), the C(s, n) labels at 8 (n + 3 + 2 width) B each
+    (8 n for the array, 8 for the count past the link, 8 for the count-group order
+    and 8 for its inverse, 8 width for the gather offsets in lex order and 8 width
+    in count-group order), the legs' operand tables (8 B per offset, a per column
+    of legs 2..n), the state's (d, C(s, n)) amplitudes and their undressed copy,
+    the d a^n start embedded over its a (padded) active sites (16 B each), and per
+    worker Vc * phases (16 B per s x s entry) with numpy's buffer for that
+    broadcast (16 B per entry, at most np.getbufsize() entries), the Vc[sites]
+    copy and the s x a columns (32 B per s x a entry), a work pair of the widest
+    leg's s x M product and its a x M operand, and three (d, C(s, n)) arrays: the
+    labels' buffer, their copy in lex order and its conjugate."""
     c, legs = math.comb(s, n), _leg_columns(s, n, width, a)
     columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
     per_thread = columns + 16 * (s + a) * max(legs) + 48 * d * c
-    held = 16 * s * s + 8 * c * (n + 2 + width) + 8 * a * sum(legs[1:]) + 32 * d * c
-    return held + 16 * d * a**n + min(cpus, T) * per_thread
+    held = 16 * s * s + 8 * c * (n + 3 + 2 * width) + 8 * a * sum(legs[1:]) + 32 * d * c
+    return held + 16 * d * a**n + workers * per_thread
 
 
 @pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
 def test_sector_sweep_estimate_counts_a_work_pair_per_thread(s, n, width, monkeypatch):
     """The estimate is checked once, to the byte, before any sample is evolved:
     a whole start (9 sites, 2.6 kB of d s^n) and a start label by label (16
-    sites, 2 MiB of d s^n), each a product start on sites 1..n."""
+    sites, 2 MiB of d s^n), each a product start on sites 1..n.  Their samples
+    touch less than _SPREAD_BYTES each, so one pair is counted at any CPU count;
+    with the cut lowered, one per thread (no more threads than samples)."""
     events = []
     check_memory, each = multi._check_memory, multi._each
 
@@ -364,19 +376,21 @@ def test_sector_sweep_estimate_counts_a_work_pair_per_thread(s, n, width, monkey
             events.append(nbytes)
         check_memory(nbytes, what)
 
-    def recording_each(fn, count):
+    def recording_each(fn, count, cost):
         events.append("evolve")
-        each(fn, count)
+        each(fn, count, cost)
 
     state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), [0.6, 0.8])
     monkeypatch.setattr(multi, "_check_memory", recording_check)
     monkeypatch.setattr(multi, "_each", recording_each)
-    for T in (1, 4):
-        for cpus in (1, 2, 3):
+    for cut in (chain._SPREAD_BYTES, 0):
+        monkeypatch.setattr(chain, "_SPREAD_BYTES", cut)
+        for T, cpus in itertools.product((1, 4), (1, 2, 3)):
             monkeypatch.setattr(chain, "_cpus", lambda: cpus)
             events.clear()
             qc.single_link_densities(state, n + 1, qc.rotation_about_2(0.3), np.arange(float(T)))
-            expected = _sector_sweep_estimate(s, n, 2, T, cpus, width, _active_sites(s, n))
+            workers = 1 if cut else min(cpus, T)
+            expected = _sector_sweep_estimate(s, n, 2, workers, width, _active_sites(s, n))
             assert events == [expected, "evolve"]
 
 
@@ -394,6 +408,7 @@ def _traced_sweep(s, n, monkeypatch):
     monkeypatch.setattr(multi, "_check_memory", recording_check)
     monkeypatch.setattr(chain, "_cpus", lambda: 1)
     multi._occupation_array.cache_clear()
+    multi._gather.cache_clear()
     chain._complex_modes.cache_clear()
     tracemalloc.start()
     try:
@@ -403,11 +418,11 @@ def _traced_sweep(s, n, monkeypatch):
     finally:
         tracemalloc.stop()
     width = 2 if 32 * s**n <= multi._WHOLE_START_BYTES else 1
-    assert checked[-1] == _sector_sweep_estimate(s, n, 2, 4, 1, width, _active_sites(s, n))
+    assert checked[-1] == _sector_sweep_estimate(s, n, 2, 1, width, _active_sites(s, n))
     return checked[-1], peak
 
 
-@pytest.mark.parametrize("s,n", [(16, 3), (16, 4), (256, 2), (256, 1), (512, 1)])
+@pytest.mark.parametrize("s,n", [(16, 3), (16, 4), (20, 3), (256, 2), (256, 1), (512, 1)])
 def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
     """On one thread the sweep's checked estimate is at or above the traced
     peak and within twice it: a whole start (16 sites, n = 3, 131 kB of
@@ -442,7 +457,7 @@ def test_sector_state_estimate_bounds_its_traced_peak(s, n, d, monkeypatch):
 
     monkeypatch.setattr(multi, "_check_memory", recording_check)
     monkeypatch.setattr(chain, "_cpus", lambda: 1)
-    expected = _sector_sweep_estimate(s, n, d, 1, 1, d, s)
+    expected = _sector_sweep_estimate(s, n, d, 1, d, s)
     rng, spec, m = np.random.default_rng(s + n + d), qc.ChainSpec(s), math.comb(s, n)
     amps = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
     reg = np.eye(d)[0]
@@ -455,10 +470,11 @@ def test_sector_state_estimate_bounds_its_traced_peak(s, n, d, monkeypatch):
         state, peak = _traced(build)
         assert set(checked) == {expected} and peak <= expected
     chain._complex_modes.cache_clear()
+    multi._gather.cache_clear()
     checked.clear()
     _, peak = _traced(lambda: qc.propagate_free_sector(state, 1.3))
     width = d if 16 * d * s**n <= multi._WHOLE_START_BYTES else 1
-    assert checked == [_sector_sweep_estimate(s, n, d, 1, 1, width, s), expected]
+    assert checked == [_sector_sweep_estimate(s, n, d, 1, width, s), expected]
     assert peak <= max(checked)
 
 
@@ -548,10 +564,11 @@ def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
     """No multi computation lists label tuples (oracle.sector_occupations or
     SectorState.occupations), and the label table takes part in no
     arithmetic per sample: the ufuncs on it are the same for a sweep of one
-    sample as for one of five.  Each sweep, single_link_densities' and
-    propagate_free_sector's, builds its tables once: per leg table (legs 2
-    and 3 at n = 3) one comparison of neighbouring labels' sites and one
-    offset product, and one product for the labels' gather."""
+    sample as for one of five.  The tables are built once for the two sweeps,
+    single_link_densities' and propagate_free_sector's, which share (s, n,
+    width, a), and cached: per leg table (legs 2 and 3 at n = 3) one
+    comparison of neighbouring labels' sites and one offset product, and one
+    product for the labels' gather."""
     calls = []
 
     class RecordingLabels(np.ndarray):
@@ -572,13 +589,14 @@ def test_no_sector_computation_lists_tuples_or_copies_the_labels(monkeypatch):
     seen = []
     for T in (1, 5):
         calls.clear()
+        multi._gather.cache_clear()
         state = qc.SectorState.from_product(spec, (2, 3, 5), [0.6, 0.8])
         qc.count_past_link_distribution(state, 4)
         qc.single_link_densities(state, 4, g, np.arange(float(T)))
         qc.propagate_free_sector(state, float(T))
         seen.append(list(calls))
     sweep = ["not_equal", "multiply", "not_equal", "multiply", "multiply"]
-    assert seen[0] == ["equal", "greater_equal", "greater_equal", *sweep, *sweep]
+    assert seen[0] == ["equal", "greater_equal", "greater_equal", *sweep]
     # propagate_free_sector counts nothing, and each further sample adds nothing
     assert seen[1] == seen[0]
 
@@ -636,6 +654,48 @@ def _assert_per_sample_bits(state, g, tol=0.0):
 def _random_unitary(rng, d):
     g, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return g
+
+
+@pytest.mark.parametrize(
+    "s,n,x0", [(16, 4, 13), (20, 3, 10), (256, 2, 128), (13, 5, 9), (9, 3, 6), (10, 2, 8)]
+)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grouped_redress_bitwise_equals_the_scatter_per_count(s, n, x0, d):
+    """The sweep redresses each count group as one block of contiguous columns
+    and restores lex order with one take; a single-link sample has the bits of
+    the free sample of the undressed start redressed with index arrays,
+    free[:, idx] = powers[m] @ free[:, idx].  (9, 3, 6) and (10, 2, 8) have a
+    group of one label, the one whose n sites are all past x0."""
+    rng = np.random.default_rng(s + 10 * n + 100 * d)
+    m = math.comb(s, n)
+    amps = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    state = qc.SectorState(qc.ChainSpec(s), n, amps / np.linalg.norm(amps))
+    g = _random_unitary(rng, d)
+    counts = np.sum(multi._occupation_array(s, n) >= x0, axis=1)
+    powers = [np.linalg.matrix_power(g, k) for k in range(n + 1)]
+    indices = [idx for k in range(n + 1) if (idx := np.flatnonzero(counts == k)).size]
+    assert (min(idx.size for idx in indices) == 1) == ((s, x0) in {(9, 6), (10, 8)})
+    undressed = np.empty_like(state.amplitudes)
+    for idx in indices:
+        undressed[:, idx] = powers[counts[idx[0]]].conj().T @ state.amplitudes[:, idx]
+    free = qc.propagate_free_sector(qc.SectorState(state.spec, n, undressed), 1.7).amplitudes
+    for idx in indices:
+        free[:, idx] = powers[counts[idx[0]]] @ free[:, idx]
+    assert np.array_equal(qc.propagate_single_link(state, x0, g, 1.7).amplitudes, free)
+
+
+def test_gather_tables_are_built_once_for_a_sector(monkeypatch):
+    """One-sample sweeps of one sector share the cached tables: a free sample, a
+    single-link sample and densities at any x0 build them once, and the cache
+    keeps the last (s, n, width, a) only."""
+    state = qc.SectorState.from_product(qc.ChainSpec(10), (1, 2), [0.6, 0.8])
+    g = qc.rotation_about_2(0.3)
+    multi._gather.cache_clear()
+    qc.propagate_free_sector(state, 1.0)
+    qc.propagate_single_link(state, 4, g, 1.0)
+    qc.single_link_densities(state, 7, g, np.arange(3.0))
+    info = multi._gather.cache_info()
+    assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 2, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -710,11 +770,11 @@ def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
     free_sample = multi._free_sample
     a, width = _active_sites(s, n), 2 if whole else 1
 
-    def recording_sample(u, start, out, spare, gather):
+    def recording_sample(u, start, out, spare, gather, labels):
         columns.append(u)
         tables = tuple(table.shape for table in gather[:-1])
         shapes.add((u.shape, start.shape, out.size, spare.size, tables))
-        return free_sample(u, start, out, spare, gather)
+        return free_sample(u, start, out, spare, gather, labels)
 
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
     monkeypatch.setattr(chain, "_cpus", lambda: 1)
@@ -739,9 +799,9 @@ def test_legs_multiply_only_the_columns_some_label_reads(monkeypatch):
     widths = []
     free_sample = multi._free_sample
 
-    def recording_sample(u, start, out, spare, gather):
+    def recording_sample(u, start, out, spare, gather, labels):
         widths.append([start.size // u.shape[1]] + [table.shape[1] for table in gather[:-1]])
-        return free_sample(u, start, out, spare, gather)
+        return free_sample(u, start, out, spare, gather, labels)
 
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
     state = qc.SectorState.from_product(qc.ChainSpec(16), range(1, 5), [0.6, 0.8])
