@@ -62,6 +62,9 @@ _PHASE_ANCHOR = 8
 _COLUMN_CHUNK_BYTES = 3 * 2**17
 # bytes of phases per window of a one-column sweep below _FFT_SITES sites
 _MOMENT_WINDOW_BYTES = 2**16
+# rows per block of the sine basis build: 8 s B a row, so a block stays under
+# the allocator's 128 KiB mmap threshold below _FFT_SITES sites
+_BASIS_BLOCK_ROWS = 16
 # _each spreads calls that each touch at least this many bytes, as declared by
 # their caller, and runs cheaper ones on the calling thread: the crossover of
 # one CPU against two measured over multi samples (0.92 and 0.94 MiB slower on
@@ -249,16 +252,31 @@ def _complex_modes(spec: ChainSpec) -> np.ndarray:
     The cache keeps the last chain's basis only: the one basis every
     estimate counts (a CLI run uses one chain).
 
-    Built row by row, so no real s x s array exists beside it.  V is exactly
-    symmetric, so the kernel uses it untransposed for both of its products;
-    V.T would pick another BLAS flag and other bits.
+    Built in blocks of _BASIS_BLOCK_ROWS rows over the upper triangle, each
+    block written into the real part of a zeroed complex array and mirrored
+    into the lower triangle, so no real s x s array exists beside it.  V is
+    exactly symmetric (x*k == k*x gives one argument), so the kernel uses it
+    untransposed for both of its products; V.T would pick another BLAS flag
+    and other bits.
     """
     s = spec.s
-    _check_memory(16 * s * s + 32 * s, f"eigenbasis of s={s} sites")  # V, one row's temporaries
-    k = np.arange(1, s + 1)
-    Vc = np.empty((s, s), dtype=complex)
-    for row, x in zip(Vc, k):
-        row[:] = np.sqrt(2.0 / (s + 1)) * np.sin(np.pi * (x * k) / (s + 1))
+    rows = _BASIS_BLOCK_ROWS
+    _check_memory(16 * s * s + 8 * (rows + 1) * s, f"eigenbasis of s={s} sites")  # V, x, a block
+    x, scale = np.arange(1.0, s + 1), np.sqrt(2.0 / (s + 1))
+    Vc = np.zeros((s, s), dtype=complex)
+    V = Vc.real
+    for r in range(0, s, rows):
+        # the products x*k are exact in float64 (s^2 < 2^53), so the sines keep
+        # the integer formula's bits; an outer product by matmul allocates no
+        # iterator buffers, as a broadcast multiply does (up to 128 KiB)
+        block = x[r : r + rows, None] @ x[None, r:]
+        block *= np.pi
+        block /= s + 1
+        np.sin(block, out=block)
+        block *= scale
+        V[r : r + rows, r:] = block
+        V[r:, r : r + rows] = block.T
+        del block  # freed before the next block is made
     Vc.flags.writeable = False
     return Vc
 
@@ -417,10 +435,17 @@ def _evolve(spec: ChainSpec, coeff: np.ndarray, times, windows, step=None):
                 yield window, psi.transpose(1, 2, 0)
             else:
                 # each sample's product overwrites its phases: a chunk-column
-                # product would round otherwise than one-column products
-                psi = np.exp(-1j * np.outer(times[window], e))  # (chunk, s)
+                # product would round otherwise than one-column products.  The
+                # phases have the bits of np.exp(-1j * arguments), in place:
+                # the products with -1j are exact, so their order is free, and
+                # the cast to complex is a copy, not numpy's buffered cast
+                psi = np.outer(times[window], e).astype(complex)  # (chunk, s)
+                psi *= -1j
+                np.exp(psi, out=psi)
+                column = np.empty_like(coeff)
                 for row in psi:
-                    row[:] = np.dot(Vc, row[:, None] * coeff)[:, 0]
+                    np.multiply(row[:, None], coeff, out=column)
+                    np.dot(Vc, column, out=row[:, None])
                 yield window, psi[:, None]
         return
     K = 1 if step is None else _PHASE_ANCHOR
@@ -492,7 +517,9 @@ def propagate(psi0: CursorWavefunction, t: float) -> CursorWavefunction:
     reused by later ones.  The evolved state checks its own norm.
     """
     spec = psi0.spec
-    window = _grid_chunks(spec, [t], 1, 0, 32)  # one sample: the column and the state's copy
+    # the state's coefficients and the chain's energies, made by a first call
+    # and kept; per site, the state's copy and its squares
+    window = _grid_chunks(spec, [t], 1, 24 * spec.s, 32)
     _, psi = next(_evolve(spec, psi0._coefficients, [t], window))
     return CursorWavefunction(spec, psi[0, 0])
 
@@ -503,7 +530,9 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     Each sample has the bits of position_statistics(propagate(psi0, t)), at
     any CPU count.  _each spreads _grid_chunks' windows over the CPUs (from
     _SPREAD_BYTES touched a window, as on 16 sites or more), each evolved
-    alone by _evolve with exact phases, as propagate's one sample is.
+    alone by _evolve with exact phases, as propagate's one sample is.  A
+    window's squares |psi|^2 and norms^2 take one call each; per sample, the
+    moments are two dot products with the site weights, built once per run.
     After the sweep, the norm^2 series is checked as propagate checks one
     sample: the first drifting sample raises.
     """
@@ -514,34 +543,51 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     fft = s >= _FFT_SITES
     touched = _COLUMN_CHUNK_BYTES * (2 * s + 2).bit_length() if fft else _MOMENT_WINDOW_BYTES * s
     workers = _workers(touched)
-    # the moment and norm^2 columns, and per thread one sample's column,
-    # product and squares; per site and sample, the kernel's phase arguments,
-    # and on the GEMM path the phases' complex temporary, on the FFT path the
-    # phases beside the extension and _sine_transform's copy of its reflection
-    held = 24 * T + 64 * s * workers
+    # the moment and norm^2 columns, the site weights, and per thread 48 s B:
+    # the GEMM path's one-sample column (16 s), or the FFT path's buffer for
+    # the phases written into the extension's strided rows (18-19 s traced at
+    # 769 and 1025 sites); per site and sample, the kernel's phase arguments,
+    # and on the GEMM path the buffer of their broadcast outer product, on the
+    # FFT path the phases beside the extension and _sine_transform's copy of
+    # its reflection.  A window's squares come after these are freed
+    held = 24 * T + 16 * s + 48 * s * workers
     windows = list(_grid_chunks(spec, times, 1, held, 48 if fft else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)
+    x, x2 = _site_weights(s)
 
     def sweep(i):
         window, psi = next(_evolve(spec, coeff, times, windows[i : i + 1]))
-        for j, row in zip(range(window.start, window.stop), psi[:, 0]):
-            p = np.abs(row) ** 2
-            stats = _site_statistics(p)
-            mean[j], variance[j], norm2[j] = stats.mean, stats.variance, p.sum()
+        p = np.abs(psi[:, 0])
+        np.square(p, out=p)
+        norm2[window] = p.sum(axis=1)
+        for j, row in zip(range(window.start, window.stop), p):
+            mean[j], variance[j] = _moments(row, x, x2)
 
     _each(sweep, len(windows), touched)
     _check_norm(norm2, "state")
     return mean, variance
 
 
-def _site_statistics(p: np.ndarray) -> PositionStatistics:
-    """Mean and variance of the site index under the distribution p; the mean
-    clipped to [1, s] (nan stays nan), the variance from the unclipped mean."""
-    x = np.arange(1, p.size + 1)
+def _site_weights(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The site indices x = 1..s and their squares, as float64: the operands
+    np.dot casts the integer ones to."""
+    x = np.arange(1.0, s + 1)
+    return x, x * x
+
+
+def _moments(p: np.ndarray, x: np.ndarray, x2: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the site index under the distribution p, given the
+    _site_weights; the mean clipped to [1, s] (nan stays nan), the variance from
+    the unclipped mean."""
     mean = float(np.dot(x, p))
-    variance = float(np.dot(x * x, p) - mean**2)
+    variance = float(np.dot(x2, p) - mean**2)
     # min and max return their first argument, so nan, when a comparison fails
-    return PositionStatistics(p, float(max(min(mean, p.size), 1)), variance)
+    return float(max(min(mean, p.size), 1)), variance
+
+
+def _site_statistics(p: np.ndarray) -> PositionStatistics:
+    """The distribution p with the mean and variance of its site index (_moments)."""
+    return PositionStatistics(p, *_moments(p, *_site_weights(p.size)))
 
 
 def position_statistics(psi: CursorWavefunction) -> PositionStatistics:

@@ -123,12 +123,12 @@ def test_propagator_columns_bitwise_equal_the_propagators_columns(s):
 
 
 def test_basis_estimate_pinned_and_bounds_its_traced_slope(monkeypatch):
-    """The basis build is checked at 16 s^2 + 32 s B (the complex V and one
-    row's temporaries, with the mode numbers) before any array exists.  At 300
-    and 600 sites its traced peak is within the arrays' headers and the row
-    loop's objects (under 2 KiB) of that estimate, and from one to the other
-    it grows no faster than the estimate, nor less than half as fast; the
-    complex V alone stays."""
+    """The basis build is checked at 16 s^2 + 8 (16 + 1) s B (the complex V,
+    the mode numbers and one block of 16 rows of sines) before any array
+    exists.  At 300 and 600 sites its traced peak is within the arrays'
+    headers and the block loop's objects (under 2 KiB) of that estimate, and
+    from one to the other it grows no faster than the estimate, nor less than
+    half as fast; the complex V alone stays."""
     checked = []
     check_memory = chain._check_memory
 
@@ -148,7 +148,7 @@ def test_basis_estimate_pinned_and_bounds_its_traced_slope(monkeypatch):
             tracemalloc.stop()
         peaks.append(peak)
         held.append(current - Vc.nbytes)
-    assert checked == [16 * s * s + 32 * s for s in (300, 600)]
+    assert checked == [16 * s * s + 136 * s for s in (300, 600)]
     assert all(peak <= nbytes + 2048 for peak, nbytes in zip(peaks, checked))
     traced, estimated = peaks[1] - peaks[0], checked[1] - checked[0]
     assert traced <= estimated < 2 * traced
@@ -492,14 +492,17 @@ def test_position_moments_bitwise_equal_propagate(s, cpus, monkeypatch):
 
 def _sweep_estimate(s, T, cpus):
     """The position sweep's checked estimate, written out: the two moment
-    columns and the norm^2 column (24 B per sample), each thread's one-sample
-    temporaries (64 B per site), and one window per thread that evolves one
-    (no more threads than windows), as wide as the grid when the grid is
-    narrower.  Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of phases, 40 B per
-    site and sample with their arguments; from 640 sites on one-column
-    windows of 384 KiB of 80 B per extended site and sample (the extension,
-    numpy's copy of it with 8 B of ufunc buffer, and the phase arguments)."""
-    held = 24 * T + 64 * s * cpus
+    columns and the norm^2 column (24 B per sample), the site weights x and
+    x*x (16 B per site), each thread's 48 B per site (the GEMM path's
+    one-sample column, or the FFT path's buffer for the phases written into
+    the extension), and one window per thread that evolves one (no more
+    threads than windows), as wide as the grid when the grid is narrower.
+    Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of
+    phases, 40 B per site and sample with their arguments and the buffer of
+    their broadcast outer product; from 640 sites on one-column windows of
+    384 KiB of 80 B per extended site and sample (the extension, numpy's copy
+    of it with 8 B of ufunc buffer, and the phase arguments)."""
+    held = 24 * T + 16 * s + 48 * s * cpus
     if s < 640:
         width = 65536 // (16 * s)
         return held + 16 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
@@ -560,6 +563,40 @@ def test_position_sweep_estimate_bounds_its_traced_peak(s, monkeypatch):
     finally:
         tracemalloc.stop()
     assert checked == [_sweep_estimate(s, 100, 1)]
+    assert peak <= checked[0] < 2 * peak
+
+
+@pytest.mark.parametrize("s", [200, 400])
+def test_propagate_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """propagate's one-sample window is checked at 16 s^2 + 72 s B: the cached
+    complex V, the state's mode coefficients and the chain's energies (24 s,
+    made by a state's first propagation and kept), and the sample's phases,
+    the state's copy and its squares (48 s).  On a later call, with the basis
+    traced and held, the traced peak is at or under that estimate and over
+    half of it; the coefficients and energies, made before the trace, leave
+    room for the call's Python objects (under 3 KiB), which no estimate
+    counts and which a first call holds beside its estimate."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    psi0 = qc.basis_state(qc.ChainSpec(s), 1)
+    qc.propagate(psi0, 0.5)  # the state's coefficients and the chain's energies
+    chain._complex_modes.cache_clear()
+    tracemalloc.start()
+    try:
+        chain._complex_modes(psi0.spec)  # the basis, traced and held
+        tracemalloc.reset_peak()
+        checked.clear()
+        qc.propagate(psi0, 3.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [16 * s * s + 72 * s]
     assert peak <= checked[0] < 2 * peak
 
 
