@@ -544,12 +544,13 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     touched = _COLUMN_CHUNK_BYTES * (2 * s + 2).bit_length() if fft else _MOMENT_WINDOW_BYTES * s
     workers = _workers(touched)
     # the moment and norm^2 columns, the site weights, and per thread 48 s B:
-    # the GEMM path's one-sample column (16 s), or the FFT path's buffer for
-    # the phases written into the extension's strided rows (18-19 s traced at
-    # 769 and 1025 sites); per site and sample, the kernel's phase arguments,
-    # and on the GEMM path the buffer of their broadcast outer product, on the
-    # FFT path the phases beside the extension and _sine_transform's copy of
-    # its reflection.  A window's squares come after these are freed
+    # the GEMM path's one-sample column or the FFT path's scaled coefficients
+    # (16 s, made per window), and 32 s for the window's Python objects and
+    # numpy's small buffers, which no per-site count covers; per site and
+    # sample, the kernel's phase arguments, and on the GEMM path the buffer of
+    # their broadcast outer product, on the FFT path the phases beside the
+    # extension and _sine_transform's copy of its reflection.  A window's
+    # squares come after these are freed
     held = 24 * T + 16 * s + 48 * s * workers
     windows = list(_grid_chunks(spec, times, 1, held, 48 if fft else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)

@@ -494,9 +494,10 @@ def _sweep_estimate(s, T, cpus):
     """The position sweep's checked estimate, written out: the two moment
     columns and the norm^2 column (24 B per sample), the site weights x and
     x*x (16 B per site), each thread's 48 B per site (the GEMM path's
-    one-sample column, or the FFT path's buffer for the phases written into
-    the extension), and one window per thread that evolves one (no more
-    threads than windows), as wide as the grid when the grid is narrower.
+    one-sample column or the FFT path's scaled coefficients, and room for the
+    window's Python objects and small buffers), and one window per thread
+    that evolves one (no more threads than windows), as wide as the grid when
+    the grid is narrower.
     Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of
     phases, 40 B per site and sample with their arguments and the buffer of
     their broadcast outer product; from 640 sites on one-column windows of
