@@ -342,15 +342,24 @@ def amplitude_kernel(spec: ChainSpec, t: float, x: int) -> complex:
 
 def propagator(spec: ChainSpec, t: float) -> np.ndarray:
     """Unitary s x s matrix exp(-i*H*t) of the one-excitation chain, its columns at every site."""
-    return _propagator_columns(spec, t, slice(None))
+    return _propagator_columns(spec, slice(None))(t)
 
 
-def _propagator_columns(spec: ChainSpec, t: float, sites) -> np.ndarray:
-    """The (s, a) columns of propagator(spec, t) at the a 0-based sites, at O(s^2 a).
-    Vc[sites] is a C-ordered copy, so its transpose reaches BLAS with the flag of Vc.T:
-    at a multiple of 4 sites the columns keep the whole product's bits (not one column)."""
+def _propagator_columns(spec: ChainSpec, sites):
+    """columns(t, out): the (s, a) columns of propagator(spec, t) at the a 0-based sites,
+    (Vc * exp(-1j e t)) @ Vc[sites].T at O(s^2 a), written into out's phases, Vc * phases
+    and columns if given.  Vc[sites], made once, is a C-ordered copy, so its transpose
+    reaches BLAS with the flag of Vc.T: at a multiple of 4 sites the columns keep the
+    whole product's bits (not one column)."""
     Vc = _complex_modes(spec)
-    return (Vc * np.exp(-1j * _energies(spec) * t)) @ Vc[sites].T
+    rows, arg = Vc[sites].T, -1j * _energies(spec)
+
+    def columns(t, out=(None, None, None)):
+        phases, scaled, u = out
+        phases = np.exp(np.multiply(arg, t, out=phases), out=phases)
+        return np.matmul(np.multiply(Vc, phases, out=scaled), rows, out=u)
+
+    return columns
 
 
 def basis_state(spec: ChainSpec, x: int) -> CursorWavefunction:
@@ -482,7 +491,8 @@ def _grid_chunks(
     The caller holds `held` bytes for the whole run and `site_bytes` per site
     and sample beside the kernel's own temporaries, which are 16 d B per site
     and sample on the GEMM path (plus the cached complex V) and 32 d B per
-    site of the 2(s+1)-entry extension on the FFT path.  Given the step of an
+    site of the 2(s+1)-entry extension (and 16 d s of scaled coefficients a
+    call) on the FFT path.  Given the step of an
     anchored grid (_column_step), the kernel's further ones are counted here:
     the offset table, carried anchor row and anchor phases, (16 K + 24) s B
     with K = _PHASE_ANCHOR, and 32 B per extended site and sample for the
@@ -500,12 +510,13 @@ def _grid_chunks(
     if step is not None:
         held, site_bytes = held + (16 * _PHASE_ANCHOR + 24) * s, site_bytes + 32
     if s >= _FFT_SITES:
-        basis, per_sample = 0, (32 * d + site_bytes) * (s + 1)
+        basis, per_call, per_sample = 0, 16 * d * s, (32 * d + site_bytes) * (s + 1)
         width = max(1, (_FFT_CHUNK_BYTES if d > 1 else _COLUMN_CHUNK_BYTES) // per_sample)
     else:
-        basis, per_sample = 16 * s * s, (16 * d + site_bytes) * s
+        basis, per_call, per_sample = 16 * s * s, 0, (16 * d + site_bytes) * s
         width = max(1, (_CHUNK_BYTES if d > 1 else _MOMENT_WINDOW_BYTES) // (16 * d * s))
-    nbytes = held + basis + per_sample * min(width, T) * min(workers, -(-T // width))
+    per_call += per_sample * min(width, T)
+    nbytes = held + basis + per_call * min(workers, -(-T // width))
     _check_memory(nbytes, f"trajectory of s={s} sites over {T} times")
     return (slice(start, min(start + width, T)) for start in range(0, T, width))
 
@@ -543,15 +554,15 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     fft = s >= _FFT_SITES
     touched = _COLUMN_CHUNK_BYTES * (2 * s + 2).bit_length() if fft else _MOMENT_WINDOW_BYTES * s
     workers = _workers(touched)
-    # the moment and norm^2 columns, the site weights, and per thread 48 s B:
-    # the GEMM path's one-sample column or the FFT path's scaled coefficients
-    # (16 s, made per window), and 32 s for the window's Python objects and
-    # numpy's small buffers, which no per-site count covers; per site and
+    # the moment and norm^2 columns, the site weights, and per thread 32 s B for
+    # the window's Python objects and numpy's small buffers, which no per-site
+    # count covers, and on the GEMM path 16 s for the one-sample column
+    # (_grid_chunks counts the FFT path's scaled coefficients); per site and
     # sample, the kernel's phase arguments, and on the GEMM path the buffer of
     # their broadcast outer product, on the FFT path the phases beside the
     # extension and _sine_transform's copy of its reflection.  A window's
     # squares come after these are freed
-    held = 24 * T + 16 * s + 48 * s * workers
+    held = 24 * T + 16 * s + (32 if fft else 48) * s * workers
     windows = list(_grid_chunks(spec, times, 1, held, 48 if fft else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)
     x, x2 = _site_weights(s)

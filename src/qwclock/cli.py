@@ -315,6 +315,7 @@ def _multi_start(v):
     if x0 > spec.s - 1:
         raise ValueError(f"--x0 must be at most --s {spec.s} minus 1, got --x0 {x0}")
     r1 = register.grover_initial_state(params)
+    multi._check_product_start(spec.s, n, r1.size)  # the state holds less than its sweeps
     state0 = multi.SectorState.from_product(spec, tuple(range(1, n + 1)), r1)
     return state0, x0, register.rotation_about_2(params.alpha)
 
@@ -356,12 +357,13 @@ def _run_oracle_check(v):
     if v["s"] < 3:
         raise ValueError(f"oracle-check needs --s >= 3, got --s {v['s']}")
     params, spec, program, r1, psi0 = _toy_setup(v)
-    # every budget is checked before the first dense matrix: states, then the largest build
-    free0 = multi.SectorState.from_product(spec, (1, 2))
-    link0 = multi.SectorState.from_product(spec, (1, 2), r1)
+    # every budget is checked before its stage allocates: the largest build first, before
+    # any label is listed, then the states, which hold far less
     x0 = max(2, spec.s // 2)
     g = register.rotation_about_2(params.alpha)
     ham_link = oracle.build(spec, register.single_link_program(spec.s, x0, g), sector=2)
+    free0 = multi.SectorState.from_product(spec, (1, 2))
+    link0 = multi.SectorState.from_product(spec, (1, 2), r1)
     ham = oracle.build(spec, program, sector=1)
     machine0 = register.MachineState.from_product(program, r1, psi0)
     vec0 = machine0.spinors.reshape(-1)
@@ -514,14 +516,19 @@ def _commands():
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser.  Given a subcommand's name, only that subcommand gets
-    its options, which is all that parsing its command line reads."""
+    """The CLI parser.  Given a subcommand's name, only that subcommand is built (all
+    that parsing its command line reads), its usage naming them all as the whole
+    parser's does; else every one is listed, and gets its options if no word is given."""
     parser = argparse.ArgumentParser(
         prog="qwclock",
         description="Scenario runner for the quantum-walk clock library (CSV output).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options, runner) in _commands().items():
+    commands = _commands()
+    names = "{" + ",".join(commands) + "}" if command in commands else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, options, runner) in commands.items():
+        if names and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         if command not in (None, name):
             continue

@@ -44,22 +44,42 @@ __all__ = [
 _WHOLE_START_BYTES = 2**19
 
 
-def _check_sector_memory(s: int, n: int, d: int, workers: int = 1, width=None, a=None) -> None:
-    """Budget, held once, the cached s x s basis Vc, the C(s, n) labels with their link
-    counts, count-group order and its inverse, the legs' operand tables, the width gather
-    offsets in lex and in count-group order, the (d, C(s, n)) amplitudes, their undressed
-    copy and the d*a^n start on its a active sites (a = s by default); per thread, Vc *
-    phases and numpy's buffer for it, the Vc[sites] copy, the s x a columns, the work pair
-    of the widest leg's s x M product and a x M operand (_leg_columns, width d by default),
-    the (d, C(s, n)) labels' buffer, their copy in lex order and its conjugate, counted
-    together.  Every SectorState passes this at one thread, a = s."""
-    c, width, a = math.comb(s, n), d if width is None else width, s if a is None else a
+def _check_sweep(s: int, n: int, d: int, a: int, samples: int) -> tuple[int, list[int], int]:
+    """Budget a sweep over `samples` times of a start on a active sites, before it allocates,
+    and return its width (all d labels at once up to _WHOLE_START_BYTES of d*s^n, else
+    one), its legs' column counts (_leg_columns) and the bytes a sample touches, which set
+    its threads.  Held once: the cached basis Vc and energies e, Vc[sites] and -1j e, the
+    C(s, n) labels with their link counts, count-group order and its inverse, the legs'
+    tables, the width gather offsets in lex and in count-group order, the (d, C(s, n))
+    amplitudes, their undressed copy, the d*a^n start, and 32 KiB of Python objects and
+    small arrays (13 to 22 KiB traced); per thread, the phases, Vc * phases with numpy's
+    buffer for that broadcast, the s x a columns, the work pair of the widest leg's s x M
+    product and a x M operand, and two (d, C(s, n)) buffers, the labels' and a spare."""
+    c, width = math.comb(s, n), d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
     legs = _leg_columns(s, n, width, a)
-    held = 16 * s * s + 8 * c * (n + 3 + 2 * width) + 8 * a * sum(legs[1:]) + 32 * d * c
-    held += 16 * d * a**n
-    columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
-    per_thread = columns + 16 * (s + a) * max(legs) + 48 * d * c
+    # a sample touches Vc, Vc * phases and its read (3 s^2 entries), and per start
+    # each leg's a x M operand, taken and read (3 a M), and its s x M product
+    touched = 16 * (3 * s * s + d // width * (s + 3 * a) * sum(legs))
+    held = 8 * s * (2 * s + 2 * a + 3) + 8 * c * (n + 3 + 2 * width) + 8 * a * sum(legs[1:])
+    held += 32 * d * c + 16 * d * a**n + 2**15
+    columns = 16 * (s * (s + a + 1) + min(s * s, np.getbufsize()))
+    per_thread = columns + 16 * (s + a) * max(legs) + 32 * d * c
+    workers = min(chain._workers(touched), samples)
     _check_memory(held + workers * per_thread, f"sector s={s}, n={n}, d={d}")
+    return width, legs, touched
+
+
+def _check_product_start(s: int, n: int, d: int) -> None:
+    """Refuse, before it is built, a product start on sites 1..n whose sweep would not fit
+    on the threads it may take: it is embedded over 4 ceil(n / 4) sites (all s if fewer)."""
+    _check_sweep(s, n, d, min(s, n + -n % 4), chain._cpus())
+
+
+def _check_state_memory(s: int, n: int, d: int) -> None:
+    """Budget what a SectorState holds, before its labels are listed: the C(s, n) labels
+    and from_product's match against them (9 n + 1 B each), the (d, C(s, n)) amplitudes
+    and the norm check's |amplitudes|^2 (32 d B each) and 4 KiB of Python objects."""
+    _check_memory(math.comb(s, n) * (9 * n + 1 + 32 * d) + 2**12, f"sector s={s}, n={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +164,7 @@ class SectorState:
             raise ValueError(f"excitation number n={self.n} outside 1..{self.spec.s}")
         arr = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", arr)
-        _check_sector_memory(self.spec.s, self.n, arr.shape[0] if arr.ndim == 2 else 1)
+        _check_state_memory(self.spec.s, self.n, arr.shape[0] if arr.ndim == 2 else 1)
         m = math.comb(self.spec.s, self.n)
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
@@ -167,7 +187,7 @@ class SectorState:
             raise ValueError(f"sites {occupied} exceed the chain length s={spec.s}")
         n = len(occupied)
         reg = np.asarray([1.0] if register_state is None else register_state, dtype=complex)
-        _check_sector_memory(spec.s, n, reg.size)  # before the labels are listed
+        _check_state_memory(spec.s, n, reg.size)  # before the labels are listed
         start = np.argmax((_occupation_array(spec.s, n) == np.subtract(occupied, 1)).all(axis=1))
         amps = np.zeros((reg.size, math.comb(spec.s, n)), dtype=complex)
         amps[:, start] = reg
@@ -190,8 +210,8 @@ def _embed_antisymmetric(amps: np.ndarray, occupied: np.ndarray, n: int) -> np.n
     amplitude.
 
     Only the labels over those sites are scattered.  The tensor is stored
-    leg-1-major, (l1, d, l2, ..., ln), each leg a wide: the layout of the
-    first leg's operand.  Where every site is occupied, it is the d * s^n tensor.
+    leg-1-major, (l1, d, l2, ..., ln), each leg a wide, and returned as the first
+    leg's (a, M_1) operand.  Where every site is occupied, it is the d * s^n tensor.
     """
     labels = _occupation_array(occupied.size, n)
     inside = occupied[labels].all(axis=1)  # the labels over the occupied sites
@@ -200,33 +220,30 @@ def _embed_antisymmetric(amps: np.ndarray, occupied: np.ndarray, n: int) -> np.n
     full = np.zeros((a, amps.shape[0]) + (a,) * (n - 1), dtype=complex)
     for perm in permutations(range(n)):
         sign = (-1) ** sum(i > j for i, j in combinations(perm, 2))  # inversion parity
-        idx = tuple(subs[:, j] for j in perm)
-        full[(idx[0], slice(None)) + idx[1:]] = (sign * amps).T
-    return full
+        first, *rest = (subs[:, j] for j in perm)  # tuple(...) of a generator leaves its
+        full[(first, slice(None), *rest)] = (sign * amps).T  # resized tuples in a free list
+    return full.reshape(a, -1)
 
 
-def _free_sample(
-    u: np.ndarray, start: np.ndarray, out: np.ndarray, spare: np.ndarray, gather, labels
-) -> np.ndarray:
+def _free_sample(u: np.ndarray, start: np.ndarray, product: np.ndarray, legs, labels):
     """Write into labels the free-sector amplitudes (width, C(s, n)) of the embedded
     start after the propagator, and return it.
 
-    u holds the propagator's s x a columns at the start's a active sites, and the
-    start's legs are a wide, (l1, z, l2, ..., ln) with z the register label.  Leg 1
-    multiplies u into the start; each later leg takes its (a, M_k) operand from the
-    last product into spare, with one take through its table, and u @ operand goes
-    into out.  Only the columns some label reads are multiplied (_gather).  gather is
-    _gather(s, n, width, a): those tables, then the labels' offsets in the last
-    product, in the order the labels are written.  Where all s sites are active at
-    n <= 2, these are np.tensordot's products.  Unchecked: the caller's SectorState,
-    or the trace of its density, checks the norm.
+    u holds the propagator's s x a columns at the start's a active sites, and start is
+    leg 1's (a, M_1) operand (_embed_antisymmetric).  legs holds a thread's views into its
+    work pair, the flat product and an operand buffer: leg 1's (s, M_1) product; per later
+    leg its table, its (a, M_k) operand, taken from the last product through the table,
+    and its (s, M_k) product; then the labels' offsets in the last product, in the order
+    the labels are written (_gather).  Only the columns some label reads are multiplied.
+    Where all s sites are active at n <= 2, these are np.tensordot's products.
+    Unchecked: the caller's SectorState, or the trace of its density, checks the norm.
     """
-    s, a = u.shape
-    np.dot(u, start.reshape(a, -1), out=out[: start.size // a * s].reshape(s, -1))
-    for table in gather[:-1]:  # "clip" fills spare unbuffered ("raise" buffers out=)
-        operand = out.take(table, out=spare[: table.size].reshape(table.shape), mode="clip")
-        np.dot(u, operand, out=out[: table.shape[1] * s].reshape(s, -1))
-    return out.take(gather[-1], out=labels, mode="clip")
+    first, later, offsets = legs
+    np.dot(u, start, out=first)
+    for table, operand, out in later:  # "clip" fills operand unbuffered ("raise" buffers out=)
+        product.take(table, out=operand, mode="clip")
+        np.dot(u, operand, out=out)
+    return product.take(offsets, out=labels, mode="clip")
 
 
 def _leg_columns(s: int, n: int, width: int, a: int) -> list[int]:
@@ -287,16 +304,17 @@ def _gather(s: int, n: int, width: int, a: int) -> tuple[np.ndarray, ...]:
 def _free_sector_sweep(
     spec: ChainSpec, n: int, amps: np.ndarray, times, emit, order=slice(None)
 ) -> None:
-    """Call emit(i, free) with the free-sector amplitudes (d, C(s, n)) at each times[i],
-    the labels in `order` (lex by default), in a buffer of the thread's that its next
-    sample overwrites; _each spreads the samples over the CPUs when they touch enough
-    bytes.  The start is embedded over its active sites only, the sites of its labels
-    with a nonzero amplitude padded to a multiple of 4 (sites 1..4 for a product start
-    on sites 1..n, n <= 4): once, whole up to _WHOLE_START_BYTES of d*s^n and else label
-    by label.  The legs' tables are cached (_gather) and shared.  A sample takes the
-    propagator's s x a columns there, and each thread evolves it in a work pair of its
-    own, the widest leg's s x M product and a x M operand (_leg_columns).  Budgeted
-    first."""
+    """Call emit(i, free, spare) with the free-sector amplitudes free (d, C(s, n)) at each
+    times[i], the labels in `order` (lex by default), and a spare of free's shape, both
+    buffers of the thread's that its next sample overwrites; _each spreads the samples
+    over the CPUs when they touch enough bytes.  The start is embedded over its active
+    sites only, the sites of its labels with a nonzero amplitude padded to a multiple of
+    4 (sites 1..4 for a product start on sites 1..n, n <= 4): once, whole up to
+    _WHOLE_START_BYTES of d*s^n and else label by label.  The legs' tables (_gather),
+    Vc[sites] and -1j e are shared.  Each thread's first sample makes the buffers every
+    later one writes: the propagator's s x a columns with their phases and Vc * phases,
+    and a work pair, the widest leg's s x M product and a x M operand (_leg_columns),
+    with _free_sample's views into it.  Budgeted first."""
     d, s = amps.shape[0], spec.s
     occupied = np.zeros(s, dtype=bool)
     occupied[_occupation_array(s, n)[amps.any(axis=0)]] = True
@@ -305,35 +323,41 @@ def _free_sector_sweep(
     # and round a remainder column, or a lone one, otherwise
     occupied[np.flatnonzero(~occupied)[: -np.count_nonzero(occupied) % 4]] = True
     sites = np.flatnonzero(occupied)
-    a, width = sites.size, d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
-    legs = _leg_columns(s, n, width, a)
-    # a sample touches Vc, Vc * phases and its read (3 s^2 entries), and per start
-    # each leg's a x M operand, taken and read (3 a M), and its s x M product
-    touched = 16 * (3 * s * s + d // width * (s + 3 * a) * sum(legs))
-    _check_sector_memory(s, n, d, min(chain._workers(touched), len(times)), width, a)
+    a = sites.size
+    width, legs, touched = _check_sweep(s, n, d, a, len(times))
     starts = [_embed_antisymmetric(amps[z : z + width], occupied, n) for z in range(0, d, width)]
-    sizes = s * max(legs), a * max(legs)  # the widest leg's product and its operand
     *tables, offsets = _gather(s, n, width, a)
-    gather = (*tables, offsets[:, order])
+    offsets = np.ascontiguousarray(offsets[:, order])  # take copies any other index array
+    columns = chain._propagator_columns(spec, sites)
     local = threading.local()
 
-    def sample(i):
-        if not hasattr(local, "free"):
-            local.pair = [np.empty(size, complex) for size in sizes]
-            local.free = np.empty((d, offsets.shape[1]), complex)
-        u = chain._propagator_columns(spec, times[i], sites)
-        for z, start in zip(range(0, d, width), starts):
-            _free_sample(u, start, *local.pair, gather, local.free[z : z + width])
-        emit(i, local.free)
+    def buffers():
+        product, operand = np.empty(s * max(legs), complex), np.empty(a * max(legs), complex)
+        later = tuple(
+            (t, operand[: t.size].reshape(t.shape), product[: t.shape[1] * s].reshape(s, -1))
+            for t in tables
+        )
+        views = product[: legs[0] * s].reshape(s, -1), later, offsets
+        free, spare = np.empty((2, d, offsets.shape[1]), complex)
+        out = np.empty(s, complex), np.empty((s, s), complex), np.empty((s, a), complex)
+        return out, product, views, free, spare, list(free.reshape(-1, width, free.shape[1]))
 
-    chain._complex_modes(spec)  # cached before the threads share it
+    def sample(i):
+        if not hasattr(local, "work"):
+            local.work = buffers()
+        out, product, views, free, spare, labels = local.work
+        u = columns(times[i], out)
+        for start, into in zip(starts, labels):
+            _free_sample(u, start, product, views, into)
+        emit(i, free, spare)
+
     _each(sample, len(times), touched)
 
 
 def propagate_free_sector(state: SectorState, t: float) -> SectorState:
     """Evolve under the bare chain: one single-particle propagator per leg."""
-    amps = [None]  # the one sample's buffer, which no later sample reuses
-    _free_sector_sweep(state.spec, state.n, state.amplitudes, [t], amps.__setitem__)
+    amps = []  # the one sample's buffer, which no later sample reuses
+    _free_sector_sweep(state.spec, state.n, state.amplitudes, [t], lambda i, a, _: amps.append(a))
     return SectorState(state.spec, state.n, amps[0])
 
 
@@ -353,8 +377,9 @@ def count_past_link_distribution(state: SectorState, x0: int) -> np.ndarray:
 
 
 def _single_link_sweep(state: SectorState, x0: int, g: np.ndarray, times, emit) -> None:
-    """Call emit(i, amps) with the amplitudes (d, C(s, n)) at each times[i], primitive g
-    on link x0; the start is checked and undressed once, before the first sample."""
+    """Call emit(i, amps, spare) with the amplitudes (d, C(s, n)) at each times[i],
+    primitive g on link x0, and a spare buffer of their shape, both the thread's; the
+    start is checked and undressed once, before the first sample."""
     if x0 < state.n:
         raise ValueError(f"active link x0={x0} must be >= n={state.n}")
     if x0 > state.spec.s - 1:
@@ -376,11 +401,10 @@ def _single_link_sweep(state: SectorState, x0: int, g: np.ndarray, times, emit) 
         undressed[:, idx] = powers[m].conj().T @ state.amplitudes[:, idx]
     inverse = np.argsort(order)
 
-    def redress(i, free):  # free in count-group order, each group a block of columns
-        for m, lo, hi in groups:  # assigned: an out= laid out otherwise (F-order) moved bits
-            free[:, lo:hi] = powers[m] @ free[:, lo:hi]
-        free[:] = free.take(inverse, axis=1)  # back in lex order, in the thread's buffer
-        emit(i, free)
+    def redress(i, free, spare):  # free in count-group order, each group a block of columns
+        for m, lo, hi in groups:  # into a C-ordered view: an F-ordered out= moved bits
+            np.matmul(powers[m], free[:, lo:hi], out=spare[:, lo:hi])
+        emit(i, spare.take(inverse, axis=1, out=free, mode="clip"), spare)  # back in lex order
 
     _free_sector_sweep(state.spec, state.n, undressed, times, redress, order)
 
@@ -392,8 +416,8 @@ def propagate_single_link(state: SectorState, x0: int, g: np.ndarray, t: float) 
     past x0); undressing by those powers reduces the dynamics to the free
     sector, which is propagated and then re-dressed.
     """
-    amps = [None]
-    _single_link_sweep(state, x0, g, [t], amps.__setitem__)
+    amps = []
+    _single_link_sweep(state, x0, g, [t], lambda i, a, _: amps.append(a))
     return SectorState(state.spec, state.n, amps[0])
 
 
@@ -415,7 +439,11 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
     times = np.asarray(times, dtype=float)
     _check_memory((16 * state.d**2 + 32) * times.size, f"register densities at {times.size} times")
     rho = np.empty((times.size, state.d, state.d), dtype=complex)
-    _single_link_sweep(state, x0, g, times, lambda i, a: np.matmul(a, a.conj().T, out=rho[i]))
+
+    def density(i, a, spare):
+        np.matmul(a, np.conjugate(a, out=spare).T, out=rho[i])
+
+    _single_link_sweep(state, x0, g, times, density)
     _check_norm(np.trace(rho, axis1=1, axis2=2).real, "sector")
     return rho
 

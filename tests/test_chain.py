@@ -110,16 +110,19 @@ def test_propagator_bitwise_equals_the_real_basis_formula(s):
 def test_propagator_columns_bitwise_equal_the_propagators_columns(s):
     """The columns at a multiple of 4 sites, one s x a product, have the bits of
     the whole s x s propagator's columns there: sites 5..8, 1..8, {3, 10, 11, 12}
-    where they fit, and a random set of 4, 8 or 12 sites."""
+    where they fit, and a random set of 4, 8 or 12 sites.  So do columns written
+    into a sweep's buffers, reused from one time to the next."""
     spec, rng = qc.ChainSpec(s), np.random.default_rng(s)
     sets = [np.arange(4, 8), np.arange(8), np.array([2, 9, 10, 11])]
     sets = [sites for sites in sets if sites[-1] < s]
     sets.append(np.sort(rng.choice(s, size=4 * rng.integers(1, min(3, s // 4) + 1), replace=False)))
-    for t in (0.3, 7.1):
-        u = qc.propagator(spec, t)
-        for sites in sets:
-            columns = chain._propagator_columns(spec, t, sites)
-            assert columns.tobytes() == u.take(sites, axis=1).tobytes(), (t, sites)
+    for sites in sets:
+        columns = chain._propagator_columns(spec, sites)
+        out = np.empty(s, complex), np.empty((s, s), complex), np.empty((s, sites.size), complex)
+        for t in (0.3, 7.1, 0.3):
+            expected = qc.propagator(spec, t).take(sites, axis=1).tobytes()
+            assert columns(t).tobytes() == expected, (t, sites)
+            assert columns(t, out) is out[2] and out[2].tobytes() == expected, (t, sites)
 
 
 def test_basis_estimate_pinned_and_bounds_its_traced_slope(monkeypatch):
@@ -493,22 +496,23 @@ def test_position_moments_bitwise_equal_propagate(s, cpus, monkeypatch):
 def _sweep_estimate(s, T, cpus):
     """The position sweep's checked estimate, written out: the two moment
     columns and the norm^2 column (24 B per sample), the site weights x and
-    x*x (16 B per site), each thread's 48 B per site (the GEMM path's
-    one-sample column or the FFT path's scaled coefficients, and room for the
-    window's Python objects and small buffers), and one window per thread
-    that evolves one (no more threads than windows), as wide as the grid when
-    the grid is narrower.
+    x*x (16 B per site), each thread's 32 B per site of room for the window's
+    Python objects and small buffers, and 16 more on the GEMM path for its
+    one-sample column, and one window per thread that evolves one (no more
+    threads than windows), as wide as the grid when the grid is narrower.
     Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of
     phases, 40 B per site and sample with their arguments and the buffer of
     their broadcast outer product; from 640 sites on one-column windows of
     384 KiB of 80 B per extended site and sample (the extension, numpy's copy
-    of it with 8 B of ufunc buffer, and the phase arguments)."""
-    held = 24 * T + 16 * s + 48 * s * cpus
+    of it with 8 B of ufunc buffer, and the phase arguments), each beside the
+    16 B per site of scaled coefficients its _evolve call makes."""
     if s < 640:
         width = 65536 // (16 * s)
-        return held + 16 * s * s + 40 * s * min(width, T) * min(cpus, -(-T // width))
+        held = 24 * T + 16 * s + 48 * s * cpus + 16 * s * s
+        return held + 40 * s * min(width, T) * min(cpus, -(-T // width))
     width = 3 * 2**17 // (80 * (s + 1))
-    return held + 80 * (s + 1) * min(width, T) * min(cpus, -(-T // width))
+    held = 24 * T + 16 * s + 32 * s * cpus
+    return held + (16 * s + 80 * (s + 1) * min(width, T)) * min(cpus, -(-T // width))
 
 
 @pytest.mark.parametrize("s", [513, 769])

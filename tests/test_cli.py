@@ -385,7 +385,10 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
         patch.setattr("qwclock.oracle.sector_occupations", _must_not_run)
         patch.setattr("qwclock.multi._occupation_array", _must_not_run)
         assert main(["multi", "--s", "400", "--g", "4"]) == 3
-    _one_line_naming(capsys, "s=400", "n=4")
+        _one_line_naming(capsys, "s=400", "n=4")
+        # at s = 150 the state (2 GB) fits and its sweep does not: refused before either
+        assert main(["multi", "--s", "150", "--g", "4", "--x0", "13"]) == 3
+        _one_line_naming(capsys, "s=150", "n=4")
     argv = ["multi", "--s", "30", "--g", "2", "--x0", "5", "--t-max", "1", "--step", "1"]
     assert run_cli(argv, capsys)[0] == 0
     # time grids past the budget, down to one whose sample count is infinite
@@ -417,10 +420,10 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     assert err.count("\n") == 1 and "--t-max 4e" not in err
     assert all(flag in err for flag in ("--tau 1e+307", "the --t-max default 4 tau", "--step"))
 
-    # oracle-check refuses before any dense matrix: at s=10000 in its sector
-    # states, before their labels; at s=83 in its largest build, built first
+    # oracle-check refuses before any dense matrix, label or sector state: at
+    # s=10000 and at s=83 in its largest build, checked first
     with monkeypatch.context() as patch:
-        patch.setattr("qwclock.oracle.build", _must_not_run)
+        patch.setattr("qwclock.multi.SectorState.from_product", _must_not_run)
         patch.setattr("qwclock.oracle.sector_occupations", _must_not_run)
         patch.setattr("qwclock.multi._occupation_array", _must_not_run)
         assert main(["oracle-check", "--s", "10000"]) == 3
@@ -479,6 +482,27 @@ def test_scenario_file_unknown_key(tmp_path, capsys):
     scenario.write_text("mu=4\nbogus=1\n")
     code, _ = run_cli(["entropy", "--scenario", str(scenario)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["multi", "--help"], ["frobnicate"], [], ["multi", "--g", "x"], ["bloch", "--bogus", "1"]],
+)
+def test_one_subcommand_parser_keeps_every_byte(argv, capsys):
+    """main builds the parser for argv[0] alone, and it exits with the code and
+    prints the stdout and stderr bytes of the whole parser: help, usage (which
+    names every subcommand) and errors.  Given a subcommand, it builds only that
+    one; given anything else, all of them."""
+    results = []
+    for parser in (cli.build_parser(argv[0] if argv else None), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        results.append((exc.value.code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if "--help" in argv else 2)
+    (sub,) = (a for a in cli.build_parser(argv[0] if argv else None)._actions if a.choices)
+    known = argv[:1] if argv[:1] in (["multi"], ["bloch"]) else list(cli._commands())
+    assert list(sub.choices) == known
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,11 +1,11 @@
 import dataclasses
+import functools
 import itertools
 import math
 import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from itertools import combinations, permutations
 
 import numpy as np
@@ -205,39 +205,49 @@ def test_single_link_validation(monkeypatch):
             qc.single_link_densities(state, x0, g, [0.0, 1.0, 2.0])
 
 
-def test_single_link_densities_keep_no_sample_alive(monkeypatch):
-    """When a thread starts a sample, its previous samples' propagator columns
-    and amplitudes are freed: at most one sample per thread is alive (at n = 1,
-    s = 3000 a kept s x s propagator alone added 144 MB); a thread's amplitudes
-    live in its one reused buffer.  On one thread no previous sample is alive at
-    all.  A whole start, and a start label by label; the cut lowered, so that
-    these samples spread over 3 threads."""
-    monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
-    refs = []  # (thread, weak reference)
-    columns, free_sample = chain._propagator_columns, multi._free_sample
+def _wrapped_columns(wrap):
+    """chain._propagator_columns (as now set) whose columns(t, out) become
+    wrap(columns, t, out)."""
+    factory = chain._propagator_columns
+    return lambda spec, sites: functools.partial(wrap, factory(spec, sites))
 
-    def propagator_columns(spec, t, sites):
-        me = threading.get_ident()
-        assert all(ref() is None for owner, ref in refs if owner == me), "a sample is still alive"
-        u = columns(spec, t, sites)
-        refs.append((me, weakref.ref(u)))
+
+def test_single_link_densities_keep_no_sample_alive(monkeypatch):
+    """Every sample a thread runs writes its propagator columns and amplitudes
+    into the buffers that thread made on its first sample, so no previous sample
+    is alive beside them (at n = 1, s = 3000 a kept s x s propagator alone added
+    144 MB), and no thread writes into another's.  A whole start, and a start
+    label by label; the cut lowered, so that these samples spread over 3
+    threads."""
+    monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
+    seen = []  # (thread, what, address of the data written)
+    free_sample = multi._free_sample
+
+    def recording_columns(columns, t, out):
+        u = columns(t, out)
+        seen.append((threading.get_ident(), "columns", u.ctypes.data))
         return u
 
-    def recording_sample(u, start, out, spare, gather, labels):
-        amps = free_sample(u, start, out, spare, gather, labels)
-        refs.append((threading.get_ident(), weakref.ref(amps)))
+    def recording_sample(u, start, product, legs, labels):
+        amps = free_sample(u, start, product, legs, labels)
+        seen.append((threading.get_ident(), "amplitudes", amps.ctypes.data))
         return amps
 
-    monkeypatch.setattr(chain, "_propagator_columns", propagator_columns)
+    monkeypatch.setattr(chain, "_propagator_columns", _wrapped_columns(recording_columns))
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
     for cpus in (1, 3):
         for whole in (True, False):
             monkeypatch.setattr(chain, "_cpus", lambda: cpus)
             monkeypatch.setattr(multi, "_WHOLE_START_BYTES", float("inf") if whole else 0)
-            refs.clear()
+            seen.clear()
             qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), 0.5 * np.arange(1.0, 13.0))
-            assert len(refs) == 12 * (2 if whole else 3)  # the columns and one or d gathers
+            assert len(seen) == 12 * (2 if whole else 3)  # the columns and one or d gathers
+            buffers = {(thread, what, address) for thread, what, address in seen}
+            assert len({(what, address) for _, what, address in buffers}) == len(buffers)
+            for thread in {thread for thread, _, _ in seen}:
+                # one columns buffer, and the one or d rows of one amplitudes buffer
+                assert sum(owner == thread for owner, _, _ in buffers) == (2 if whole else 3)
 
 
 # (mu, g, s, x0, t_max) of multi_small.csv's argv and of the multi-sector
@@ -268,17 +278,16 @@ def test_single_link_densities_bits_do_not_depend_on_the_thread_count(
 
 
 def _failing_at(fails, delays=None):
-    """chain._propagator_columns, raising ValueError('sample <t>') at the times in
-    fails, each after its delay in seconds."""
-    columns = chain._propagator_columns
+    """chain._propagator_columns, whose columns raise ValueError('sample <t>') at
+    the times in fails, each after its delay in seconds."""
 
-    def propagator_columns(spec, t, sites):
+    def failing(columns, t, out):
         time.sleep((delays or {}).get(t, 0.0))
         if t in fails:
             raise ValueError(f"sample {t:g}")
-        return columns(spec, t, sites)
+        return columns(t, out)
 
-    return propagator_columns
+    return _wrapped_columns(failing)
 
 
 def test_single_link_densities_raise_the_lowest_failing_sample(monkeypatch):
@@ -301,17 +310,16 @@ def test_single_link_densities_leave_no_thread_behind(monkeypatch):
     state = qc.SectorState.from_product(qc.ChainSpec(9), (1, 2), np.array([0.6, 0.8]))
     ran_on = set()
     second = threading.Event()
-    failing = _failing_at({9.0})
-
-    def propagator_columns(spec, t, sites):
+    def recording_columns(columns, t, out):
         ran_on.add(threading.get_ident())
         if len(ran_on) > 1:
             second.set()
         if t == 0.0:  # the first claimed sample waits until a second thread has entered
             second.wait(timeout=10)
-        return failing(spec, t, sites)
+        return columns(t, out)
 
-    monkeypatch.setattr(chain, "_propagator_columns", propagator_columns)
+    monkeypatch.setattr(chain, "_propagator_columns", _failing_at({9.0}))
+    monkeypatch.setattr(chain, "_propagator_columns", _wrapped_columns(recording_columns))
     monkeypatch.setattr(chain, "_cpus", lambda: 3)
     before = set(threading.enumerate())
     qc.single_link_densities(state, 4, qc.rotation_about_2(0.3), np.arange(9.0))
@@ -342,23 +350,25 @@ def _leg_columns(s, n, width, a):
 
 
 def _sector_sweep_estimate(s, n, d, workers, width, a):
-    """The sector sweep's estimate, written out: the cached s x s basis Vc (16 B per
-    entry, shared by the threads), the C(s, n) labels at 8 (n + 3 + 2 width) B each
-    (8 n for the array, 8 for the count past the link, 8 for the count-group order
-    and 8 for its inverse, 8 width for the gather offsets in lex order and 8 width
-    in count-group order), the legs' operand tables (8 B per offset, a per column
+    """The sector sweep's estimate, written out: held once, the cached s x s basis
+    Vc, the a x s copy Vc[sites] and -1j e (16 B per entry, shared by the
+    threads) and the energies e (8 B per site), the C(s, n) labels at 8 (n + 3 + 2 width) B each (8 n for the
+    array, 8 for the count past the link, 8 for the count-group order and 8 for
+    its inverse, 8 width for the gather offsets in lex order and 8 width in
+    count-group order), the legs' operand tables (8 B per offset, a per column
     of legs 2..n), the state's (d, C(s, n)) amplitudes and their undressed copy,
-    the d a^n start embedded over its a (padded) active sites (16 B each), and per
-    worker Vc * phases (16 B per s x s entry) with numpy's buffer for that
-    broadcast (16 B per entry, at most np.getbufsize() entries), the Vc[sites]
-    copy and the s x a columns (32 B per s x a entry), a work pair of the widest
-    leg's s x M product and its a x M operand, and three (d, C(s, n)) arrays: the
-    labels' buffer, their copy in lex order and its conjugate."""
+    the d a^n start embedded over its a (padded) active sites (16 B each), and
+    32 KiB for the Python objects and small arrays; per worker the phases, Vc * phases and the s x a columns (16 B per entry) with
+    numpy's buffer for the broadcast Vc * phases (16 B per entry, at most
+    np.getbufsize() entries), a work pair of the widest leg's s x M product and
+    its a x M operand, and two (d, C(s, n)) arrays: the labels' buffer and a
+    spare, which holds the redressed labels in count-group order, then the
+    density's conjugate."""
     c, legs = math.comb(s, n), _leg_columns(s, n, width, a)
-    columns = 16 * (s * s + min(s * s, np.getbufsize()) + 2 * s * a)
-    per_thread = columns + 16 * (s + a) * max(legs) + 48 * d * c
-    held = 16 * s * s + 8 * c * (n + 3 + 2 * width) + 8 * a * sum(legs[1:]) + 32 * d * c
-    return held + 16 * d * a**n + workers * per_thread
+    columns = 16 * (s * (s + a + 1) + min(s * s, np.getbufsize()))
+    per_thread = columns + 16 * (s + a) * max(legs) + 32 * d * c
+    held = 16 * s * (s + a + 1) + 8 * s + 8 * c * (n + 3 + 2 * width) + 8 * a * sum(legs[1:])
+    return held + 32 * d * c + 16 * d * a**n + 2**15 + workers * per_thread
 
 
 @pytest.mark.parametrize("s,n,width", [(9, 2, 2), (16, 4, 1)])
@@ -410,6 +420,7 @@ def _traced_sweep(s, n, monkeypatch):
     multi._occupation_array.cache_clear()
     multi._gather.cache_clear()
     chain._complex_modes.cache_clear()
+    chain._energies.cache_clear()
     tracemalloc.start()
     try:
         state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), [0.6, 0.8])
@@ -422,13 +433,15 @@ def _traced_sweep(s, n, monkeypatch):
     return checked[-1], peak
 
 
-@pytest.mark.parametrize("s,n", [(16, 3), (16, 4), (20, 3), (256, 2), (256, 1), (512, 1)])
+@pytest.mark.parametrize("s,n", [(16, 3), (16, 4), (20, 3), (256, 2), (256, 1), (512, 1), (13, 5)])
 def test_sector_sweep_estimate_bounds_its_traced_peak(s, n, monkeypatch):
     """On one thread the sweep's checked estimate is at or above the traced
     peak and within twice it: a whole start (16 sites, n = 3, 131 kB of
     d s^n) and starts label by label (n = 4, 2 MiB of d s^n; 256 sites at
     n = 2, 2 MiB, where a sample once built the 1 MiB s x s propagator).  At
-    n = 1 the s x s basis Vc and Vc * phases hold most of the peak."""
+    n = 1 the s x s basis Vc and Vc * phases hold most of the peak.  At n = 5
+    the embed runs 120 permutations, whose index tuples once stayed in
+    Python's free lists (6 kB past the estimate)."""
     checked, peak = _traced_sweep(s, n, monkeypatch)
     assert peak <= checked < 2 * peak
 
@@ -444,10 +457,13 @@ def _traced(fn):
 
 @pytest.mark.parametrize("s,n,d", [(10, 3, 2), (16, 4, 2), (12, 4, 1), (40, 2, 3)])
 def test_sector_state_estimate_bounds_its_traced_peak(s, n, d, monkeypatch):
-    """from_product and the constructor are checked at the sweep's estimate at
-    a = s, width d and one thread, to the byte, and hold at most that: a
-    product start, a dense start, and that dense start's free sample, whose
-    sweep is then checked at the same a = s."""
+    """from_product and the constructor are checked, to the byte, at what a state
+    holds: the C(s, n) labels (8 n B each) with from_product's match of its sites
+    against them (n + 1 B each), the (d, C(s, n)) amplitudes and the norm check's
+    |amplitudes|^2 (32 d B each), and 4 KiB for its Python objects and array
+    headers.  Each holds at most that: a product start, which makes all of it and
+    holds more than half, and a dense start, whose amplitudes are the caller's.  That dense start's free sample checks
+    its sweep at a = s, then its result's state."""
     checked = []
     check_memory = multi._check_memory
 
@@ -457,18 +473,20 @@ def test_sector_state_estimate_bounds_its_traced_peak(s, n, d, monkeypatch):
 
     monkeypatch.setattr(multi, "_check_memory", recording_check)
     monkeypatch.setattr(chain, "_cpus", lambda: 1)
-    expected = _sector_sweep_estimate(s, n, d, 1, d, s)
     rng, spec, m = np.random.default_rng(s + n + d), qc.ChainSpec(s), math.comb(s, n)
+    expected = m * (9 * n + 1 + 32 * d) + 4096
     amps = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
     reg = np.eye(d)[0]
-    for build in (
-        lambda: qc.SectorState.from_product(spec, range(1, n + 1), reg),
-        lambda: qc.SectorState(spec, n, amps / np.linalg.norm(amps)),
+    amps /= np.linalg.norm(amps)
+    for product, build in (
+        (True, lambda: qc.SectorState.from_product(spec, range(1, n + 1), reg)),
+        (False, lambda: qc.SectorState(spec, n, amps)),
     ):
         multi._occupation_array.cache_clear()
         checked.clear()
         state, peak = _traced(build)
         assert set(checked) == {expected} and peak <= expected
+        assert not product or expected < 2 * peak
     chain._complex_modes.cache_clear()
     multi._gather.cache_clear()
     checked.clear()
@@ -532,6 +550,58 @@ def test_sector_sweep_estimate_bounds_its_traced_slope(sizes, monkeypatch):
     (small, small_peak), (large, large_peak) = (_traced_sweep(s, 3, monkeypatch) for s in sizes)
     traced, estimated = large_peak - small_peak, large - small
     assert traced <= estimated < 2 * traced
+
+
+@pytest.mark.parametrize("s,n", [(16, 3), (16, 4), (256, 1)])
+def test_a_sample_allocates_only_numpys_broadcast_buffer(s, n, monkeypatch):
+    """On one thread, a sweep's traced peak over 40 times exceeds that over 4 by
+    at most rho's 16 d^2 + 32 B per further time, and from its third sample on,
+    each sample allocates only numpy's buffer for the broadcast Vc * phases (16 B
+    per entry, at most np.getbufsize() entries) and that ufunc's iterator (under
+    2 KiB): the columns, legs, redress and density write into the thread's
+    buffers, made on its first sample."""
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    marks = np.zeros((40, 2), dtype=np.int64)
+
+    def marking_columns(columns, t, out):
+        marks[int(t)] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        return columns(t, out)
+
+    state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), [0.6, 0.8])
+    g = qc.rotation_about_2(0.3)
+    run = [lambda T=T: qc.single_link_densities(state, n + 1, g, np.arange(T)) for T in (4.0, 40.0)]
+    peaks = [_traced(densities)[1] for densities in run]
+    assert peaks[1] - peaks[0] <= (16 * 2 * 2 + 32) * 36
+    monkeypatch.setattr(chain, "_propagator_columns", _wrapped_columns(marking_columns))
+    _traced(run[1])
+    current, peak = marks[2:-1, 0], marks[3:, 1]  # a sample's start, the peak up to the next
+    assert (peak - current <= 16 * min(s * s, np.getbufsize()) + 2048).all()
+
+
+@pytest.mark.parametrize(
+    "s,n,whole", [(9, 1, True), (13, 5, True), (13, 5, False), (16, 4, True), (16, 4, False)]
+)
+@pytest.mark.parametrize("spread", [False, True], ids=["serial", "spread"])
+def test_reused_buffers_keep_the_per_sample_bits(s, n, whole, spread, monkeypatch):
+    """Densities whose samples are written into each thread's reused buffers have
+    the bits of the per-sample formula at every time: at n = 1, where leg 1 is
+    the only leg, at n = 5 on 13 sites, and at multi-sector's 16 sites, n = 4;
+    each start whole and label by label; with _SPREAD_BYTES as set (one thread
+    here) and at 0 over 3 threads.  (At n = 1 label by label, past the CLI's
+    budget, each label's leg 1 is a one-column product, which rounds otherwise.)"""
+    if spread:
+        monkeypatch.setattr(chain, "_SPREAD_BYTES", 0)
+        monkeypatch.setattr(chain, "_cpus", lambda: 3)
+    monkeypatch.setattr(multi, "_WHOLE_START_BYTES", float("inf") if whole else 0)
+    rng = np.random.default_rng(100 * s + n)
+    reg = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    state = qc.SectorState.from_product(qc.ChainSpec(s), range(1, n + 1), reg / np.linalg.norm(reg))
+    g, x0, times = _random_unitary(rng, 2), (n + s - 1) // 2, 0.9 * np.arange(6.0)
+    rho = qc.single_link_densities(state, x0, g, times)
+    for i, t in enumerate(times):
+        expected = _per_sample_single_link(state, x0, g, t)
+        assert np.array_equal(rho[i], expected @ expected.conj().T), t
 
 
 @pytest.mark.parametrize("s,n", [(5, 1), (6, 3), (9, 4), (7, 7)])
@@ -761,8 +831,8 @@ def test_partially_supported_starts_match_per_sample_formula(s, n, d):
 @pytest.mark.parametrize("s,n,whole", [(9, 1, True), (10, 2, True), (33, 3, False), (16, 4, False)])
 def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
     """Every sample multiplies the propagator's columns at the start's sites 1..n,
-    padded to 4, into operands of that many rows: the start, then one (a, M_k)
-    operand per later leg, taken through its table.  Its work pair is the widest
+    padded to 4, into operands of that many rows: the start, as leg 1's (a, M_1)
+    operand, then one (a, M_k) operand per later leg, taken through its table.  Its work pair is the widest
     leg's s x M product and a x M operand: no leg of a product start returns to
     s rows (4 here, where a whole tensor has 9 to 33), and from n = 3 on the
     widest product holds fewer entries than the width s^n tensor."""
@@ -770,11 +840,12 @@ def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
     free_sample = multi._free_sample
     a, width = _active_sites(s, n), 2 if whole else 1
 
-    def recording_sample(u, start, out, spare, gather, labels):
-        columns.append(u)
-        tables = tuple(table.shape for table in gather[:-1])
-        shapes.add((u.shape, start.shape, out.size, spare.size, tables))
-        return free_sample(u, start, out, spare, gather, labels)
+    def recording_sample(u, start, product, legs, labels):
+        columns.append(u.copy())
+        tables = tuple(table.shape for table, _, _ in legs[1])
+        operands = {operand.base.size for _, operand, _ in legs[1]}
+        shapes.add((u.shape, start.shape, product.size, frozenset(operands), tables))
+        return free_sample(u, start, product, legs, labels)
 
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
     monkeypatch.setattr(chain, "_cpus", lambda: 1)
@@ -786,7 +857,8 @@ def test_product_start_legs_multiply_its_active_rows(s, n, whole, monkeypatch):
         assert np.array_equal(u, qc.propagator(spec, times[k * width // 2])[:, :a])
     legs = _leg_columns(s, n, width, a)
     tables = tuple((a, m) for m in legs[1:])
-    assert shapes == {((s, a), (a, width) + (a,) * (n - 1), s * max(legs), a * max(legs), tables)}
+    operands = frozenset([a * max(legs)] if n > 1 else [])  # leg 1 multiplies the start
+    assert shapes == {((s, a), (a, legs[0]), s * max(legs), operands, tables)}
     assert n < 3 or max(legs) < width * s ** (n - 1)  # trimmed from n = 3 on
 
 
@@ -799,9 +871,9 @@ def test_legs_multiply_only_the_columns_some_label_reads(monkeypatch):
     widths = []
     free_sample = multi._free_sample
 
-    def recording_sample(u, start, out, spare, gather, labels):
-        widths.append([start.size // u.shape[1]] + [table.shape[1] for table in gather[:-1]])
-        return free_sample(u, start, out, spare, gather, labels)
+    def recording_sample(u, start, product, legs, labels):
+        widths.append([start.shape[1]] + [table.shape[1] for table, _, _ in legs[1]])
+        return free_sample(u, start, product, legs, labels)
 
     monkeypatch.setattr(multi, "_free_sample", recording_sample)
     state = qc.SectorState.from_product(qc.ChainSpec(16), range(1, 5), [0.6, 0.8])
@@ -888,12 +960,21 @@ def test_sector_state_desk_cap(monkeypatch):
         qc.SectorState.from_product(qc.ChainSpec(100_000), (1, 2))
     with pytest.raises(qc.ResourceLimitError):
         qc.SectorState(qc.ChainSpec(400), 4, np.ones((2, 1)))
-    # the register dimension d scales the d*s^n tensors: this s=60, n=3
-    # sector fits with a bare cursor and is refused with d=2**9
+    # the register dimension d scales what a state holds: this s=60, n=3 sector
+    # fits with a bare cursor, and at d=2**12 its amplitudes (2.2 GB, and as much
+    # again for the norm check) are refused before the labels are listed
+    with pytest.raises(qc.ResourceLimitError):
+        qc.SectorState.from_product(qc.ChainSpec(60), (1, 2, 3), np.eye(1, 2**12)[0])
     monkeypatch.undo()
     assert qc.SectorState.from_product(qc.ChainSpec(60), (1, 2, 3)).d == 1
-    with pytest.raises(qc.ResourceLimitError):
-        qc.SectorState.from_product(qc.ChainSpec(60), (1, 2, 3), np.eye(512)[0])
+    # a state checks only what it holds, so one that fits is refused at its first
+    # sweep, before the basis or the start is built: at s=20000, n=1 the state
+    # holds 0.6 MB and the sweep's two s x s arrays need 12.8 GB
+    state = qc.SectorState.from_product(qc.ChainSpec(20_000), (1,), [0.6, 0.8])
+    monkeypatch.setattr(chain, "_complex_modes", no_labels)
+    monkeypatch.setattr(multi, "_embed_antisymmetric", no_labels)
+    with pytest.raises(qc.ResourceLimitError, match="sector s=20000, n=1, d=2"):
+        qc.single_link_densities(state, 3, qc.rotation_about_2(0.3), [0.0, 1.0])
 
 
 def test_joint_law_normalization():

@@ -412,8 +412,9 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
     # the sector path evolves one start over the grid: only its last time drifts
     columns = chain._propagator_columns
 
-    def drifting_last(spec, t, sites):
-        return columns(spec, t, sites) * (1.0 + 1e-6 if t == times[-1] else 1.0)
+    def drifting_last(spec, sites):
+        at = columns(spec, sites)
+        return lambda t, out: at(t, out) * (1.0 + 1e-6 if t == times[-1] else 1.0)
 
     monkeypatch.setattr(chain, "_propagator_columns", drifting_last)
     state = qc.SectorState.from_product(qc.ChainSpec(8), (1, 2, 3), r1)
@@ -427,9 +428,10 @@ def _trajectory_chunks(s, T):
     """Chunk width and checked estimate of a trajectory of s sites over T times,
     written out: 4 MiB of (s, 2) complex samples on the GEMM path, and 1 MiB
     of 144 B per extended site on the FFT path; the O(T) results, 160 B per
-    site, the cached complex V below 640 sites, and the widest chunk."""
+    site, the cached complex V below 640 sites, the FFT path's (2, s) scaled
+    coefficients (32 B per site), and the widest chunk."""
     if s >= 640:
-        width, basis, per_sample = max(1, 2**20 // (144 * (s + 1))), 0, 144 * (s + 1)
+        width, basis, per_sample = max(1, 2**20 // (144 * (s + 1))), 32 * s, 144 * (s + 1)
     else:
         width, basis, per_sample = max(1, 4 * 2**20 // (32 * s)), 16 * s * s, 112 * s
     return width, 128 * T + 160 * s + basis + per_sample * min(width, T)
@@ -512,9 +514,9 @@ def _route_chunks(s, T):
     the last window's P), so the extension stays within the allocator's
     128 KiB mmap threshold; the O(T) results, 160 B per site, 16 B per site
     for each of the 8 rows of offsets and anchor, 24 B per site of anchor
-    temporaries, and the widest chunk."""
+    temporaries, 16 B per site of scaled coefficients, and the widest chunk."""
     width = max(1, 3 * 2**17 // (96 * (s + 1)))
-    return width, 128 * T + 160 * s + 152 * s + 96 * (s + 1) * min(width, T)
+    return width, 128 * T + 160 * s + 168 * s + 96 * (s + 1) * min(width, T)
 
 
 @pytest.mark.parametrize("s,width", [(640, 6), (769, 5), (2049, 1)])
