@@ -346,11 +346,10 @@ def propagator(spec: ChainSpec, t: float) -> np.ndarray:
 
 
 def _propagator_columns(spec: ChainSpec, sites):
-    """columns(t, out): the (s, a) columns of propagator(spec, t) at the a 0-based sites,
-    (Vc * exp(-1j e t)) @ Vc[sites].T at O(s^2 a), written into out's phases, Vc * phases
-    and columns if given.  Vc[sites], made once, is a C-ordered copy, so its transpose
-    reaches BLAS with the flag of Vc.T: at a multiple of 4 sites the columns keep the
-    whole product's bits (not one column)."""
+    """columns(t, out): the (s, a) columns (Vc * exp(-1j e t)) @ Vc[sites].T of propagator
+    at the a 0-based sites, written into out's phases, Vc * phases and columns if given.
+    Vc[sites] is a C-ordered copy, so its transpose reaches BLAS with Vc.T's flag: at a
+    multiple of 4 sites the columns keep the whole product's bits (not one column)."""
     Vc = _complex_modes(spec)
     rows, arg = Vc[sites].T, -1j * _energies(spec)
 

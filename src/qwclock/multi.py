@@ -45,16 +45,13 @@ _WHOLE_START_BYTES = 2**19
 
 
 def _check_sweep(s: int, n: int, d: int, a: int, samples: int) -> tuple[int, list[int], int]:
-    """Budget a sweep over `samples` times of a start on a active sites, before it allocates,
-    and return its width (all d labels at once up to _WHOLE_START_BYTES of d*s^n, else
-    one), its legs' column counts (_leg_columns) and the bytes a sample touches, which set
-    its threads.  Held once: the cached basis Vc and energies e, Vc[sites] and -1j e, the
-    C(s, n) labels with their link counts, count-group order and its inverse, the legs'
-    tables, the width gather offsets in lex and in count-group order, the (d, C(s, n))
-    amplitudes, their undressed copy, the d*a^n start, and 32 KiB of Python objects and
-    small arrays (13 to 22 KiB traced); per thread, the phases, Vc * phases with numpy's
-    buffer for that broadcast, the s x a columns, the work pair of the widest leg's s x M
-    product and a x M operand, and two (d, C(s, n)) buffers, the labels' and a spare."""
+    """Budget a sweep of `samples` times over a start on a active sites before it allocates;
+    return its width (d labels at once up to _WHOLE_START_BYTES of d*s^n, else 1), legs
+    (_leg_columns) and bytes touched a sample.  Held once: Vc, e, Vc[sites] and -1j e; the
+    labels with their counts, count-group order, its inverse and 2 width gather offsets;
+    the legs' tables; the amplitudes, their undressed copy and the d*a^n start; 32 KiB of
+    Python objects (13 to 22 KiB traced).  Per thread: the phases, Vc * phases, numpy's
+    buffer for it, the columns, the widest leg's s x M and a x M pair, labels and a spare."""
     c, width = math.comb(s, n), d if 16 * d * s**n <= _WHOLE_START_BYTES else 1
     legs = _leg_columns(s, n, width, a)
     # a sample touches Vc, Vc * phases and its read (3 s^2 entries), and per start
@@ -70,15 +67,14 @@ def _check_sweep(s: int, n: int, d: int, a: int, samples: int) -> tuple[int, lis
 
 
 def _check_product_start(s: int, n: int, d: int) -> None:
-    """Refuse, before it is built, a product start on sites 1..n whose sweep would not fit
-    on the threads it may take: it is embedded over 4 ceil(n / 4) sites (all s if fewer)."""
+    """Refuse before it is built a product start on sites 1..n whose sweep cannot fit."""
     _check_sweep(s, n, d, min(s, n + -n % 4), chain._cpus())
 
 
 def _check_state_memory(s: int, n: int, d: int) -> None:
-    """Budget what a SectorState holds, before its labels are listed: the C(s, n) labels
-    and from_product's match against them (9 n + 1 B each), the (d, C(s, n)) amplitudes
-    and the norm check's |amplitudes|^2 (32 d B each) and 4 KiB of Python objects."""
+    """Budget what a SectorState holds, before its labels are listed: labels and
+    from_product's match (9 n + 1 B each), amplitudes and |amplitudes|^2 (32 d B each) and
+    4 KiB of objects."""
     _check_memory(math.comb(s, n) * (9 * n + 1 + 32 * d) + 2**12, f"sector s={s}, n={n}, d={d}")
 
 
@@ -220,8 +216,8 @@ def _embed_antisymmetric(amps: np.ndarray, occupied: np.ndarray, n: int) -> np.n
     full = np.zeros((a, amps.shape[0]) + (a,) * (n - 1), dtype=complex)
     for perm in permutations(range(n)):
         sign = (-1) ** sum(i > j for i, j in combinations(perm, 2))  # inversion parity
-        first, *rest = (subs[:, j] for j in perm)  # tuple(...) of a generator leaves its
-        full[(first, slice(None), *rest)] = (sign * amps).T  # resized tuples in a free list
+        first, *rest = (subs[:, j] for j in perm)  # no tuple(generator): free-list garbage
+        full[(first, slice(None), *rest)] = (sign * amps).T
     return full.reshape(a, -1)
 
 
@@ -229,14 +225,12 @@ def _free_sample(u: np.ndarray, start: np.ndarray, product: np.ndarray, legs, la
     """Write into labels the free-sector amplitudes (width, C(s, n)) of the embedded
     start after the propagator, and return it.
 
-    u holds the propagator's s x a columns at the start's a active sites, and start is
-    leg 1's (a, M_1) operand (_embed_antisymmetric).  legs holds a thread's views into its
-    work pair, the flat product and an operand buffer: leg 1's (s, M_1) product; per later
-    leg its table, its (a, M_k) operand, taken from the last product through the table,
-    and its (s, M_k) product; then the labels' offsets in the last product, in the order
-    the labels are written (_gather).  Only the columns some label reads are multiplied.
-    Where all s sites are active at n <= 2, these are np.tensordot's products.
-    Unchecked: the caller's SectorState, or the trace of its density, checks the norm.
+    u holds the propagator's s x a columns at the start's a active sites, start is leg 1's
+    (a, M_1) operand.  legs holds views into a thread's work pair: leg 1's (s, M_1)
+    product; per later leg its table, its (a, M_k) operand taken through it from the last
+    product, and its (s, M_k) product; then the labels' offsets in the last product
+    (_gather).  Only columns some label reads are multiplied; all s sites active at n <= 2
+    give np.tensordot's products.  Unchecked: the caller's state or density checks the norm.
     """
     first, later, offsets = legs
     np.dot(u, start, out=first)
@@ -305,16 +299,12 @@ def _free_sector_sweep(
     spec: ChainSpec, n: int, amps: np.ndarray, times, emit, order=slice(None)
 ) -> None:
     """Call emit(i, free, spare) with the free-sector amplitudes free (d, C(s, n)) at each
-    times[i], the labels in `order` (lex by default), and a spare of free's shape, both
-    buffers of the thread's that its next sample overwrites; _each spreads the samples
-    over the CPUs when they touch enough bytes.  The start is embedded over its active
-    sites only, the sites of its labels with a nonzero amplitude padded to a multiple of
-    4 (sites 1..4 for a product start on sites 1..n, n <= 4): once, whole up to
-    _WHOLE_START_BYTES of d*s^n and else label by label.  The legs' tables (_gather),
-    Vc[sites] and -1j e are shared.  Each thread's first sample makes the buffers every
-    later one writes: the propagator's s x a columns with their phases and Vc * phases,
-    and a work pair, the widest leg's s x M product and a x M operand (_leg_columns),
-    with _free_sample's views into it.  Budgeted first."""
+    times[i], labels in `order` (lex by default), and a spare of free's shape: buffers of
+    the thread's, which its next sample overwrites; _each spreads the samples over the
+    CPUs when they touch enough bytes.  The start is embedded once over its active sites,
+    its labels' sites padded to a multiple of 4 (1..4 for a product start on 1..n, n <= 4),
+    whole up to _WHOLE_START_BYTES of d*s^n, else label by label.  Each thread's first
+    sample makes the buffers and views every later one writes.  Budgeted first."""
     d, s = amps.shape[0], spec.s
     occupied = np.zeros(s, dtype=bool)
     occupied[_occupation_array(s, n)[amps.any(axis=0)]] = True
