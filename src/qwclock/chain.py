@@ -60,8 +60,12 @@ _FFT_CHUNK_BYTES = 2**20
 # stays within that threshold (5 samples at s = 769)
 _PHASE_ANCHOR = 8
 _COLUMN_CHUNK_BYTES = 3 * 2**17
-# bytes of phases per window of a one-column sweep below _FFT_SITES sites
+# bytes of phases per window of a one-column sweep below _FFT_SITES sites, and
+# of basis rows per block of its GEMVs, which all of a window's samples take
+# while the block is in cache: of 0.5 to 2 MiB, 1.5 MiB (of a core's 2 MiB
+# L2) was fastest at 257, 513 and 639 sites, on one CPU and on two
 _MOMENT_WINDOW_BYTES = 2**16
+_GEMV_BLOCK_BYTES = 3 * 2**19
 # rows per block of the sine basis build: 8 s B a row, so a block stays under
 # the allocator's 128 KiB mmap threshold below _FFT_SITES sites
 _BASIS_BLOCK_ROWS = 16
@@ -416,17 +420,20 @@ def _evolve(spec: ChainSpec, coeff: np.ndarray, times, windows, step=None):
     which budgets them, and check the norm.
 
     Below _FFT_SITES sites each window is a GEMM over the cached complex V:
-    one product per sample for d = 1, one tensordot (psi is then a transposed
-    view) for d > 1.  From there on each window fills the odd extension of
-    the FFT sine transform in one buffer, the first window's, which must be
-    the widest; psi is a view of it, valid until the next window.  Sample j
-    takes (exp(-i e t_a) c coeff) exp(-i e (j - a) h) from its anchor
-    a = j - j % K, with c = _sine_scale(s).  With no step every sample is an
-    anchor (K = 1).  With step = h = _column_step(spec, times), not None,
-    K = _PHASE_ANCHOR: exact cos and sin at the anchors only, and the offsets
-    exp(-i e m h), m = 1 .. K - 1, from one table per run; the windows must
-    then run in order from sample 0, since the last anchor's row is carried
-    into the next window.
+    for d = 1 one GEMV per sample and block of V's rows, a block of
+    _GEMV_BLOCK_BYTES (one block up to 313 sites) taken by all of the
+    window's samples in one matmul while it is in cache; for d > 1 one
+    tensordot.  psi is then a transposed view.  From there on each window
+    fills the odd extension of the FFT sine transform in one buffer, the
+    first window's, which must be the widest; psi is a view of it, valid
+    until the next window.  Sample j takes (exp(-i e t_a) c coeff)
+    exp(-i e (j - a) h) from its anchor a = j - j % K, with
+    c = _sine_scale(s).  With no step every sample is an anchor (K = 1).
+    With step = h = _column_step(spec, times), not None, K = _PHASE_ANCHOR:
+    exact cos and sin at the anchors only, and the offsets exp(-i e m h),
+    m = 1 .. K - 1, from one table per run; the windows must then run in
+    order from sample 0, since the last anchor's row is carried into the
+    next window.
 
     A sample's bits depend on that sample alone, never on its window.  On the
     GEMM path this holds with one BLAS thread: a threaded GEMM splits its
@@ -442,19 +449,27 @@ def _evolve(spec: ChainSpec, coeff: np.ndarray, times, windows, step=None):
                 psi = np.tensordot(Vc, phases[:, :, None] * coeff[:, None, :], axes=(1, 0))
                 yield window, psi.transpose(1, 2, 0)
             else:
-                # each sample's product overwrites its phases: a chunk-column
-                # product would round otherwise than one-column products.  The
-                # phases have the bits of np.exp(-1j * arguments), in place:
-                # the products with -1j are exact, so their order is free, and
-                # the cast to complex is a copy, not numpy's buffered cast
-                psi = np.outer(times[window], e).astype(complex)  # (chunk, s)
+                # per block of basis rows, one matmul over the window's
+                # stacked (s, 1) columns: one GEMV per sample, each with the
+                # block while it is in cache, written over the phases.  A
+                # chunk-column product, or a one-row block (numpy's vector
+                # dot), would round otherwise.  The phases have the bits of
+                # np.exp(-1j * arguments), in place: the products with -1j
+                # are exact, so their order is free, and the cast to complex
+                # is a copy, not numpy's buffered cast.  The columns are
+                # multiplied one by one: a broadcast multiply allocates an
+                # iteration buffer as large as its output
+                psi = np.outer(times[window], e).astype(complex).reshape(-1, s, 1)
                 psi *= -1j
                 np.exp(psi, out=psi)
-                column = np.empty_like(coeff)
-                for row in psi:
-                    np.multiply(row[:, None], coeff, out=column)
-                    np.dot(Vc, column, out=row[:, None])
-                yield window, psi[:, None]
+                columns = np.empty_like(psi)
+                for phases, column in zip(psi, columns):
+                    np.multiply(phases, coeff, out=column)
+                # blocks of 2 rows or more: the last one takes a one-row remainder
+                edges = [*range(0, s - 1, max(2, _GEMV_BLOCK_BYTES // (16 * s))), s]
+                for lo, hi in zip(edges, edges[1:]):
+                    np.matmul(Vc[lo:hi], columns, out=psi[:, lo:hi])
+                yield window, psi.mT
         return
     K = 1 if step is None else _PHASE_ANCHOR
     offsets = None if step is None else _phases(e, step * np.arange(1, K))
@@ -489,9 +504,10 @@ def _grid_chunks(
 
     The caller holds `held` bytes for the whole run and `site_bytes` per site
     and sample beside the kernel's own temporaries, which are 16 d B per site
-    and sample on the GEMM path (plus the cached complex V) and 32 d B per
-    site of the 2(s+1)-entry extension (and 16 d s of scaled coefficients a
-    call) on the FFT path.  Given the step of an
+    and sample on the GEMM path (32 B for one column: its phases and the
+    window's columns), plus the cached complex V, and 32 d B per site of the
+    2(s+1)-entry extension (and 16 d s of scaled coefficients a call) on the
+    FFT path.  Given the step of an
     anchored grid (_column_step), the kernel's further ones are counted here:
     the offset table, carried anchor row and anchor phases, (16 K + 24) s B
     with K = _PHASE_ANCHOR, and 32 B per extended site and sample for the
@@ -512,7 +528,8 @@ def _grid_chunks(
         basis, per_call, per_sample = 0, 16 * d * s, (32 * d + site_bytes) * (s + 1)
         width = max(1, (_FFT_CHUNK_BYTES if d > 1 else _COLUMN_CHUNK_BYTES) // per_sample)
     else:
-        basis, per_call, per_sample = 16 * s * s, 0, (16 * d + site_bytes) * s
+        # one column holds its phases and the window's columns: 32 B per site and sample
+        basis, per_call, per_sample = 16 * s * s, 0, (16 * max(d, 2) + site_bytes) * s
         width = max(1, (_CHUNK_BYTES if d > 1 else _MOMENT_WINDOW_BYTES) // (16 * d * s))
     per_call += per_sample * min(width, T)
     nbytes = held + basis + per_call * min(workers, -(-T // width))
@@ -539,7 +556,7 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
 
     Each sample has the bits of position_statistics(propagate(psi0, t)), at
     any CPU count.  _each spreads _grid_chunks' windows over the CPUs (from
-    _SPREAD_BYTES touched a window, as on 16 sites or more), each evolved
+    _SPREAD_BYTES touched a window, as from 240 sites on), each evolved
     alone by _evolve with exact phases, as propagate's one sample is.  A
     window's squares |psi|^2 and norms^2 take one call each; per sample, the
     moments are two dot products with the site weights, built once per run.
@@ -548,20 +565,20 @@ def position_moments(psi0: CursorWavefunction, times) -> tuple[np.ndarray, np.nd
     """
     spec, coeff, times = psi0.spec, psi0._coefficients, np.asarray(times)
     s, T = spec.s, len(times)
-    # a full window streams the s x s basis once per sample on the GEMM path,
-    # and its extension once per FFT pass on the FFT path
+    # a full window reads the s x s basis once, beside its phases and columns,
+    # on the GEMM path, and its extension once per FFT pass on the FFT path
     fft = s >= _FFT_SITES
-    touched = _COLUMN_CHUNK_BYTES * (2 * s + 2).bit_length() if fft else _MOMENT_WINDOW_BYTES * s
+    touched = (_COLUMN_CHUNK_BYTES * (2 * s + 2).bit_length() if fft
+               else 16 * s * s + 2 * _MOMENT_WINDOW_BYTES)
     workers = _workers(touched)
     # the moment and norm^2 columns, the site weights, and per thread 32 s B for
     # the window's Python objects and numpy's small buffers, which no per-site
-    # count covers, and on the GEMM path 16 s for the one-sample column
-    # (_grid_chunks counts the FFT path's scaled coefficients); per site and
-    # sample, the kernel's phase arguments, and on the GEMM path the buffer of
-    # their broadcast outer product, on the FFT path the phases beside the
-    # extension and _sine_transform's copy of its reflection.  A window's
-    # squares come after these are freed
-    held = 24 * T + 16 * s + (32 if fft else 48) * s * workers
+    # count covers (_grid_chunks counts the FFT path's scaled coefficients);
+    # per site and sample, the kernel's phase arguments, and on the GEMM path
+    # the buffer of their broadcast outer product, on the FFT path the phases
+    # beside the extension and _sine_transform's copy of its reflection.  A
+    # window's squares come after these are freed
+    held = 24 * T + 16 * s + 32 * s * workers
     windows = list(_grid_chunks(spec, times, 1, held, 48 if fft else 24, workers))
     mean, variance, norm2 = np.empty(T), np.empty(T), np.empty(T)
     x, x2 = _site_weights(s)

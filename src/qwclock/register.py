@@ -245,7 +245,9 @@ class MachineState:
 
     def evolve(self, t: float) -> "MachineState":
         """Exact evolution for time t (each comoving component walks freely)."""
-        window = _grid_chunks(self.spec, [t], 2, 0, 64)  # one sample: components, spinors
+        # held: the mode coefficients, 32 B per site, or 64 as a view of their FFT
+        # extension from 640 sites on; per site, the evolved spinors and their squares
+        window = _grid_chunks(self.spec, [t], 2, 64 * self.spec.s, 64)
         coeff = _mode_coefficients(self.spec, self.comoving_components())
         _, psi = next(_evolve(self.spec, coeff, [t], window))
         spinors = np.einsum("xij,xj->xi", self.program.cumulative, psi[0].T)

@@ -493,23 +493,56 @@ def test_position_moments_bitwise_equal_propagate(s, cpus, monkeypatch):
     assert np.array_equal(variance, [st.variance for st in stats])
 
 
+def _one_gemv_per_sample(psi0, times):
+    """The GEMM path written out, (T, s): per sample, one np.dot of the whole
+    complex basis with the column exp(-1j * (t e)) * coeff."""
+    Vc, e = chain._complex_modes(psi0.spec), chain._energies(psi0.spec)
+    columns = (np.exp(-1j * (t * e))[:, None] * psi0._coefficients for t in times)
+    return np.array([np.dot(Vc, column)[:, 0] for column in columns])
+
+
+@pytest.mark.parametrize(
+    "s,rows", [(61, 4), (65, 2), (97, 6), (130, 7), (33, None), (513, None), (639, None)]
+)
+def test_gemv_blocks_keep_the_one_gemv_bits(s, rows, monkeypatch):
+    """The GEMM path's row blocks give propagate and position_moments the bits
+    of one GEMV per sample.  Blocks of `rows` rows, or the constant's own (one
+    block at 33 sites, 3 at 513, 5 at 639).  At 61, 65 and 97 sites the last
+    block takes a one-row remainder; 6 and 7 rows are no multiple of 4."""
+    if rows is not None:
+        monkeypatch.setattr(chain, "_GEMV_BLOCK_BYTES", 16 * s * rows)
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    psi0 = qc.launchpad_state(qc.ChainSpec(s), 5, 3)
+    times = 0.7 * np.arange(100)
+    expected = _one_gemv_per_sample(psi0, times)
+    for t, amps in zip(times, expected):
+        assert np.array_equal(qc.propagate(psi0, t).amplitudes, amps), t
+    stats = [chain._site_statistics(np.abs(amps) ** 2) for amps in expected]
+    mean, variance = chain.position_moments(psi0, times)
+    assert np.array_equal(mean, [st.mean for st in stats])
+    assert np.array_equal(variance, [st.variance for st in stats])
+
+
 def _sweep_estimate(s, T, cpus):
     """The position sweep's checked estimate, written out: the two moment
     columns and the norm^2 column (24 B per sample), the site weights x and
     x*x (16 B per site), each thread's 32 B per site of room for the window's
-    Python objects and small buffers, and 16 more on the GEMM path for its
-    one-sample column, and one window per thread that evolves one (no more
-    threads than windows), as wide as the grid when the grid is narrower.
-    Below 640 sites the cached complex V (16 s^2) and windows of 65536 B of
-    phases, 40 B per site and sample with their arguments and the buffer of
-    their broadcast outer product; from 640 sites on one-column windows of
-    384 KiB of 80 B per extended site and sample (the extension, numpy's copy
-    of it with 8 B of ufunc buffer, and the phase arguments), each beside the
-    16 B per site of scaled coefficients its _evolve call makes."""
+    Python objects and small buffers, and one window per thread that evolves
+    one (no more threads than windows), as wide as the grid when the grid is
+    narrower.  Below 640 sites the cached complex V (16 s^2) and windows of
+    65536 B of phases, 56 B per site and sample with the window's columns,
+    the phase arguments and the buffer of their broadcast outer product; a
+    window there touches the basis and 128 KiB, so below 240 sites (under
+    1 MiB) one thread runs the sweep on any CPU count.  From 640 sites on
+    one-column windows of 384 KiB of 80 B per extended site and sample (the
+    extension, numpy's copy of it with 8 B of ufunc buffer, and the phase
+    arguments), each beside the 16 B per site of scaled coefficients its
+    _evolve call makes."""
     if s < 640:
         width = 65536 // (16 * s)
-        held = 24 * T + 16 * s + 48 * s * cpus + 16 * s * s
-        return held + 40 * s * min(width, T) * min(cpus, -(-T // width))
+        threads = cpus if 16 * s * s + 2 * 65536 >= 2**20 else 1
+        held = 24 * T + 16 * s + 32 * s * threads + 16 * s * s
+        return held + 56 * s * min(width, T) * min(threads, -(-T // width))
     width = 3 * 2**17 // (80 * (s + 1))
     held = 24 * T + 16 * s + 32 * s * cpus
     return held + (16 * s + 80 * (s + 1) * min(width, T)) * min(cpus, -(-T // width))
@@ -573,10 +606,10 @@ def test_position_sweep_estimate_bounds_its_traced_peak(s, monkeypatch):
 
 @pytest.mark.parametrize("s", [200, 400])
 def test_propagate_estimate_bounds_its_traced_peak(s, monkeypatch):
-    """propagate's one-sample window is checked at 16 s^2 + 72 s B: the cached
+    """propagate's one-sample window is checked at 16 s^2 + 88 s B: the cached
     complex V, the state's mode coefficients and the chain's energies (24 s,
-    made by a state's first propagation and kept), and the sample's phases,
-    the state's copy and its squares (48 s).  On a later call, with the basis
+    made by a state's first propagation and kept), and the sample's phases
+    and column, the state's copy and its squares (64 s).  On a later call, with the basis
     traced and held, the traced peak is at or under that estimate and over
     half of it; the coefficients and energies, made before the trace, leave
     room for the call's Python objects (under 3 KiB), which no estimate
@@ -601,7 +634,7 @@ def test_propagate_estimate_bounds_its_traced_peak(s, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert checked == [16 * s * s + 72 * s]
+    assert checked == [16 * s * s + 88 * s]
     assert peak <= checked[0] < 2 * peak
 
 

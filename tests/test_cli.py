@@ -643,12 +643,16 @@ _SPREAD = [
 # each loop's declared cost per call against the cut: True where it spreads.  The
 # multi-sector workload, default multi and multi_small.csv's run are slower on two
 # CPUs than on one; a cursor-sweep window, a speed-table point and a 256-site
-# multi sample are faster
+# multi sample are faster.  A GEMM-path mean-q window reads its basis once, so
+# below 240 sites it touches under 1 MiB
 _DECISIONS = [
     ("multi --mu 4 --g 4 --s 16 --x0 13 --step 1", False),
     ("multi", False),
     ("multi --mu 4 --g 2 --x0 4 --s 10 --t-max 10 --step 1", False),
     ("speed-density --family pad-ck --grid 20", False),
+    ("mean-q --s 129 --step 0.5", False),
+    ("mean-q --s 239 --t-max 40", False),
+    ("mean-q --s 240 --t-max 40", True),
     ("mean-q --s 513 --n 9 --step 1", True),
     ("speed-density --family gamma --n 20 --grid 20", True),
     ("multi --g 2 --s 256 --x0 128 --t-max 1", True),

@@ -507,6 +507,40 @@ def test_trajectory_estimate_bounds_its_traced_peak(s, monkeypatch):
     assert peak <= checked[0] < 2 * peak
 
 
+@pytest.mark.parametrize("s", [200, 400, 769, 1025])
+def test_evolve_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """MachineState.evolve's one-sample window is checked at 160 s B beside the
+    cached complex V (16 s^2) below 640 sites, and at 224 s + 128 B from 640 on:
+    the mode coefficients (64 s, a view of their FFT extension), the evolved
+    spinors and their squares (64 s), and the kernel's two-column sample (32 s
+    on the GEMM path; on the FFT path its 64 B per extended site and 32 s of
+    scaled coefficients).  On a later call, the basis traced and held, the
+    traced peak is at or under that estimate and over half of it."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    machine = _random_machine(s)
+    machine.evolve(0.5)  # the FFT plans, the cumulative links and the energies
+    chain._complex_modes.cache_clear()
+    tracemalloc.start()
+    try:
+        if s < chain._FFT_SITES:
+            chain._complex_modes(machine.spec)  # the basis, traced and held
+        tracemalloc.reset_peak()
+        checked.clear()
+        machine.evolve(3.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [16 * s * s + 160 * s if s < 640 else 224 * s + 128]
+    assert peak <= checked[0] < 2 * peak
+
+
 def _route_chunks(s, T):
     """Chunk width and checked estimate of a position-average trajectory of s
     sites over T times, written out: 384 KiB of 96 B per extended site (the
