@@ -60,9 +60,7 @@ from .register import (
     alternating_program,
     asymptotic_speed_cdf,
     bessel_struve_approx,
-    bloch_polar,
     bloch_vector,
-    entropy,
     entropy_from_r,
     estimation_reflection,
     grover_initial_state,
@@ -74,9 +72,7 @@ from .register import (
     machine_trajectory,
     measure_clock,
     measure_register_sigma3,
-    optimal_readout,
     oracle_reflection,
-    register_density,
     register_state_sequence,
     register_trajectory,
     rotation_about_2,
@@ -87,7 +83,6 @@ from .register import (
 from .special import speed_characteristic_kernel
 from .speed import (
     EmpiricalSpeed,
-    MomentumProfile,
     SpeedLaw,
     empirical_speed,
     law_general,
@@ -96,7 +91,6 @@ from .speed import (
     law_pad_cn,
     law_shifted,
     momentum_amplitude,
-    momentum_profile,
     pad_cn_mean_exact,
     pad_cn_variance_large_n,
 )

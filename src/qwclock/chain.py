@@ -194,10 +194,6 @@ class CursorWavefunction:
             )
         _check_norm(np.sum(np.abs(amps) ** 2), "state")
 
-    def amplitude(self, x: int) -> complex:
-        _check_site(self.spec, x)
-        return complex(self.amplitudes[x - 1])
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -483,8 +479,10 @@ def _evolve(spec: ChainSpec, coeff: np.ndarray, times, windows, step=None):
         body = ext[..., 1 : s + 1]
         first = start + -start % K  # the window's first anchor
         if first < stop:  # with a step, a window narrower than K may hold no anchor
-            anchors = body[first - start :: K]
-            np.multiply(_phases(e, times[first:stop:K])[:, None], scaled, out=anchors)
+            # row by row: a broadcast multiply into the strided rows buffered all three operands
+            for phases, anchor in zip(_phases(e, times[first:stop:K]), body[first - start :: K]):
+                np.multiply(phases, scaled, out=anchor)
+            del phases  # a view: it would hold every anchor's phases past the yield
         if step is not None:
             for a in range(start - start % K, stop, K):
                 if a >= start:

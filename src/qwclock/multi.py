@@ -21,7 +21,7 @@ from . import chain
 from .chain import ChainSpec, eigenvalue
 from .chain import _check_memory, _check_norm, _check_site, _each
 from .quadrature import composite_gauss_legendre
-from .register import _check_unitary
+from .register import _check_plane, _check_unitary
 
 __all__ = [
     "OccupationSet",
@@ -93,12 +93,6 @@ class OccupationSet:
             raise ValueError(
                 f"sites must be strictly increasing positive integers, got {sites}"
             )
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
 
 
 def _as_sites(obj) -> tuple[int, ...]:
@@ -424,7 +418,9 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
     depend on the CPU count.  rho is budgeted with its traces' norm check
     (32 B per time).  Raises ValueError before the first sample, the
     lowest failing sample's error, and NormalizationError, after the sweep, if
-    the trace of any density (the sector's norm^2) drifted.
+    the trace of any density (the sector's norm^2) drifted; and ValueError if a
+    start on one occupation list, with real amplitudes and g, as every CLI start
+    is, left the 1-3 Bloch plane (register._check_plane).
     """
     times = np.asarray(times, dtype=float)
     _check_memory((16 * state.d**2 + 32) * times.size, f"register densities at {times.size} times")
@@ -435,6 +431,10 @@ def single_link_densities(state: SectorState, x0: int, g: np.ndarray, times) -> 
 
     _single_link_sweep(state, x0, g, times, density)
     _check_norm(np.trace(rho, axis1=1, axis2=2).real, "sector")
+    amps = state.amplitudes
+    if state.d == 2 and np.count_nonzero(amps.any(axis=0)) == 1:  # one occupation list
+        if not (amps.imag.any() or np.imag(g).any()):
+            _check_plane(2.0 * rho[:, 1, 0].imag, "sector register")
     return rho
 
 

@@ -67,11 +67,6 @@ class DenseHamiltonian:
     def _label_map(self) -> dict:
         return {label: i for i, label in enumerate(self.cursor_labels)}
 
-    def index(self, register_index: int, sites) -> int:
-        if not 0 <= register_index < self.d:
-            raise ValueError(f"register index {register_index} outside 0..{self.d - 1}")
-        return self.cursor_index(sites) * self.d + register_index
-
     def basis_vector(self, register_state, sites) -> np.ndarray:
         """Product state (register vector) x |sites occupied>."""
         reg = np.asarray(register_state, dtype=complex)

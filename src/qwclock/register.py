@@ -48,19 +48,13 @@ __all__ = [
     "single_link_program",
     "register_state_sequence",
     "MachineState",
-    "register_density",
     "bloch_vector",
-    "BlochPolar",
-    "bloch_polar",
-    "entropy",
     "entropy_from_r",
     "RegisterTrajectory",
     "register_trajectory",
     "machine_trajectory",
     "LindbladFit",
     "lindblad_coefficients",
-    "Readout",
-    "optimal_readout",
     "bessel_struve_approx",
     "measure_clock",
     "measure_register_sigma3",
@@ -76,6 +70,8 @@ _ID2 = np.eye(2, dtype=complex)
 
 _UNITARY_TOL = 1e-12
 _R_DEGENERATE = 1e-12
+# the in-plane bound on |s2| = |Tr(rho sigma_2)|
+_PLANE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +141,6 @@ class PrimitiveProgram:
         arr.flags.writeable = False
         self.unitaries = arr
         self.s = arr.shape[0] + 1
-
-    def unitary(self, x: int) -> np.ndarray:
-        """Link operator U_x for 1 <= x <= s-1."""
-        if not 1 <= x <= self.s - 1:
-            raise ValueError(f"link index x={x} outside 1..{self.s - 1}")
-        return self.unitaries[x - 1]
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -265,42 +255,13 @@ class MachineState:
         return _site_statistics(self.cursor_distribution())
 
 
-def register_density(
-    program: PrimitiveProgram, r1, psi0: CursorWavefunction, t: float
-) -> np.ndarray:
-    """rho_r(t) for the product start |R(1)> (x) psi0."""
-    return MachineState.from_product(program, r1, psi0).evolve(t).register_density_matrix()
-
-
 # ---------------------------------------------------------------------------
-# Bloch representation, entropy, readout
+# Bloch representation and entropy
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """(s1, s2, s3) = Tr(rho sigma_j)."""
     rho = np.asarray(rho, dtype=complex)
     return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
-
-
-class BlochPolar(NamedTuple):
-    r: float
-    gamma: float
-    defined: bool
-
-
-def bloch_polar(rho: np.ndarray, prev_gamma: float = 0.0) -> BlochPolar:
-    """Polar form s1 = r sin(gamma), s3 = r cos(gamma) of an in-plane state.
-
-    Requires s2 = 0 (the toy dynamics never leaves the 1-3 plane).  For
-    r below 1e-12 the angle is undefined: the previous angle is carried
-    and the result is flagged.
-    """
-    s1, s2, s3 = bloch_vector(rho)
-    if not abs(s2) <= 1e-9:
-        raise ValueError(f"state leaves the 1-3 Bloch plane, s2 = {s2:g}")
-    r = float(np.hypot(s1, s3))
-    if r < _R_DEGENERATE:
-        return BlochPolar(r=r, gamma=prev_gamma, defined=False)
-    return BlochPolar(r=r, gamma=float(np.arctan2(s1, s3)), defined=True)
 
 
 def _xlnx(p: np.ndarray) -> np.ndarray:
@@ -315,36 +276,6 @@ def entropy_from_r(r) -> np.ndarray:
     arr = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), 0.0, 1.0)
     s = -(_xlnx((1.0 + arr) / 2.0) + _xlnx((1.0 - arr) / 2.0))
     return float(s[0]) if np.ndim(r) == 0 else s
-
-
-def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy of a qubit density operator, in nats."""
-    return float(entropy_from_r(np.linalg.norm(bloch_vector(rho))))
-
-
-class Readout(NamedTuple):
-    projector: np.ndarray
-    success_bound: float
-    state: np.ndarray
-    degenerate: bool
-
-
-def optimal_readout(rho: np.ndarray) -> Readout:
-    """Rank-1 projector with the largest probability in rho.
-
-    |b1> = (cos(gamma/2), sin(gamma/2)); its probability (1 + r)/2 bounds
-    the success probability of any projective readout.
-    """
-    polar = bloch_polar(rho)
-    b1 = np.array(
-        [np.cos(polar.gamma / 2.0), np.sin(polar.gamma / 2.0)], dtype=complex
-    )
-    return Readout(
-        projector=np.outer(b1, b1.conj()),
-        success_bound=(1.0 + polar.r) / 2.0,
-        state=b1,
-        degenerate=not polar.defined,
-    )
 
 
 def bessel_struve_approx(params: GroverParams, lam: float, t: float) -> complex:
@@ -380,8 +311,10 @@ class RegisterTrajectory:
     def from_coherence(cls, times, coherence, s3, p_success) -> "RegisterTrajectory":
         """The series of a register with rho[1, 0] = coherence and Bloch s3 over times.
 
-        Every trajectory derives s1, s2, r, gamma, entropy and the readout
-        bounds lam1, lam2 here; p_success is the caller's target probability.
+        The one owner of every register quantity: s1, s2, r, the in-plane angle
+        gamma (the last defined one carried where r < 1e-12), the entropy and
+        lam1, lam2 = (1 +- r)/2, lam1 the bound of the best projective readout,
+        on (cos(gamma/2), sin(gamma/2)); p_success is the caller's target probability.
         """
         s1 = 2.0 * coherence.real
         s2 = 2.0 * coherence.imag
@@ -461,6 +394,31 @@ def machine_trajectory(machine: MachineState, times) -> RegisterTrajectory:
     return _checked_trajectory(times, cross, s3, norm2)
 
 
+def _check_plane(s2, what: str) -> None:
+    """The one in-plane check: ValueError naming the first s2 in s2 (a value or an
+    array of them) above _PLANE_TOL in magnitude; nan fails."""
+    ok = np.abs(s2) <= _PLANE_TOL
+    if not ok.all():
+        first = np.ravel(s2)[np.argmin(ok)]
+        raise ValueError(f"{what} leaves the 1-3 Bloch plane, s2 = {float(first)!r}")
+
+
+def _stays_in_plane(program: PrimitiveProgram, r1: np.ndarray, psi0: CursorWavefunction) -> bool:
+    """Whether psi0 (x) r1 keeps s2 = 0 at every time: real links and r1, and either
+    every link a rotation (det +1), whose dressing keeps the sigma_2 part of each
+    cross term of rho, and those sum to 0 over the sites; or psi0(x) = i^x a(x), a
+    real up to one phase (as at one site), which makes every cross term real, the
+    free propagator being imaginary between the sublattices."""
+    if program.unitaries.imag.any() or r1.imag.any():
+        return False
+    U = program.unitaries.real
+    if (U[:, 0, 0] * U[:, 1, 1] > U[:, 0, 1] * U[:, 1, 0]).all():
+        return True
+    z = psi0.amplitudes * np.array([1, -1j, -1, 1j])[np.arange(1, psi0.spec.s + 1) % 4]
+    k = np.argmax(np.abs(z))
+    return bool((z.real * z[k].imag == z.imag * z[k].real).all())
+
+
 def _checked_trajectory(times, coherence, s3, norm2) -> RegisterTrajectory:
     """The trajectory of a register with rho[1, 0] = coherence and Bloch s3 over
     times; NormalizationError if norm2, the machine's norm^2, drifted at any time."""
@@ -509,16 +467,21 @@ def register_trajectory(
     every site x0 of psi0's support, the comoving start is psi0 (x) b with
     b = W(x0)^dagger R(1), and the register density is a position average of
     that column (_position_average).  Every other case runs machine_trajectory.
+    Either route checks the norm, then, where _stays_in_plane holds (every CLI
+    start), s2 = 0 to _PLANE_TOL: ValueError at the first sample off the plane.
     """
     machine = MachineState.from_product(program, r1, psi0)
-    times = np.asarray(times, dtype=float)
+    r1, times = np.asarray(r1, dtype=complex), np.asarray(times, dtype=float)
     step = _column_step(psi0.spec, times)
     W = program.cumulative
     support = np.flatnonzero(psi0.amplitudes)
     if step is None or not (W[support] == W[support[0]]).all():
-        return machine_trajectory(machine, times)
-    b = W[support[0]].conj().T @ np.asarray(r1, dtype=complex)
-    return _position_average(program, b, psi0, times, step)
+        traj = machine_trajectory(machine, times)
+    else:
+        traj = _position_average(program, W[support[0]].conj().T @ r1, psi0, times, step)
+    if _stays_in_plane(program, r1, psi0):
+        _check_plane(traj.s2, "register")
+    return traj
 
 
 class LindbladFit(NamedTuple):

@@ -22,7 +22,6 @@ from .quadrature import composite_gauss_legendre, integrate
 
 __all__ = [
     "SpeedLaw",
-    "MomentumProfile",
     "EmpiricalSpeed",
     "law_localized",
     "law_shifted",
@@ -32,7 +31,6 @@ __all__ = [
     "pad_cn_mean_exact",
     "pad_cn_variance_large_n",
     "momentum_amplitude",
-    "momentum_profile",
     "empirical_speed",
 ]
 
@@ -171,26 +169,6 @@ def momentum_amplitude(psi0: CursorWavefunction, p) -> np.ndarray:
     return values[0] if np.ndim(p) == 0 else values
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumProfile:
-    """Psi(p) sampled on a quadrature grid over (0, pi)."""
-
-    p: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-    def norm_squared(self) -> float:
-        """Parseval check: integral of |Psi|^2 over (0, pi), 1 for a unit state."""
-        return float(self.weights @ np.abs(self.values) ** 2)
-
-
-def momentum_profile(
-    psi0: CursorWavefunction, panels: int = 16, order: int = 32
-) -> MomentumProfile:
-    p, w = composite_gauss_legendre(0.0, np.pi, panels, order)
-    return MomentumProfile(p=p, values=momentum_amplitude(psi0, p), weights=w)
-
-
 def law_general(psi0: CursorWavefunction) -> SpeedLaw:
     """Speed law for an arbitrary finite-support initial cursor state.
 
@@ -284,16 +262,6 @@ class EmpiricalSpeed:
     masses: np.ndarray
     mean: float
     variance: float
-
-    def cdf(self, v) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.array([float(self.masses[self.speeds <= u].sum()) for u in arr])
-        return float(out[0]) if np.ndim(v) == 0 else out
-
-    def characteristic(self, z) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.exp(1j * np.outer(arr, self.speeds)) @ self.masses
-        return complex(out[0]) if np.ndim(z) == 0 else out
 
     def kolmogorov_distance(self, cdf) -> float:
         """Sup-norm distance between this step CDF and a reference CDF."""

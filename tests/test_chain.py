@@ -184,7 +184,7 @@ def test_propagate_matches_kernel():
     spec = qc.ChainSpec(8)
     psi = qc.propagate(qc.basis_state(spec, 1), 2.7)
     for x in range(1, 9):
-        assert abs(psi.amplitude(x) - qc.amplitude_kernel(spec, 2.7, x)) < 1e-12
+        assert abs(psi.amplitudes[x - 1] - qc.amplitude_kernel(spec, 2.7, x)) < 1e-12
 
 
 def test_propagate_stationary_eigenstate():
@@ -329,16 +329,6 @@ def test_constructor_rejects_unnormalized():
     amps = np.zeros(4, dtype=complex)
     amps[0] = np.sqrt(1.0 + 0.5 * NORM_DRIFT_TOL)
     qc.CursorWavefunction(spec, amps)
-
-
-def test_amplitude_accessor_bounds():
-    spec = qc.ChainSpec(4)
-    psi = qc.basis_state(spec, 2)
-    assert psi.amplitude(2) == 1.0 + 0.0j
-    with pytest.raises(ValueError):
-        psi.amplitude(0)
-    with pytest.raises(ValueError):
-        psi.amplitude(5)
 
 
 def test_each_calls_every_index_once_under_contention(monkeypatch):

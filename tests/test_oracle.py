@@ -135,7 +135,8 @@ def test_register_marginal_matches_analytic_path():
     state = ham.basis_vector(r1, (1,))
     evolved = oracle.evolve(ham, state, 4.0)
     dense_rho = oracle.partial_trace(evolved, 2, "register")
-    analytic_rho = qc.register_density(program, r1, qc.basis_state(spec, 1), 4.0)
+    machine = qc.MachineState.from_product(program, r1, qc.basis_state(spec, 1))
+    analytic_rho = machine.evolve(4.0).register_density_matrix()
     assert np.abs(dense_rho - analytic_rho).max() < 1e-10
 
 
@@ -252,10 +253,9 @@ def test_basis_labeling_round_trip():
     )
     for i, label in enumerate(labels):
         assert ham.cursor_index(label) == i
-        assert ham.index(0, label) == i
     assert ham.eigensystem() is ham.eigensystem()  # decomposed once, then cached
     vec = ham.basis_vector(np.array([1.0]), (2, 4))
-    assert vec[ham.index(0, (2, 4))] == 1.0
+    assert vec[ham.cursor_index((2, 4))] == 1.0
     assert np.abs(vec).sum() == 1.0
 
 

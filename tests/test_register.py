@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qwclock as qc
-from qwclock import chain, multi, register
+from qwclock import chain, cli, multi, register
 from qwclock.register import SIGMA2, machine_trajectory
 
 
@@ -88,18 +88,31 @@ def test_register_sequence_alternating_matches_rotation_powers():
         state = rot @ state
 
 
+def _register_density(program, r1, psi0, t):
+    """rho_r(t) for the product start |R(1)> (x) psi0, one evolved machine's."""
+    return qc.MachineState.from_product(program, r1, psi0).evolve(t).register_density_matrix()
+
+
+def _series(rhos):
+    """The RegisterTrajectory of a series of 2x2 densities, p_success their rho[0, 0]."""
+    rho = np.asarray(rhos, dtype=complex)
+    s3 = (rho[:, 0, 0] - rho[:, 1, 1]).real
+    times = np.arange(len(rho))
+    return qc.RegisterTrajectory.from_coherence(times, rho[:, 1, 0], s3, rho[:, 0, 0].real)
+
+
 def test_register_density_initial_state_pure():
     params, spec, program, r1, psi0 = toy_setup(s=17)
-    rho = qc.register_density(program, r1, psi0, 0.0)
+    rho = _register_density(program, r1, psi0, 0.0)
     assert np.abs(rho - np.outer(r1, r1.conj())).max() < 1e-13
     assert abs(np.linalg.norm(qc.bloch_vector(rho)) - 1.0) < 1e-12
-    assert qc.entropy(rho) < 1e-12
+    assert qc.entropy_from_r(np.linalg.norm(qc.bloch_vector(rho))) < 1e-12
 
 
 def test_register_density_is_state():
     params, spec, program, r1, psi0 = toy_setup(s=33)
     for t in (3.0, 11.0, 40.0):
-        rho = qc.register_density(program, r1, psi0, t)
+        rho = _register_density(program, r1, psi0, t)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -129,31 +142,31 @@ def test_trajectory_eigenvalue_identities():
 
 
 def test_bloch_polar_cases():
-    pure_up = np.diag([1.0, 0.0]).astype(complex)
-    polar = qc.bloch_polar(pure_up)
-    assert polar.defined and abs(polar.r - 1.0) < 1e-15 and abs(polar.gamma) < 1e-15
+    """The polar form s1 = r sin(gamma), s3 = r cos(gamma) of one- and two-sample
+    series: pure up; the search start at theta, then the mixed state, which
+    carries theta; an off-plane state fails the plane check."""
+    up = _series([np.diag([1.0, 0.0])])
+    assert up.gamma_defined[0] and abs(up.r[0] - 1.0) < 1e-15 and abs(up.gamma[0]) < 1e-15
 
     params = qc.grover_params(6)
     iota = qc.grover_initial_state(params)
-    polar = qc.bloch_polar(np.outer(iota, iota.conj()))
-    assert abs(polar.r - 1.0) < 1e-12
-    assert abs(polar.gamma - params.theta) < 1e-12
+    traj = _series([np.outer(iota, iota.conj()), 0.5 * np.eye(2)])
+    assert abs(traj.r[0] - 1.0) < 1e-12
+    assert abs(traj.gamma[0] - params.theta) < 1e-12
+    assert traj.gamma_defined.tolist() == [True, False]
+    assert traj.gamma[1] == traj.gamma[0]
 
-    mixed = 0.5 * np.eye(2, dtype=complex)
-    polar = qc.bloch_polar(mixed, prev_gamma=0.37)
-    assert not polar.defined
-    assert polar.gamma == 0.37
-
-    off_plane = 0.5 * (np.eye(2) + 0.5 * SIGMA2)
-    with pytest.raises(ValueError):
-        qc.bloch_polar(off_plane)
+    off_plane = _series([0.5 * (np.eye(2) + 0.5 * SIGMA2)])
+    assert off_plane.s2[0] == 0.5
+    with pytest.raises(ValueError, match="1-3 Bloch plane, s2 = 0.5"):
+        register._check_plane(off_plane.s2, "state")
 
 
 def test_entropy_values():
     assert qc.entropy_from_r(1.0) == 0.0
     assert qc.entropy_from_r(0.0) == np.log(2.0)
     assert abs(qc.entropy_from_r(0.5) - 0.5623351446188083) < 1e-15
-    assert qc.entropy(0.5 * np.eye(2, dtype=complex)) == np.log(2.0)
+    assert qc.entropy_from_r(np.linalg.norm(qc.bloch_vector(0.5 * np.eye(2)))) == np.log(2.0)
 
 
 def test_bessel_struve_approx_limit_and_window():
@@ -165,11 +178,10 @@ def test_bessel_struve_approx_limit_and_window():
     # ballistic window: the approximation tracks the exact polar radius to
     # about 3 percent (frozen from the exact comparison; see notes)
     worst = 0.0
-    for t in (15.0, 40.0, 60.0):
-        rho = qc.register_density(program, r1, psi0, t)
-        polar = qc.bloch_polar(rho)
+    traj = qc.register_trajectory(program, r1, psi0, np.array([15.0, 40.0, 60.0]))
+    for t, r in zip(traj.times, traj.r):
         approx = qc.bessel_struve_approx(params, 1.0, t)
-        worst = max(worst, abs(abs(approx) - polar.r) / polar.r)
+        worst = max(worst, abs(abs(approx) - r) / r)
         assert abs(approx) <= 1.0 + 1e-12
     assert worst < 0.035
 
@@ -198,7 +210,7 @@ def test_lindblad_commutator_preserves_radius():
     # the rotation part alone cannot change r: Tr(rho [sigma2, rho]) = 0
     params, spec, program, r1, psi0 = toy_setup(s=17)
     for t in (2.0, 9.0):
-        rho = qc.register_density(program, r1, psi0, t)
+        rho = _register_density(program, r1, psi0, t)
         comm = SIGMA2 @ rho - rho @ SIGMA2
         assert abs(np.trace(rho @ comm)) < 1e-14
 
@@ -242,16 +254,17 @@ def test_lindblad_fit_on_a_long_uniform_grid():
 
 
 def test_optimal_readout():
+    """lam1 = (1 + r)/2 bounds any projective readout: 1 for the pure search start,
+    whose readout state (cos(gamma/2), sin(gamma/2)) is the start itself, and 1/2
+    for the mixed state, where gamma is undefined."""
     params = qc.grover_params(5)
     iota = qc.grover_initial_state(params)
-    readout = qc.optimal_readout(np.outer(iota, iota.conj()))
-    assert abs(readout.success_bound - 1.0) < 1e-12
-    assert abs(abs(np.vdot(readout.state, iota)) - 1.0) < 1e-12
-    assert not readout.degenerate
-
-    degenerate = qc.optimal_readout(0.5 * np.eye(2, dtype=complex))
-    assert degenerate.degenerate
-    assert abs(degenerate.success_bound - 0.5) < 1e-15
+    traj = _series([np.outer(iota, iota.conj()), 0.5 * np.eye(2)])
+    assert abs(traj.lam1[0] - 1.0) < 1e-12
+    b1 = np.array([np.cos(traj.gamma[0] / 2.0), np.sin(traj.gamma[0] / 2.0)])
+    assert abs(abs(np.vdot(b1, iota)) - 1.0) < 1e-12
+    assert traj.gamma_defined.tolist() == [True, False]
+    assert abs(traj.lam1[1] - 0.5) < 1e-15
 
 
 def test_success_probability_bounded_by_lam1():
@@ -418,10 +431,92 @@ def test_kernel_norm_drift_raises_on_every_path(monkeypatch):
 
     monkeypatch.setattr(chain, "_propagator_columns", drifting_last)
     state = qc.SectorState.from_product(qc.ChainSpec(8), (1, 2, 3), r1)
-    g = program.unitary(1)
+    g = program.unitaries[0]
     qc.single_link_densities(state, 4, g, times[-4:-1])
     with pytest.raises(qc.NormalizationError):
         qc.single_link_densities(state, 4, g, times[-4:])
+
+
+def test_plane_drift_raises_on_every_path(monkeypatch):
+    """A dressing W(x) that turns the register's second component by 1e-6 rad keeps
+    every norm and moves s2 off 0 by about 1e-6.  register_trajectory refuses it
+    below 640 sites (machine_trajectory) and from 640 on (the position average,
+    whose s2 comes from W alone: no kernel patch can move it), while measure's
+    machine_trajectory, a collapsed state and no product start, is not checked.
+    A sector sample whose second register label turns is refused by
+    single_link_densities and by CLI multi (exit 2): a product start keeps every
+    propagator column's phase common to both labels."""
+    turn = np.diag([1.0, np.exp(1e-6j)])
+    for s in (17, chain._FFT_SITES):
+        _, _, program, r1, psi0 = toy_setup(mu=4, s=s)
+        program.cumulative = turn @ program.cumulative
+        times = np.arange(0.0, 3.0, 0.5)
+        with monkeypatch.context() as patch:
+            if s >= chain._FFT_SITES:
+                patch.setattr(register, "machine_trajectory", _must_not_run)
+            with pytest.raises(ValueError, match=r"register leaves the 1-3 Bloch plane, s2 = "):
+                qc.register_trajectory(program, r1, psi0, times)
+        traj = machine_trajectory(qc.MachineState.from_product(program, r1, psi0), times)
+        assert 1e-9 < np.abs(traj.s2).max() < 1e-5
+
+    free_sample = multi._free_sample
+
+    def turned(u, start, product, legs, labels):
+        amps = free_sample(u, start, product, legs, labels)
+        amps[1] *= np.exp(1e-6j)
+        return amps
+
+    monkeypatch.setattr(multi, "_free_sample", turned)
+    _, _, program, r1, _ = toy_setup(mu=4, s=8)
+    state = qc.SectorState.from_product(qc.ChainSpec(8), (1, 2), r1)
+    with pytest.raises(ValueError, match=r"sector register leaves the 1-3 Bloch plane"):
+        qc.single_link_densities(state, 4, program.unitaries[0], np.arange(0.0, 3.0, 0.5))
+    assert cli.main(["multi", "--g", "2", "--s", "8", "--x0", "4", "--t-max", "2"]) == 2
+
+
+def test_starts_off_the_plane_are_not_refused():
+    """Only starts that stay in the plane are checked: complex links (sigma_1
+    rotations) on both routes, and a real start on both sublattices under the
+    alternating program's reflections, each leave it and return their trajectory."""
+    params = qc.grover_params(4)
+    r1 = qc.grover_initial_state(params)
+    a = params.alpha
+    rotation_1 = np.cos(a / 2.0) * np.eye(2) - 1j * np.sin(a / 2.0) * register.SIGMA1
+    for s in (17, chain._FFT_SITES):
+        program = qc.PrimitiveProgram(np.broadcast_to(rotation_1, (s - 1, 2, 2)))
+        site_1 = qc.basis_state(qc.ChainSpec(s), 1)
+        traj = qc.register_trajectory(program, r1, site_1, np.arange(0.0, 17.0, 0.5))
+        assert np.abs(traj.s2).max() > 0.5
+    program = qc.alternating_program(17, params.theta)
+    pad = qc.launchpad_state(qc.ChainSpec(17), 4, 1)  # real on sites 1..4, both sublattices
+    traj = qc.register_trajectory(program, r1, pad, np.arange(0.0, 17.0, 0.5))
+    assert np.abs(traj.s2).max() > 0.2
+
+
+def test_product_starts_stay_in_the_plane():
+    """Where _stays_in_plane holds, s2 stays within 1e-15 of 0: the toy program's
+    rotations from site 1, a flat pad, a three-mode pad and a complex start, the
+    alternating program's reflections from site 1 and from a complex start of the
+    form i^x a(x); and a sector product start with real g."""
+    params = qc.grover_params(4)
+    r1 = qc.grover_initial_state(params)
+    spec = qc.ChainSpec(17)
+    site_1 = qc.basis_state(spec, 1)
+    complex_start = qc.CursorWavefunction(spec, np.r_[1.0, 1.0j, 0.5, np.zeros(14)] / 1.5)
+    pads = qc.launchpad_state(spec, 5, 3), qc.gamma_state(spec, 3)
+    toy, alternating = qc.toy_program(17, params.alpha), qc.alternating_program(17, params.theta)
+    for program, psi0 in [
+        *((toy, start) for start in (site_1, *pads, complex_start)),
+        (alternating, site_1),
+        (alternating, complex_start),
+    ]:
+        assert register._stays_in_plane(program, r1, psi0)
+        traj = qc.register_trajectory(program, r1, psi0, np.arange(0.0, 17.0, 0.5))
+        assert np.abs(traj.s2).max() < 1e-15
+    state = qc.SectorState.from_product(qc.ChainSpec(12), (1, 2, 3), r1)
+    g = qc.rotation_about_2(params.alpha)
+    rho = qc.single_link_densities(state, 5, g, np.arange(0.0, 12.0, 0.5))
+    assert np.abs(rho[:, 1, 0].imag).max() < 1e-15
 
 
 def _trajectory_chunks(s, T):
@@ -539,6 +634,41 @@ def test_evolve_estimate_bounds_its_traced_peak(s, monkeypatch):
         tracemalloc.stop()
     assert checked == [16 * s * s + 160 * s if s < 640 else 224 * s + 128]
     assert peak <= checked[0] < 2 * peak
+
+
+@pytest.mark.parametrize("s", [640, 769, 1025])
+def test_fft_trajectory_estimate_bounds_its_traced_peak(s, monkeypatch):
+    """From 640 sites machine_trajectory's checked estimate, pinned to the byte
+    (_trajectory_chunks), is at or above the peak tracemalloc sees over a later
+    call (the FFT plans, the cumulative links and the energies made by a first),
+    and under twice it: at one sample, at 3, 5 and 7, where a broadcast anchor fill
+    that buffered both inputs and its output (up to 128 KiB each) once put the
+    peak above the estimate, at a full window and at 300 samples.  The machine,
+    toy links with random complex spinors, is built untraced."""
+    checked = []
+    check_memory = chain._check_memory
+
+    def recording_check(nbytes, what):
+        if what.startswith("trajectory of"):
+            checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_check_memory", recording_check)
+    rng = np.random.default_rng(1)
+    spinors = rng.standard_normal((s, 2)) + 1j * rng.standard_normal((s, 2))
+    spinors /= np.linalg.norm(spinors)
+    machine = qc.MachineState(qc.ChainSpec(s), qc.toy_program(s, 0.3), spinors)
+    machine_trajectory(machine, 0.5 * np.arange(2))
+    for T in (1, 3, 5, 7, _trajectory_chunks(s, 1)[0], 300):
+        checked.clear()
+        tracemalloc.start()
+        try:
+            machine_trajectory(machine, 0.5 * np.arange(T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked == [_trajectory_chunks(s, T)[1]]
+        assert peak <= checked[0] < 2 * peak, T
 
 
 def _route_chunks(s, T):
@@ -1059,7 +1189,10 @@ _NAN_CHECKS = {
         lambda: qc.MachineState(qc.ChainSpec(3), qc.identity_program(3), np.full((3, 2), np.nan)),
         "machine norm",
     ),
-    "bloch_polar": (lambda: qc.bloch_polar(np.full((2, 2), complex(np.nan, np.nan))), "1-3 Bloch plane"),
+    "_check_plane": (
+        lambda: register._check_plane(np.array([0.0, np.nan]), "register"),
+        "register leaves the 1-3 Bloch plane, s2 = nan",
+    ),
     "register_trajectory two columns": (lambda: _nan_trajectory(17), r"machine norm\^2 = nan"),
     "register_trajectory one column": (
         lambda: _nan_trajectory(chain._FFT_SITES), r"machine norm\^2 = nan"
