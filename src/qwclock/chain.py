@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -154,18 +154,43 @@ def _check_memory(nbytes, what: str) -> None:
         raise ResourceLimitError(f"{what} exceeds the {MEMORY_BUDGET >> 30} GiB memory budget")
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class _Record:
+    """Fields that __init__ writes once into __dict__, where functools.cached_property
+    writes too; assigning or deleting any attribute raises FrozenInstanceError, an
+    AttributeError.  Repr as a dataclass's, of the fields in the order written."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A _Record equal to one of its own type with equal fields, hashed by its fields."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
+class ChainSpec(_Value):
     """Static configuration of a run: s cursor sites, hopping coupling lam."""
 
-    s: int
-    lam: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.s, (int, np.integer)) or self.s < 2:
-            raise ValueError(f"chain length must be an integer >= 2, got s={self.s}")
-        if not self.lam > 0:
-            raise ValueError(f"coupling must be positive, got lam={self.lam}")
+    def __init__(self, s: int, lam: float = 1.0) -> None:
+        if not isinstance(s, (int, np.integer)) or s < 2:
+            raise ValueError(f"chain length must be an integer >= 2, got s={s}")
+        if not lam > 0:
+            raise ValueError(f"coupling must be positive, got lam={lam}")
+        vars(self).update(s=s, lam=lam)
 
 
 def _check_site(spec: ChainSpec, x: int, name: str = "x") -> None:
@@ -173,25 +198,19 @@ def _check_site(spec: ChainSpec, x: int, name: str = "x") -> None:
         raise ValueError(f"{name}={x} outside 1..{spec.s}")
 
 
-@dataclass(frozen=True, eq=False)
-class CursorWavefunction:
+class CursorWavefunction(_Record):
     """Normalized amplitudes over the s chain sites (site x at index x-1).
 
     The amplitudes are a read-only copy of the given ones, so the mode
     coefficients cached from them on the first propagation stay valid.
     """
 
-    spec: ChainSpec
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+    def __init__(self, spec: ChainSpec, amplitudes: np.ndarray) -> None:
+        amps = np.array(amplitudes, dtype=complex)
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.spec.s,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.spec.s},)"
-            )
+        vars(self).update(spec=spec, amplitudes=amps)
+        if amps.shape != (spec.s,):
+            raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({spec.s},)")
         _check_norm(np.sum(np.abs(amps) ** 2), "state")
 
     def probabilities(self) -> np.ndarray:
@@ -205,13 +224,11 @@ class CursorWavefunction:
         return coeff
 
 
-@dataclass(frozen=True, eq=False)
-class PositionStatistics:
+class PositionStatistics(_Record):
     """Site distribution of a cursor state with its first two moments."""
 
-    distribution: np.ndarray
-    mean: float
-    variance: float
+    def __init__(self, distribution: np.ndarray, mean: float, variance: float) -> None:
+        vars(self).update(distribution=distribution, mean=mean, variance=variance)
 
 
 def eigenvalue(spec: ChainSpec, k: int) -> float:

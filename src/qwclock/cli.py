@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +25,11 @@ from . import chain, multi, oracle, register, speed
 from .chain import ResourceLimitError, _check_memory
 
 _CHECK_TOL = 1e-10
-_ROW_BYTES = 400  # memory per emitted CSV row, measured
+_ROW_BYTES = 400  # memory per emitted CSV row (traced: 168 B a row, multi)
 _EMIT_ROWS = 256  # rows per block of CSV text, a few dozen kB
 # memory per chain site of a whole run on a short grid: the program's
 # unitaries and their unitarity check, cumulative products, start state,
-# spinors and a one-sample chunk (measured peak: 434 B per site, measure);
+# spinors and a one-sample chunk (traced: 467 B a site, measure);
 # chain._complex_modes checks the s x s basis itself
 _SITE_BYTES = 512
 
@@ -86,24 +85,17 @@ def _load_scenario(path: str) -> dict:
     return values
 
 
-class _Opt(NamedTuple):
+class _Opt:
     """One long-form option with a type and a (possibly derived) default."""
 
-    name: str
-    typ: type
-    default: object
-    help: str
-    required: bool = False
-
-    @property
-    def attr(self) -> str:
-        return self.name.replace("-", "_")
+    def __init__(self, name, typ, default, help, required=False):
+        vars(self).update(name=name, typ=typ, default=default, help=help, required=required)
 
 
 def _resolve(options, args, scenario) -> dict:
-    values: dict[str, object] = {}
+    values = {}
     for opt in options:
-        given = getattr(args, opt.attr)
+        given = getattr(args, opt.name.replace("-", "_"))
         if given is not None:
             values[opt.name] = given
         elif opt.name in scenario:
@@ -234,8 +226,7 @@ def _launchpad_start(v):
                 f"--num-active {count} needs links 1..{count}, "
                 f"but --s {spec.s} has links 1..{spec.s - 1}"
             )
-        program = register.rotation_window_program(spec.s, params.alpha, 1, count)
-        psi0 = chain.basis_state(spec, 1)
+        epsilon, psi0 = 1, chain.basis_state(spec, 1)
     elif variant in ("flat", "gamma"):
         epsilon = _pad_size(v["n"])
         last = epsilon + max(count, 1) - 1  # the window's last link
@@ -244,9 +235,6 @@ def _launchpad_start(v):
                 f"--n {v['n']} and --num-active {count} need links {epsilon}..{last}, "
                 f"but --s {spec.s} has links 1..{spec.s - 1}"
             )
-        program = register.rotation_window_program(
-            spec.s, params.alpha, epsilon, count
-        )
         psi0 = (
             chain.launchpad_state(spec, epsilon, v["n"])
             if variant == "flat"
@@ -254,6 +242,7 @@ def _launchpad_start(v):
         )
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    program = register.rotation_window_program(spec.s, params.alpha, epsilon, count)
     return program, register.grover_initial_state(params), psi0
 
 
@@ -299,7 +288,9 @@ def _run_speed_density(v):
     law = _speed_law_from(v)
     grid = v["grid"]
     _at_least("grid", grid, 1)
-    _check_memory(_ROW_BYTES * grid, f"--grid {grid}")
+    # a gamma law's density makes (grid, s) sines with their complex cast: 24 B a site and row,
+    # s = max(2, 2n - 1) <= 2n
+    _check_memory((_ROW_BYTES + 48 * v["n"] * (v["family"] == "gamma")) * grid, f"--grid {grid}")
     vv = np.arange(1, grid + 1) / (grid + 1.0)
     return ["v", "f", "F"], [vv, law.density(vv), law.cdf(vv)]
 
@@ -316,7 +307,7 @@ def _multi_start(v):
         raise ValueError(f"--x0 must be at most --s {spec.s} minus 1, got --x0 {x0}")
     r1 = register.grover_initial_state(params)
     multi._check_product_start(spec.s, n, r1.size)  # the state holds less than its sweeps
-    state0 = multi.SectorState.from_product(spec, tuple(range(1, n + 1)), r1)
+    state0 = multi.SectorState.from_product(spec, range(1, n + 1), r1)
     return state0, x0, register.rotation_about_2(params.alpha)
 
 

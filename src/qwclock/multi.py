@@ -12,14 +12,13 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
 from . import chain
 from .chain import ChainSpec, eigenvalue
-from .chain import _check_memory, _check_norm, _check_site, _each
+from .chain import _Record, _Value, _check_memory, _check_norm, _check_site, _each
 from .quadrature import composite_gauss_legendre
 from .register import _check_plane, _check_unitary
 
@@ -78,15 +77,12 @@ def _check_state_memory(s: int, n: int, d: int) -> None:
     _check_memory(math.comb(s, n) * (9 * n + 1 + 32 * d) + 2**12, f"sector s={s}, n={n}, d={d}")
 
 
-@dataclass(frozen=True)
-class OccupationSet:
+class OccupationSet(_Value):
     """Strictly increasing list of occupied sites (or of mode numbers)."""
 
-    sites: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sites = tuple(int(x) for x in self.sites)
-        object.__setattr__(self, "sites", sites)
+    def __init__(self, sites: tuple[int, ...]) -> None:
+        sites = tuple(int(x) for x in sites)
+        vars(self).update(sites=sites)
         if len(sites) == 0:
             raise ValueError("occupation set must not be empty")
         if sites[0] < 1 or any(a >= b for a, b in zip(sites, sites[1:])):
@@ -137,25 +133,20 @@ def _occupation_array(s: int, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class SectorState:
+class SectorState(_Record):
     """Amplitudes over (register basis label, occupation list), total norm 1.
 
     amplitudes[z, i] multiplies register label z and the i-th occupation
     list in lexicographic order; d = 1 encodes a bare cursor.
     """
 
-    spec: ChainSpec
-    n: int
-    amplitudes: np.ndarray  # (d, C(s, n)) complex
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= self.spec.s:
-            raise ValueError(f"excitation number n={self.n} outside 1..{self.spec.s}")
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", arr)
-        _check_state_memory(self.spec.s, self.n, arr.shape[0] if arr.ndim == 2 else 1)
-        m = math.comb(self.spec.s, self.n)
+    def __init__(self, spec: ChainSpec, n: int, amplitudes: np.ndarray) -> None:
+        if not 1 <= n <= spec.s:
+            raise ValueError(f"excitation number n={n} outside 1..{spec.s}")
+        arr = np.asarray(amplitudes, dtype=complex)  # (d, C(s, n))
+        vars(self).update(spec=spec, n=n, amplitudes=arr)
+        _check_state_memory(spec.s, n, arr.shape[0] if arr.ndim == 2 else 1)
+        m = math.comb(spec.s, n)
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"amplitudes have shape {arr.shape}, expected (d, {m})")
         _check_norm(np.sum(np.abs(arr) ** 2), "sector")

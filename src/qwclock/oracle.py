@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .chain import ChainSpec, ResourceLimitError, _check_memory
+from .chain import ChainSpec, ResourceLimitError, _check_memory, _Record
 
 __all__ = [
     "ResourceLimitError",
@@ -40,8 +39,7 @@ def _program_unitaries(program, s: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DenseHamiltonian:
+class DenseHamiltonian(_Record):
     """Dense Hermitian matrix with its basis labeling.
 
     Basis index = cursor_index * d + register_index (register varies
@@ -50,11 +48,17 @@ class DenseHamiltonian:
     excitation number.
     """
 
-    spec: ChainSpec
-    d: int
-    sector: int | None
-    cursor_labels: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    def __init__(
+        self,
+        spec: ChainSpec,
+        d: int,
+        sector: int | None,
+        cursor_labels: tuple[tuple[int, ...], ...],
+        matrix: np.ndarray,
+    ) -> None:
+        vars(self).update(
+            spec=spec, d=d, sector=sector, cursor_labels=cursor_labels, matrix=matrix
+        )
 
     @property
     def dimension(self) -> int:

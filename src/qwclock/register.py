@@ -10,7 +10,6 @@ FFT crossover and O(s log s) from it on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -20,6 +19,8 @@ from .chain import (
     ChainSpec,
     CursorWavefunction,
     PositionStatistics,
+    _Record,
+    _Value,
     _check_norm,
     _check_site,
     _column_step,
@@ -77,14 +78,11 @@ _PLANE_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # search parameterization
 
-@dataclass(frozen=True)
-class GroverParams:
+class GroverParams(_Value):
     """Rotation-step parameters for a search over mu-bit words."""
 
-    mu: int
-    chi: float
-    theta: float
-    alpha: float
+    def __init__(self, mu: int, chi: float, theta: float, alpha: float) -> None:
+        vars(self).update(mu=mu, chi=chi, theta=theta, alpha=alpha)
 
 
 def grover_params(mu: int) -> GroverParams:
@@ -204,20 +202,15 @@ def register_state_sequence(program: PrimitiveProgram, r1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # machine state in the one-excitation sector
 
-@dataclass(frozen=True, eq=False)
-class MachineState:
+class MachineState(_Record):
     """Register (x) cursor state: one spinor per chain site, total norm 1."""
 
-    spec: ChainSpec
-    program: PrimitiveProgram
-    spinors: np.ndarray  # (s, 2) complex
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.spinors, dtype=complex)
-        object.__setattr__(self, "spinors", arr)
-        if arr.shape != (self.spec.s, 2):
-            raise ValueError(f"spinors have shape {arr.shape}, expected ({self.spec.s}, 2)")
-        if self.program.s != self.spec.s:
+    def __init__(self, spec: ChainSpec, program: PrimitiveProgram, spinors: np.ndarray) -> None:
+        arr = np.asarray(spinors, dtype=complex)  # (s, 2)
+        vars(self).update(spec=spec, program=program, spinors=arr)
+        if arr.shape != (spec.s, 2):
+            raise ValueError(f"spinors have shape {arr.shape}, expected ({spec.s}, 2)")
+        if program.s != spec.s:
             raise ValueError("program length does not match the chain")
         _check_norm(np.sum(np.abs(arr) ** 2), "machine")
 
@@ -291,21 +284,16 @@ def bessel_struve_approx(params: GroverParams, lam: float, t: float) -> complex:
 # ---------------------------------------------------------------------------
 # trajectories
 
-@dataclass(frozen=True, eq=False)
-class RegisterTrajectory:
-    """Bloch/entropy/readout time series of the register on a time grid."""
+class RegisterTrajectory(_Record):
+    """Bloch/entropy/readout time series of the register on a time grid, one array each."""
 
-    times: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-    r: np.ndarray
-    gamma: np.ndarray
-    gamma_defined: np.ndarray
-    entropy: np.ndarray
-    p_success: np.ndarray
-    lam1: np.ndarray
-    lam2: np.ndarray
+    def __init__(
+        self, times, s1, s2, s3, r, gamma, gamma_defined, entropy, p_success, lam1, lam2
+    ) -> None:
+        vars(self).update(
+            times=times, s1=s1, s2=s2, s3=s3, r=r, gamma=gamma, gamma_defined=gamma_defined,
+            entropy=entropy, p_success=p_success, lam1=lam1, lam2=lam2,
+        )
 
     @classmethod
     def from_coherence(cls, times, coherence, s3, p_success) -> "RegisterTrajectory":

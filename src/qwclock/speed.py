@@ -18,6 +18,7 @@ import numpy as np
 
 from . import chain
 from .chain import ChainSpec, CursorWavefunction, _check_memory, _check_norm, _each, propagate
+from .chain import _Record
 from .quadrature import composite_gauss_legendre, integrate
 
 __all__ = [
@@ -254,14 +255,11 @@ def law_pad_cn(n: int) -> SpeedLaw:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalSpeed:
+class EmpiricalSpeed(_Record):
     """Finite-time speed distribution: mass |psi(t,x)|^2 at v = x/t."""
 
-    speeds: np.ndarray
-    masses: np.ndarray
-    mean: float
-    variance: float
+    def __init__(self, speeds: np.ndarray, masses: np.ndarray, mean: float, variance: float):
+        vars(self).update(speeds=speeds, masses=masses, mean=mean, variance=variance)
 
     def kolmogorov_distance(self, cdf) -> float:
         """Sup-norm distance between this step CDF and a reference CDF."""

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -723,3 +724,77 @@ def test_position_drift_exits_2_with_the_per_sample_line(s, drifts, monkeypatch,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {first.value}\n"
+
+
+def _traced_slope(argv, sizes, tmp_path, monkeypatch):
+    """The estimates cli checks over main(argv.format(size)) at each size, and the slope of
+    its traced peak from sizes[0] to sizes[1].  One thread; each traced run starts with a
+    cold basis cache, as a CLI process does, after one untraced run at a hundredth of the
+    smaller size has made what any run makes once."""
+    checked, check_memory = [], cli._check_memory
+
+    def recording_check(nbytes, what):
+        checked.append(nbytes)
+        check_memory(nbytes, what)
+
+    monkeypatch.setattr(chain, "_cpus", lambda: 1)
+    out = ["--out", str(tmp_path / "out.csv")]
+    assert main([*argv.format(max(2, sizes[0] // 100)).split(), *out]) == 0
+    monkeypatch.setattr(cli, "_check_memory", recording_check)
+    peaks = []
+    for size in sizes:
+        chain._complex_modes.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main([*argv.format(size).split(), *out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return checked, (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+
+
+def test_row_estimate_bounds_the_traced_slope_of_a_trajectory(tmp_path, monkeypatch):
+    """_time_grid checks _ROW_BYTES = 400 B per sample, to the byte, and a run holds less
+    per row.  multi has the most columns (six, as launchpad, alternating and measure
+    have) and holds the most per row, its densities and their check beside the register
+    series: 168 B a row from 3,001 rows to 9,001 (bloch and measure 124 B a row from
+    100,001 to 300,001, past the windows that hold their peak at fewer)."""
+    argv = "multi --g 1 --s 9 --x0 4 --t-max {} --step 1"
+    checked, slope = _traced_slope(argv, (3000, 9000), tmp_path, monkeypatch)
+    assert cli._ROW_BYTES == 400
+    assert checked == [cli._SITE_BYTES * 9, 400 * 3001, cli._SITE_BYTES * 9, 400 * 9001]
+    assert slope <= cli._ROW_BYTES
+
+
+@pytest.mark.parametrize(
+    "family,n,sizes", [("localized", 0, (10000, 30000)), ("gamma", 12, (500, 1500))]
+)
+def test_grid_estimate_bounds_the_traced_slope_of_a_speed_density(
+    family, n, sizes, tmp_path, monkeypatch
+):
+    """speed-density checks (_ROW_BYTES + 48 n) B per --grid point, to the byte, for the
+    gamma law of --n n (and _ROW_BYTES for a closed-form law): its density makes
+    (grid, s) sines with their complex cast, 24 B a site and row, on s = 2n - 1 sites (2
+    at n = 1).  A run holds less per point: 63 + 24 s B for gamma at n = 5, 20 and 40
+    from 3,000 points to 9,000, and 57 B for localized.  At n = 12 the slope is above
+    _ROW_BYTES alone, which the check once was."""
+    argv = f"speed-density --family {family} --n {max(n, 1)} --grid {{}}"
+    checked, slope = _traced_slope(argv, sizes, tmp_path, monkeypatch)
+    assert checked == [(cli._ROW_BYTES + 48 * n) * grid for grid in sizes]
+    assert slope <= cli._ROW_BYTES + 48 * n
+    assert not n or slope > cli._ROW_BYTES
+
+
+@pytest.mark.parametrize(
+    "argv", ["measure --mu 3 --s {} --tau 1 --t-max 1.15", "bloch --mu 3 --s {} --t-max 0.05"]
+)
+def test_site_estimate_bounds_the_traced_slope_of_a_one_sample_run(argv, tmp_path, monkeypatch):
+    """_chain_spec checks _SITE_BYTES = 512 B per site, to the byte, before the chain
+    exists.  On a one-sample grid on the FFT path, which builds no s x s basis (the
+    GEMM path's basis checks itself), from 2,000 sites to 6,000 the traced peak grows
+    by 467 B a site for measure and 435 for bloch: no more than the estimate, and more
+    than half of it."""
+    checked, slope = _traced_slope(argv, (2000, 6000), tmp_path, monkeypatch)
+    assert cli._SITE_BYTES == 512
+    assert checked == [512 * 2000, 400, 512 * 6000, 400]
+    assert slope <= cli._SITE_BYTES < 2 * slope
